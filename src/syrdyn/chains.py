@@ -329,11 +329,12 @@ def two_preimage_class(p: int, r: int) -> int:
 
 
 def two_preimage_floor(p: int, r: int) -> int:
-    """Smallest y in the two-preimage class whose odd preimage is >= 1.
+    """Least positive member (p + r)/2 of the two-preimage class.
 
     The odd preimage (2y - r)/p is a positive integer exactly when y is in
-    the class AND 2y >= p + r; below (p + r)/2 the class has one preimage
-    like everything else.  These are the small-y boundary exceptions.
+    the class and 2y >= p + r.  No positive class member lies below
+    (p + r)/2, and there both preimages, 2y and (2y - r)/p = 1, already
+    exist, so every positive member of the class has two preimages.
     """
     _validate_pr(p, r)
     if r % 2 == 0:

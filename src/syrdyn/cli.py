@@ -58,6 +58,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# bounds bigger than this many bits are refused before the power is built
+_MAX_BOUND_BITS = 1 << 16
+
+
 def _parse_bound(text: str) -> int:
     """Integer bounds in plain (10000), scientific (1e6) or power (10^9) form."""
     s = text.strip().lower()
@@ -65,20 +69,23 @@ def _parse_bound(text: str) -> int:
         if "^" in s:
             base, _, expo = s.partition("^")
             b, e = int(base), int(expo)
+            mant = 1
         elif "e" in s:
-            mant, _, expo = s.partition("e")
+            mant_text, _, expo = s.partition("e")
             b, e = 10, int(expo)
-            mant_i = int(mant)
-            if e < 0:
-                raise ValueError
-            return mant_i * b**e
+            mant = int(mant_text)
         else:
             return int(s)
         if e < 0:
             raise ValueError
-        return b**e
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer bound: {text!r}") from None
+    # b^e has at least e*(bits(b) - 1) bits, so this rejects only true giants
+    if e * (abs(b).bit_length() - 1) > _MAX_BOUND_BITS:
+        raise argparse.ArgumentTypeError(
+            f"bound {text!r} has more than {_MAX_BOUND_BITS} bits"
+        )
+    return mant * b**e
 
 
 def _positive_int(text: str) -> int:
@@ -92,6 +99,11 @@ def _positive_int(text: str) -> int:
 
 
 def _thread_count(flag_value: int | None) -> int:
+    """Workers requested by SYRDYN_THREADS, else --threads, else 1; at most the CPU count.
+
+    Output does not depend on the worker count, so the cap only drops
+    processes that could not run at once anyway.
+    """
     env = os.environ.get("SYRDYN_THREADS")
     if env is not None:
         try:
@@ -100,10 +112,9 @@ def _thread_count(flag_value: int | None) -> int:
             raise InvalidParameters(f"SYRDYN_THREADS must be an integer, got {env!r}") from None
         if n < 1:
             raise InvalidParameters(f"SYRDYN_THREADS must be >= 1, got {n}")
-        return n
-    if flag_value is not None:
-        return flag_value
-    return 1
+    else:
+        n = flag_value or 1
+    return min(n, os.cpu_count() or 1)
 
 
 def _limits(args) -> Limits:
@@ -138,41 +149,33 @@ def _chunks(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
     return out
 
 
-# top level so ProcessPoolExecutor can pickle them
+# top level so ProcessPoolExecutor can pickle them; each chunk gets its own
+# partition memo, and the callers merge chunk results in order
 
 
 def _scan_worker(job):
     desc, lo, hi, limits = job
-    rows = []
-    for x in range(lo, hi):
-        rep = iterate(desc, x, limits)
-        entered = rep.status is TrajectoryStatus.ENTERED_CYCLE
-        rows.append(
-            (
-                str(x),
-                rep.status.value,
-                str(rep.entry_index) if entered else "",
-                str(rep.max_excursion),
-                str(rep.cycle.min_member) if entered else "",
-            )
+    return [
+        (
+            str(x),
+            status.value,
+            "" if cycle is None else str(steps),
+            str(excursion),
+            "" if cycle is None else str(cycle.min_member),
         )
-    return rows
+        for x, status, steps, excursion, cycle in partition(desc, hi - 1, limits, lo).records()
+    ]
 
 
 def _cycles_worker(job):
     desc, lo, hi, limits = job
-    found = {}
-    for start in range(lo, hi):
-        rep = iterate(desc, start, limits)
-        if rep.status is TrajectoryStatus.ENTERED_CYCLE:
-            found.setdefault(rep.cycle.members, None)
-    return sorted(found)
+    return [c.members for c in partition(desc, hi - 1, limits, lo).cycles]
 
 
-def _fan_out(worker, jobs, workers: int):
-    if workers <= 1 or len(jobs) <= 1:
+def _fan_out(worker, jobs):
+    if len(jobs) <= 1:
         return [worker(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
         return list(pool.map(worker, jobs))  # submission order, so merge is stable
 
 
@@ -193,7 +196,7 @@ def _cmd_cycles(args) -> int:
     workers = _thread_count(args.threads)
     jobs = [(desc, lo, hi, limits) for lo, hi in _chunks(1, args.bound + 1, workers)]
     merged = {}
-    for part in _fan_out(_cycles_worker, jobs, workers):
+    for part in _fan_out(_cycles_worker, jobs):
         for members in part:
             merged.setdefault(members, None)
     cycles = sorted(merged, key=lambda m: m[0])
@@ -312,7 +315,7 @@ def _cmd_scan(args) -> int:
     workers = _thread_count(args.threads)
     jobs = [(desc, lo, hi, limits) for lo, hi in _chunks(args.start, args.end + 1, workers)]
     lines = ["x,status,steps_to_cycle,max_excursion,cycle_min"]
-    for part in _fan_out(_scan_worker, jobs, workers):
+    for part in _fan_out(_scan_worker, jobs):
         for row in part:
             lines.append(",".join(row))
     _emit("\n".join(lines) + "\n", args.out)

@@ -4,6 +4,9 @@ Classes: "C" (on a cycle), "D1" (orbit reaches a cycle within limits), "D2?"
 (step or value limit hit first).  The question mark is deliberate: a finite
 budget cannot certify true escape, so the third class only collects
 candidates, and results always carry the limits used.
+
+This is the one range engine: find_cycles and the CLI's cycles and scan
+subcommands read their answers off a PartitionResult.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, InvalidParameters
 from .maps import MapDescriptor
-from .trajectory import CycleInfo, Limits, iterate
+from .trajectory import CycleInfo, Limits, TrajectoryStatus, iterate
 
 __all__ = ["CLASS_C", "CLASS_D1", "CLASS_D2", "PartitionResult", "partition",
            "export_csv", "summary_dict"]
@@ -22,61 +25,95 @@ CLASS_C = "C"
 CLASS_D1 = "D1"
 CLASS_D2 = "D2?"
 
-_CODE_NAMES = {1: CLASS_C, 2: CLASS_D1, 3: CLASS_D2}
+# per-point codes: 1=C 2=D1; the public class D2? is split by the limit hit
+# first, so scan can report iterate()'s status without re-walking
+_C, _D1, _STEP_LIMIT, _VALUE_LIMIT = 1, 2, 3, 4
+_CODE_NAMES = {_C: CLASS_C, _D1: CLASS_D1, _STEP_LIMIT: CLASS_D2, _VALUE_LIMIT: CLASS_D2}
+_CODE_STATUS = {
+    _C: TrajectoryStatus.ENTERED_CYCLE,
+    _D1: TrajectoryStatus.ENTERED_CYCLE,
+    _STEP_LIMIT: TrajectoryStatus.HIT_STEP_LIMIT,
+    _VALUE_LIMIT: TrajectoryStatus.HIT_VALUE_LIMIT,
+}
+_LIMIT_CODES = {
+    TrajectoryStatus.HIT_STEP_LIMIT: _STEP_LIMIT,
+    TrajectoryStatus.HIT_VALUE_LIMIT: _VALUE_LIMIT,
+}
 
 
 @dataclass
 class PartitionResult:
+    """Per-point classification of start..domain_bound; arrays index by x - start."""
+
     descriptor: MapDescriptor
     domain_bound: int
     limits: Limits
     cycles: tuple[CycleInfo, ...]
-    _codes: bytearray = field(repr=False)       # 1=C 2=D1 3=D2?, index by x
+    start: int
+    _codes: bytearray = field(repr=False)       # one of the per-point codes above
     _steps: list = field(repr=False)            # steps_to_cycle, None for D2?
     _excursions: list = field(repr=False)
+    _cycle_of: list = field(repr=False)         # the CycleInfo entered, None for D2?
     _sets: dict = field(default_factory=dict, repr=False)
 
-    def _check_x(self, x: int) -> None:
-        if type(x) is not int or not 1 <= x <= self.domain_bound:
-            raise DomainError(f"{x!r} is outside the classified domain 1..{self.domain_bound}")
+    def _index(self, x: int) -> int:
+        if type(x) is not int or not self.start <= x <= self.domain_bound:
+            raise DomainError(
+                f"{x!r} is outside the classified domain {self.start}..{self.domain_bound}"
+            )
+        return x - self.start
 
     def class_of(self, x: int) -> str:
-        self._check_x(x)
-        return _CODE_NAMES[self._codes[x]]
+        return _CODE_NAMES[self._codes[self._index(x)]]
 
     def steps_to_cycle(self, x: int) -> int | None:
         """Index of the first orbit point on the eventual cycle; None for D2?."""
-        self._check_x(x)
-        return self._steps[x]
+        return self._steps[self._index(x)]
 
     def max_excursion(self, x: int) -> int:
-        self._check_x(x)
-        return self._excursions[x]
+        return self._excursions[self._index(x)]
 
-    def _class_set(self, code: int) -> frozenset:
-        if code not in self._sets:
-            self._sets[code] = frozenset(
-                x for x in range(1, self.domain_bound + 1) if self._codes[x] == code
+    def records(self):
+        """Iterate (x, status, steps_to_cycle, max_excursion, cycle) over x in order.
+
+        Each tuple carries what iterate(descriptor, x, limits) reports: its
+        status, entry_index, max_excursion and cycle (None unless entered).
+        """
+        return zip(
+            range(self.start, self.domain_bound + 1),
+            map(_CODE_STATUS.__getitem__, self._codes),
+            self._steps,
+            self._excursions,
+            self._cycle_of,
+        )
+
+    def _class_set(self, codes: tuple[int, ...]) -> frozenset:
+        if codes not in self._sets:
+            self._sets[codes] = frozenset(
+                x for x, code in zip(range(self.start, self.domain_bound + 1), self._codes)
+                if code in codes
             )
-        return self._sets[code]
+        return self._sets[codes]
 
     @property
     def c_set(self) -> frozenset:
-        return self._class_set(1)
+        return self._class_set((_C,))
 
     @property
     def d1_set(self) -> frozenset:
-        return self._class_set(2)
+        return self._class_set((_D1,))
 
     @property
     def d2_candidates(self) -> frozenset:
-        return self._class_set(3)
+        return self._class_set((_STEP_LIMIT, _VALUE_LIMIT))
 
     def counts(self) -> dict[str, int]:
-        tallies = {1: 0, 2: 0, 3: 0}
-        for x in range(1, self.domain_bound + 1):
-            tallies[self._codes[x]] += 1
-        return {CLASS_C: tallies[1], CLASS_D1: tallies[2], CLASS_D2: tallies[3]}
+        codes = self._codes
+        return {
+            CLASS_C: codes.count(_C),
+            CLASS_D1: codes.count(_D1),
+            CLASS_D2: codes.count(_STEP_LIMIT) + codes.count(_VALUE_LIMIT),
+        }
 
 
 def _walk(desc, x, limits, conv, vlim, cycles, cycle_ids):
@@ -88,7 +125,8 @@ def _walk(desc, x, limits, conv, vlim, cycles, cycle_ids):
     would provably reproduce it; everything else is re-walked later with its
     own budget.  That keeps results bit-identical to per-point iterate().
 
-    Returns (code, steps_to_cycle or None, max_excursion) for x.
+    Returns (code, steps_to_cycle, max_excursion, cycle_id) for x; the
+    second and last are None for the two limit codes.
     """
     max_steps = limits.max_steps
     path = [x]
@@ -97,7 +135,7 @@ def _walk(desc, x, limits, conv, vlim, cycles, cycle_ids):
         steps = len(path) - 1
         if steps == max_steps:
             # out of budget; intermediates keep their larger budgets for later
-            return 3, None, max(path)
+            return _STEP_LIMIT, None, max(path), None
         nxt = desc.apply(path[-1])
         apps = steps + 1
 
@@ -116,9 +154,9 @@ def _walk(desc, x, limits, conv, vlim, cycles, cycle_ids):
             rec = conv.get(x)
             if rec is not None:
                 d_x, _cid, exc_x = rec
-                return (1 if d_x == 0 else 2), d_x, exc_x
+                return (_C if d_x == 0 else _D1), d_x, exc_x, cid
             report = iterate(desc, x, limits)  # barely out of budget; exact fallback
-            return 3, None, report.max_excursion
+            return _LIMIT_CODES[report.status], None, report.max_excursion, None
 
         v_hit = vlim.get(nxt)
         if v_hit is not None:
@@ -132,9 +170,9 @@ def _walk(desc, x, limits, conv, vlim, cycles, cycle_ids):
                 vlim[path[i]] = ((apps - i) + v0, m)
             rec = vlim.get(x)
             if rec is not None:
-                return 3, None, rec[1]
+                return _VALUE_LIMIT, None, rec[1], None
             report = iterate(desc, x, limits)
-            return 3, None, report.max_excursion
+            return _LIMIT_CODES[report.status], None, report.max_excursion, None
 
         entry = pos.get(nxt)
         if entry is not None:
@@ -155,7 +193,7 @@ def _walk(desc, x, limits, conv, vlim, cycles, cycle_ids):
                     m = path[i]
                 conv[path[i]] = (entry - i, cid, m)
             d_x, _cid, exc_x = conv[x]
-            return (1 if d_x == 0 else 2), d_x, exc_x
+            return (_C if d_x == 0 else _D1), d_x, exc_x, cid
 
         if nxt > limits.max_value:
             # every path point sees this violation within its own budget
@@ -164,18 +202,24 @@ def _walk(desc, x, limits, conv, vlim, cycles, cycle_ids):
                 if path[i] > m:
                     m = path[i]
                 vlim[path[i]] = (apps - i, m)
-            return 3, None, vlim[x][1]
+            return _VALUE_LIMIT, None, vlim[x][1], None
 
         pos[nxt] = len(path)
         path.append(nxt)
 
 
 def partition(
-    desc: MapDescriptor, domain_bound: int, limits: Limits | None = None
+    desc: MapDescriptor, domain_bound: int, limits: Limits | None = None, start: int = 1
 ) -> PartitionResult:
-    """Classify every x in 1..domain_bound exactly as iterate() would."""
-    if type(domain_bound) is not int or domain_bound < 1:
-        raise InvalidParameters(f"domain_bound must be >= 1, got {domain_bound!r}")
+    """Classify every x in start..domain_bound exactly as iterate() would.
+
+    All starts share one orbit memo, so a window costs about as much as the
+    orbits it touches; only the window itself is stored per point.
+    """
+    if type(start) is not int or start < 1:
+        raise InvalidParameters(f"start must be >= 1, got {start!r}")
+    if type(domain_bound) is not int or domain_bound < start:
+        raise InvalidParameters(f"domain_bound must be >= {start}, got {domain_bound!r}")
     limits = limits or Limits()
     if domain_bound > limits.max_value:
         # every domain point must be iterable inside the box
@@ -186,38 +230,43 @@ def partition(
     vlim: dict[int, tuple[int, int]] = {}
     cycles: list[CycleInfo] = []
     cycle_ids: dict[tuple[int, ...], int] = {}
-    codes = bytearray(domain_bound + 1)
-    steps_arr: list = [None] * (domain_bound + 1)
-    exc_arr: list = [0] * (domain_bound + 1)
-    for x in range(1, domain_bound + 1):
+    size = domain_bound - start + 1
+    codes = bytearray(size)
+    steps_arr: list = [None] * size
+    exc_arr: list = [0] * size
+    cycle_arr: list = [None] * size
+    for i, x in enumerate(range(start, domain_bound + 1)):
         rec = conv.get(x)
         if rec is not None:
-            d_x, _cid, exc = rec
-            code, st = (1 if d_x == 0 else 2), d_x
+            st, cid, exc = rec
+            code = _C if st == 0 else _D1
         else:
             v_rec = vlim.get(x)
             if v_rec is not None:
-                code, st, exc = 3, None, v_rec[1]
+                code, st, exc, cid = _VALUE_LIMIT, None, v_rec[1], None
             else:
-                code, st, exc = _walk(desc, x, limits, conv, vlim, cycles, cycle_ids)
-        codes[x] = code
-        steps_arr[x] = st
-        exc_arr[x] = exc
+                code, st, exc, cid = _walk(desc, x, limits, conv, vlim, cycles, cycle_ids)
+        codes[i] = code
+        steps_arr[i] = st
+        exc_arr[i] = exc
+        if cid is not None:
+            cycle_arr[i] = cycles[cid]
     ordered = tuple(sorted(cycles, key=lambda c: c.members[0]))
-    return PartitionResult(desc, domain_bound, limits, ordered, codes, steps_arr, exc_arr)
+    return PartitionResult(desc, domain_bound, limits, ordered, start,
+                           codes, steps_arr, exc_arr, cycle_arr)
 
 
 def export_csv(result: PartitionResult, stream) -> None:
     """Columns x, class, steps_to_cycle (empty for D2?), max_excursion."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["x", "class", "steps_to_cycle", "max_excursion"])
-    for x in range(1, result.domain_bound + 1):
-        st = result._steps[x]
+    for x, code, st, exc in zip(range(result.start, result.domain_bound + 1),
+                                result._codes, result._steps, result._excursions):
         writer.writerow([
             str(x),
-            _CODE_NAMES[result._codes[x]],
+            _CODE_NAMES[code],
             "" if st is None else str(st),
-            str(result._excursions[x]),
+            str(exc),
         ])
 
 

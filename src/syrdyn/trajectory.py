@@ -149,20 +149,17 @@ def iterate(desc: MapDescriptor, start: int, limits: Limits | None = None) -> Tr
 def find_cycles(
     desc: MapDescriptor, search_bound: int, limits: Limits | None = None
 ) -> list[CycleInfo]:
-    """Distinct cycles hit by any start in 1..search_bound, sorted by minimum.
+    """Distinct cycles entered by any start in 1..search_bound, sorted by minimum.
 
-    Each start is walked independently, so the result cannot depend on the
-    iteration order; a parallel scan merges to the same list.
+    These are the cycles of partition(desc, search_bound, limits): its shared
+    orbit memo classifies every start exactly as iterate() would, so the list
+    is the one per-start walks give, and a parallel scan merges to it too.
     """
     if type(search_bound) is not int or search_bound < 1:
         raise InvalidParameters(f"search_bound must be >= 1, got {search_bound!r}")
-    limits = limits or Limits()
-    found: dict[tuple[int, ...], CycleInfo] = {}
-    for start in range(1, search_bound + 1):
-        report = iterate(desc, start, limits)
-        if report.status is TrajectoryStatus.ENTERED_CYCLE:
-            found.setdefault(report.cycle.members, report.cycle)
-    return sorted(found.values(), key=lambda c: c.members[0])
+    from .partition import partition  # partition builds on this module
+
+    return list(partition(desc, search_bound, limits).cycles)
 
 
 def check_power_cycle(k: int) -> CycleInfo:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -28,6 +29,20 @@ class TestBoundParsing:
         for bad in ("abc", "1.5", "1e-3", "2^-1", ""):
             with pytest.raises(argparse.ArgumentTypeError):
                 _parse_bound(bad)
+
+    def test_rejects_giants_before_building_them(self):
+        import argparse
+        assert _parse_bound("2^65536") == 1 << 65536
+        for big in ("10^100000000", "2^70000", "7e100000000"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                _parse_bound(big)
+
+    def test_giant_limit_exits_one_at_once(self, capsys):
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, "traj", "collatz", "7", "--max-value", "10^100000000")
+        assert code == 1
+        assert "bits" in err
+        assert time.perf_counter() - t0 < 5  # building 10^(10^8) takes minutes
 
 
 class TestExitCodes:

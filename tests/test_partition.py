@@ -87,17 +87,21 @@ class TestPartitionStructure:
             partition(collatz(), 100, Limits(max_steps=10, max_value=50))
 
 
-@pytest.mark.parametrize("limits", [
+TIGHT_LIMITS = pytest.mark.parametrize("limits", [
     Limits(max_steps=5, max_value=330),
     Limits(max_steps=12, max_value=10**4),
     Limits(max_steps=30, max_value=400),
     Limits(max_steps=120, max_value=10**9),
 ])
-@pytest.mark.parametrize("desc,bound", [
+SMALL_DOMAINS = pytest.mark.parametrize("desc,bound", [
     (collatz(), 300),
     (pxr(5, 1), 120),
     (D3, 120),
 ])
+
+
+@TIGHT_LIMITS
+@SMALL_DOMAINS
 def test_memoized_equals_naive(desc, bound, limits):
     # the whole point of the cache: bit-identical to per-point iteration,
     # including under budgets tight enough to cut walks short
@@ -107,6 +111,25 @@ def test_memoized_equals_naive(desc, bound, limits):
         assert res.class_of(x) == cls, x
         assert res.steps_to_cycle(x) == steps, x
         assert res.max_excursion(x) == exc, x
+
+
+@TIGHT_LIMITS
+@SMALL_DOMAINS
+def test_records_equal_iterate(desc, bound, limits):
+    # the internal step-limit / value-limit split of D2? is iterate's status,
+    # and each convergent point keeps the cycle iterate finds
+    res = partition(desc, bound, limits)
+    for x, status, steps, exc, cycle in res.records():
+        rep = iterate(desc, x, limits)
+        assert (status, steps, exc, cycle) == (
+            rep.status, rep.entry_index, rep.max_excursion, rep.cycle), x
+
+
+def test_grid_reaches_every_status():
+    # the grid above is only a check of the D2? split if both limits occur
+    limits = Limits(max_steps=30, max_value=400)
+    statuses = {status for _x, status, *_ in partition(collatz(), 300, limits).records()}
+    assert statuses == set(TrajectoryStatus)
 
 
 def test_csv_golden():
