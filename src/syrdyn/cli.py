@@ -35,7 +35,7 @@ from .chains import (
 from .errors import InternalCheckError, InvalidParameters, NotApplicable, ValidationError
 from .maps import parse_descriptor
 from .measure import assign_measure, build_forest, check_power_bound, export_json
-from .partition import export_csv, partition, summary_dict
+from .partition import check_window, export_csv, partition, summary_dict
 from .trajectory import (
     DEFAULT_MAX_STEPS,
     DEFAULT_MAX_VALUE,
@@ -193,6 +193,7 @@ def _cmd_traj(args) -> int:
 def _cmd_cycles(args) -> int:
     desc = parse_descriptor(args.map)
     limits = _limits(args)
+    check_window(1, args.bound)
     workers = _thread_count(args.threads)
     jobs = [(desc, lo, hi, limits) for lo, hi in _chunks(1, args.bound + 1, workers)]
     merged = {}
@@ -312,6 +313,7 @@ def _cmd_scan(args) -> int:
         raise InvalidParameters(f"--end {args.end} is below --start {args.start}")
     if args.end > limits.max_value:
         raise InvalidParameters(f"--end {args.end} exceeds max_value {limits.max_value}")
+    check_window(args.start, args.end)
     workers = _thread_count(args.threads)
     jobs = [(desc, lo, hi, limits) for lo, hi in _chunks(args.start, args.end + 1, workers)]
     lines = ["x,status,steps_to_cycle,max_excursion,cycle_min"]

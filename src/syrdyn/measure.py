@@ -8,9 +8,18 @@ Construction, per cycle i of length N (cycle trees are disjoint):
   m * 2^(-t-1), so each node's children carry less than half its value;
 * combined: mu = sum over cycles of 2^(-i-1) * mu_i, total at most 1.
 
-1/(2N) is dyadic only when N is a power of two, so values are stored as a
-DyadicRational times a symbolic 1/denom with odd denom; all comparisons are
-exact cross-multiplications.
+1/(2N) is dyadic only when N is a power of two, so a reported value is a
+MeasureValue: a DyadicRational times a symbolic 1/denom with odd denom.
+
+The power-bound check runs on plain integers.  assign_measure puts every
+combined mass over one shared denominator L * 2^E, with L the lcm of the odd
+denominators and E the largest dyadic exponent, and keeps the integer
+numerators.  A set's mass is then an integer sum, the bound is an integer
+comparison, and a MeasureValue is built only to report a mass.
+
+build_forest refuses a forest of more than _MAX_FOREST_NODES nodes before it
+stores the level that would cross the cap, and stops a tree at its first
+empty level, so a huge depth costs no more than the nodes it finds.
 """
 
 from __future__ import annotations
@@ -35,6 +44,11 @@ __all__ = [
     "check_power_bound",
     "export_json",
 ]
+
+# forests of more nodes than this are refused.  The deepest Collatz forest
+# under the cap, depth 36 with 112,658 nodes, takes `measure` about 490 MB and
+# 10 s, mostly in the JSON export; depth 20 has 1137 nodes.
+_MAX_FOREST_NODES = 1 << 17
 
 
 class MeasureValue:
@@ -146,9 +160,11 @@ class PreimageForest:
     """Truncated preimage trees over one tree per cycle, levels ascending.
 
     levels[i][l] lists level-l nodes of cycle i ascending; level 0 holds the
-    cycle members.  parent maps every non-cycle node to its image under the
-    map; children is the inverse, each tuple ascending.  The enumeration
-    order is part of the contract: the measure depends on it.
+    cycle members.  A tree that dies out before depth ends at its last
+    non-empty level, so levels[i] may hold fewer than depth + 1 tuples.
+    parent maps every non-cycle node to its image under the map; children
+    is the inverse, each tuple ascending.  The enumeration order is part of
+    the contract: the measure depends on it.
     """
 
     descriptor: MapDescriptor
@@ -165,7 +181,11 @@ class PreimageForest:
 def build_forest(
     desc: MapDescriptor, cycles, depth: int
 ) -> PreimageForest:
-    """Breadth-first preimage closure of each cycle, ascending within levels."""
+    """Breadth-first preimage closure of each cycle, ascending within levels.
+
+    Raises InvalidParameters, before storing it, at the first level that
+    would take the forest above _MAX_FOREST_NODES nodes.
+    """
     if type(depth) is not int or depth < 0:
         raise InvalidParameters(f"depth must be a non-negative int, got {depth!r}")
     cycles = tuple(cycles)
@@ -195,6 +215,13 @@ def build_forest(
                 for q in desc.preimage(v):
                     if q not in seen:
                         staged.append((q, v))
+            if not staged:
+                break  # no level below an empty one
+            if len(seen) + len(staged) > _MAX_FOREST_NODES:
+                raise InvalidParameters(
+                    f"forest level {lvl} would take the forest to {len(seen) + len(staged)} "
+                    f"nodes, above the cap of {_MAX_FOREST_NODES}; use a smaller depth"
+                )
             staged.sort()
             for q, v in staged:
                 seen.add(q)
@@ -217,6 +244,12 @@ class MeasureAssignment:
     combined: dict           # node -> 2^(-i-1) * per_cycle, i 1-based
     per_cycle_totals: tuple  # MeasureValue per cycle (cycle-local scale)
     total: "MeasureValue"    # combined mass of the whole forest
+    numerators: dict         # node -> combined mass times denominator, an int
+    denominator: int         # L * 2^E shared by every combined mass
+
+    def value(self, numerator: int) -> MeasureValue:
+        """numerator / denominator as a canonical MeasureValue."""
+        return MeasureValue(DyadicRational(numerator), self.denominator)
 
 
 def assign_measure(forest: PreimageForest) -> MeasureAssignment:
@@ -228,10 +261,10 @@ def assign_measure(forest: PreimageForest) -> MeasureAssignment:
         levels = forest.levels[ci]
         for v in levels[0]:
             per_cycle[v] = MeasureValue(half, cyc.length)
-        if forest.depth >= 1:
+        if len(levels) > 1:
             for j, v in enumerate(levels[1], start=1):
                 per_cycle[v] = MeasureValue(DyadicRational(1, j + 3), 1)
-        for lvl in range(2, forest.depth + 1):
+        for lvl in range(2, len(levels)):
             for parent_v in levels[lvl - 1]:
                 for t, child in enumerate(forest.children.get(parent_v, ()), start=1):
                     per_cycle[child] = per_cycle[parent_v].mul_pow2(-(t + 1))
@@ -242,21 +275,22 @@ def assign_measure(forest: PreimageForest) -> MeasureAssignment:
                 cycle_total = cycle_total + per_cycle[v]
                 combined[v] = per_cycle[v].mul_pow2(scale)
         totals.append(cycle_total)
-    total = MeasureValue.zero()
-    for value in combined.values():
-        total = total + value
-    return MeasureAssignment(forest, per_cycle, combined, tuple(totals), total)
+    odd = math.lcm(*{m.denom for m in combined.values()})
+    exp = max(m.dyadic.exp for m in combined.values())
+    numerators = {
+        v: (m.dyadic.num * (odd // m.denom)) << (exp - m.dyadic.exp)
+        for v, m in combined.items()
+    }
+    denominator = odd << exp
+    total = MeasureValue(DyadicRational(sum(numerators.values())), denominator)
+    return MeasureAssignment(forest, per_cycle, combined, tuple(totals), total,
+                             numerators, denominator)
 
 
 def measure_of(assignment: MeasureAssignment, a) -> MeasureValue:
     """Exact combined mass of a set of integers; uncovered points weigh 0."""
-    out = MeasureValue.zero()
-    combined = assignment.combined
-    for v in set(a):
-        mv = combined.get(v)
-        if mv is not None:
-            out = out + mv
-    return out
+    numerators = assignment.numerators
+    return assignment.value(sum(numerators.get(v, 0) for v in set(a)))
 
 
 @dataclass(frozen=True)
@@ -266,7 +300,8 @@ class PowerBoundReport:
     seed: int
     comparisons: int
     violations: int
-    worst_ratio: float | None
+    worst_ratio: float | None        # mu(T^-n A) / mu(A), correctly rounded
+    worst_ratio_exact: str | None    # the same ratio as a reduced "p/q"
     worst: dict | None
 
     def to_json_dict(self) -> dict:
@@ -278,6 +313,7 @@ class PowerBoundReport:
             "violations": self.violations,
             "bound_constant": 2,
             "worst_ratio": self.worst_ratio,
+            "worst_ratio_exact": self.worst_ratio_exact,
             "worst": self.worst,
         }
 
@@ -287,10 +323,16 @@ def check_power_bound(
 ) -> PowerBoundReport:
     """Sample subsets A of covered nodes; assert mu(T^-n(A)) <= 2 mu(A), n <= max_n.
 
-    Subsets are drawn reproducibly from the seed.  Preimages are recomputed
-    through the map (not read off the stored tree links) and intersected with
-    the covered set; the covered set is forward-closed, so iterating the
-    one-step intersected preimage equals intersecting the n-step preimage.
+    Subsets are drawn reproducibly from the seed, one random bit per covered
+    node in ascending order.  Each covered node's preimages are computed once
+    per call through the map (not read off the stored tree links) and
+    intersected with the covered set; the covered set is forward-closed, so
+    iterating the one-step intersected preimage equals intersecting the
+    n-step preimage.  Masses are sums of the assignment's integer numerators
+    over its shared denominator, so every comparison is exact integer
+    arithmetic.  The worst pair is the first with the largest ratio, found by
+    cross-multiplication; its ratio is reported correctly rounded and as a
+    reduced fraction, and only its masses are rendered as MeasureValues.
     A violation is an internal bug: the construction guarantees the bound.
     """
     forest = assignment.forest
@@ -306,38 +348,37 @@ def check_power_bound(
     nodes = sorted(forest.covered)
     desc = forest.descriptor
     covered = forest.covered
+    preimages = {v: [q for q in desc.preimage(v) if q in covered] for v in nodes}
+    weight = assignment.numerators.__getitem__
     comparisons = 0
-    worst_ratio = None
-    worst = None
+    best = None  # (mu_n, mu_a, n, |A|) with the largest mu_n / mu_a so far
     for _ in range(trials):
-        subset = frozenset(v for v in nodes if rng.getrandbits(1))
-        mu_a = measure_of(assignment, subset)
-        bound = mu_a.mul_pow2(1)
+        subset = [v for v in nodes if rng.getrandbits(1)]
+        mu_a = sum(map(weight, subset))
         current = subset
         for n in range(1, max_n + 1):
-            pre = set()
-            for y in current:
-                for q in desc.preimage(y):
-                    if q in covered:
-                        pre.add(q)
-            current = frozenset(pre)
-            mu_n = measure_of(assignment, current)
+            current = set().union(*map(preimages.__getitem__, current))
+            mu_n = sum(map(weight, current))
             comparisons += 1
-            if mu_n > bound:
+            if mu_n > 2 * mu_a:
                 raise BoundViolation(
-                    f"mu(T^-{n}(A)) = {mu_n} > 2*mu(A) = {bound} for |A| = {len(subset)}, seed {seed}"
+                    f"mu(T^-{n}(A)) = {assignment.value(mu_n)} > 2*mu(A) = "
+                    f"{assignment.value(2 * mu_a)} for |A| = {len(subset)}, seed {seed}"
                 )
-            if mu_a:
-                ratio = float(mu_n) / float(mu_a)
-                if worst_ratio is None or ratio > worst_ratio:
-                    worst_ratio = ratio
-                    worst = {
-                        "n": n,
-                        "set_size": len(subset),
-                        "mu_set": str(mu_a),
-                        "mu_preimage": str(mu_n),
-                    }
-    return PowerBoundReport(trials, max_n, seed, comparisons, 0, worst_ratio, worst)
+            if mu_a and (best is None or mu_n * best[1] > best[0] * mu_a):
+                best = (mu_n, mu_a, n, len(subset))
+    if best is None:
+        return PowerBoundReport(trials, max_n, seed, comparisons, 0, None, None, None)
+    mu_n, mu_a, n, size = best
+    g = math.gcd(mu_n, mu_a)
+    worst = {
+        "n": n,
+        "set_size": size,
+        "mu_set": str(assignment.value(mu_a)),
+        "mu_preimage": str(assignment.value(mu_n)),
+    }
+    return PowerBoundReport(trials, max_n, seed, comparisons, 0, mu_n / mu_a,
+                            f"{mu_n // g}/{mu_a // g}", worst)
 
 
 def export_json(assignment: MeasureAssignment, report: PowerBoundReport | None = None) -> dict:

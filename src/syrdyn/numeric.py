@@ -1,8 +1,9 @@
 """Exact dyadic-rational arithmetic.
 
-The measure bookkeeping runs entirely on non-negative rationals of the form
-num * 2**-exp.  Python integers are arbitrary precision, so values stay exact
-at any forest depth; nothing here ever rounds.  Instances are treated as
+The measure's per-node values and reported masses are non-negative
+rationals of the form num * 2**-exp (its power-bound check sums integer
+numerators instead).  Python integers are arbitrary precision, so values stay
+exact at any forest depth; nothing here ever rounds.  Instances are treated as
 immutable: every operation returns a fresh value, which makes them safe to
 share across threads and processes.
 """

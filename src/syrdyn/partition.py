@@ -19,7 +19,7 @@ from .maps import MapDescriptor
 from .trajectory import CycleInfo, Limits, TrajectoryStatus, iterate
 
 __all__ = ["CLASS_C", "CLASS_D1", "CLASS_D2", "PartitionResult", "partition",
-           "export_csv", "summary_dict"]
+           "check_window", "export_csv", "summary_dict"]
 
 CLASS_C = "C"
 CLASS_D1 = "D1"
@@ -39,6 +39,10 @@ _LIMIT_CODES = {
     TrajectoryStatus.HIT_STEP_LIMIT: _STEP_LIMIT,
     TrajectoryStatus.HIT_VALUE_LIMIT: _VALUE_LIMIT,
 }
+
+# windows of more points than this are refused; partition keeps about 290 B
+# a point (10^6 Collatz starts peak at 288 MB), so the cap is about 1 GB
+_MAX_POINTS = 3_500_000
 
 
 @dataclass
@@ -208,18 +212,30 @@ def _walk(desc, x, limits, conv, vlim, cycles, cycle_ids):
         path.append(nxt)
 
 
+def check_window(start: int, domain_bound: int) -> None:
+    """Raise InvalidParameters if start..domain_bound has more than _MAX_POINTS points."""
+    size = domain_bound - start + 1
+    if size > _MAX_POINTS:
+        raise InvalidParameters(
+            f"window {start}..{domain_bound} has {size} points, above the cap of "
+            f"{_MAX_POINTS}; partition stores every point"
+        )
+
+
 def partition(
     desc: MapDescriptor, domain_bound: int, limits: Limits | None = None, start: int = 1
 ) -> PartitionResult:
     """Classify every x in start..domain_bound exactly as iterate() would.
 
     All starts share one orbit memo, so a window costs about as much as the
-    orbits it touches; only the window itself is stored per point.
+    orbits it touches; only the window itself is stored per point.  A window
+    of more than _MAX_POINTS points is refused before anything is stored.
     """
     if type(start) is not int or start < 1:
         raise InvalidParameters(f"start must be >= 1, got {start!r}")
     if type(domain_bound) is not int or domain_bound < start:
         raise InvalidParameters(f"domain_bound must be >= {start}, got {domain_bound!r}")
+    check_window(start, domain_bound)
     limits = limits or Limits()
     if domain_bound > limits.max_value:
         # every domain point must be iterable inside the box

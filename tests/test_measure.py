@@ -1,7 +1,15 @@
+import json
+import random
+import tracemalloc
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 
+import syrdyn.measure as measure_module
+from syrdyn.cli import main
 from syrdyn.errors import BoundViolation, InvalidParameters, OverlappingCycles, VerificationFailure
-from syrdyn.maps import collatz, pxr
+from syrdyn.maps import collatz, parse_descriptor, pxr
 from syrdyn.measure import (
     MeasureValue,
     assign_measure,
@@ -296,3 +304,213 @@ def test_export_shape(collatz_assignment):
     assert values == sorted(values)
     no_rep = export_json(collatz_assignment)
     assert no_rep["power_bound"] is None
+
+
+# -- the integer path against MeasureValue arithmetic --------------------------
+
+
+def mv_sum(asg, nodes):
+    """Combined mass of the covered members of nodes, by MeasureValue.__add__."""
+    acc = MeasureValue.zero()
+    for v in nodes:
+        if v in asg.combined:
+            acc = acc + asg.combined[v]
+    return acc
+
+
+def as_fraction(value):
+    return Fraction(value.dyadic.num, value.denom << value.dyadic.exp)
+
+
+def as_value(text):
+    """Parse 'n/2^k' or 'n/2^k * 1/d' back into a MeasureValue."""
+    dyadic, _, denom = text.partition(" * 1/")
+    num, _, exp = dyadic.partition("/2^")
+    return mv(int(num), int(exp or 0), int(denom or 1))
+
+
+def reference_power_bound(asg, trials, max_n, seed):
+    """The sampling check on MeasureValue sums and fresh map preimages.
+
+    Draws the same subsets as check_power_bound and keeps the first pair
+    with the largest exact ratio.  Returns (comparisons, ratio, worst).
+    """
+    rng = random.Random(seed)
+    covered = asg.forest.covered
+    desc = asg.forest.descriptor
+    nodes = sorted(covered)
+    comparisons, best, worst = 0, None, None
+    for _ in range(trials):
+        subset = frozenset(v for v in nodes if rng.getrandbits(1))
+        mu_a = mv_sum(asg, subset)
+        current = subset
+        for n in range(1, max_n + 1):
+            current = frozenset(q for y in current for q in desc.preimage(y) if q in covered)
+            mu_n = mv_sum(asg, current)
+            comparisons += 1
+            assert mu_n <= mu_a.mul_pow2(1)
+            if mu_a:
+                ratio = as_fraction(mu_n) / as_fraction(mu_a)
+                if best is None or ratio > best:
+                    best = ratio
+                    worst = {"n": n, "set_size": len(subset),
+                             "mu_set": str(mu_a), "mu_preimage": str(mu_n)}
+    return comparisons, best, worst
+
+
+def assert_matches_reference(asg, trials, max_n, seed):
+    rep = check_power_bound(asg, trials=trials, max_n=max_n, seed=seed)
+    comparisons, ratio, worst = reference_power_bound(asg, trials, max_n, seed)
+    assert rep.violations == 0
+    assert rep.comparisons == comparisons == trials * max_n
+    assert rep.worst == worst
+    assert rep.worst_ratio == float(ratio)
+    assert rep.worst_ratio_exact == f"{ratio.numerator}/{ratio.denominator}"
+    return rep
+
+
+@pytest.fixture(scope="module")
+def collatz10_assignment():
+    return assign_measure(build_forest(collatz(), [CycleInfo((1, 2))], 10))
+
+
+class TestIntegerMasses:
+    def test_numerators_over_shared_denominator(self, collatz_assignment, five_assignment):
+        for asg in (collatz_assignment, five_assignment):
+            for v, value in asg.combined.items():
+                assert Fraction(asg.numerators[v], asg.denominator) == as_fraction(value)
+            assert as_fraction(asg.total) == Fraction(sum(asg.numerators.values()), asg.denominator)
+
+    def test_five_forest_has_odd_denominator(self, five_assignment):
+        d = five_assignment.denominator
+        assert len(five_assignment.forest.cycles) > 1
+        assert d // (d & -d) > 1  # L > 1: the 5x+1 cycles have odd lengths
+
+    @pytest.mark.parametrize("seed", [1, 1729, 2024])
+    @pytest.mark.parametrize("which", ["collatz10", "five"])
+    def test_power_bound_matches_measure_value_reference(
+        self, which, seed, collatz10_assignment, five_assignment
+    ):
+        asg = collatz10_assignment if which == "collatz10" else five_assignment
+        assert_matches_reference(asg, trials=40, max_n=5, seed=seed)
+
+    def test_ties_keep_the_first_pair(self):
+        # on this small forest, seed 9 draws the largest ratio at more than
+        # one (n, |A|) pair; the first one drawn must be reported
+        asg = assign_measure(build_forest(collatz(), [CycleInfo((1, 2))], 3))
+        assert_matches_reference(asg, trials=30, max_n=2, seed=9)
+
+    @pytest.mark.parametrize("which", ["collatz", "five"])
+    def test_measure_of_matches_measure_value_sum(
+        self, which, collatz_assignment, five_assignment
+    ):
+        asg = collatz_assignment if which == "collatz" else five_assignment
+        rng = random.Random(11)
+        nodes = sorted(asg.forest.covered)
+        uncovered = [x for x in range(1, 400) if x not in asg.forest.covered] + [10**30 + 1]
+        for _ in range(30):
+            subset = rng.sample(nodes, rng.randrange(len(nodes) + 1))
+            subset += rng.sample(uncovered, 5)
+            assert measure_of(asg, subset) == mv_sum(asg, subset)
+
+    def test_masses_below_double_range(self, collatz10_assignment):
+        # every mass here is below 2^-1074, so float() of any of them is 0.0;
+        # the ratio must still come out exact and correctly rounded
+        asg = collatz10_assignment
+        shift = 1100
+        tiny = replace(
+            asg,
+            combined={v: m.mul_pow2(-shift) for v, m in asg.combined.items()},
+            total=asg.total.mul_pow2(-shift),
+            denominator=asg.denominator << shift,
+        )
+        assert float(measure_of(tiny, tiny.forest.covered)) == 0.0
+        rep = assert_matches_reference(tiny, trials=30, max_n=4, seed=5)
+        plain = check_power_bound(asg, trials=30, max_n=4, seed=5)
+        assert rep.worst_ratio == plain.worst_ratio and rep.worst_ratio_exact == plain.worst_ratio_exact
+        assert 1 < rep.worst_ratio <= 2
+        assert rep.worst["mu_set"] == str(as_value(plain.worst["mu_set"]).mul_pow2(-shift))
+
+    def test_heavy_preimage_violates_the_bound(self, collatz10_assignment):
+        # 4 is a preimage of 2; weighing it far above the rest breaks the bound
+        # for any sampled A that holds 2 but not 4, and the check must say so
+        asg = collatz10_assignment
+        numerators = dict.fromkeys(asg.forest.covered, 1)
+        numerators[4] = 10**6
+        broken = replace(asg, numerators=numerators, denominator=1 << 30)
+        with pytest.raises(BoundViolation, match=r"mu\(T\^-\d\(A\)\) = \S.* > 2\*mu\(A\) = \S.* for \|A\| = \d+, seed 1"):
+            check_power_bound(broken, trials=20, max_n=5, seed=1)
+
+    def test_work_per_call(self, five_assignment, monkeypatch):
+        # one map preimage per covered node, and MeasureValues only for the worst pair
+        desc = five_assignment.forest.descriptor
+        calls = []
+        built = []
+        preimage, init = type(desc).preimage, MeasureValue.__init__
+
+        def counted_preimage(self, y):
+            calls.append(y)
+            return preimage(self, y)
+
+        def counted_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(type(desc), "preimage", counted_preimage)
+        monkeypatch.setattr(MeasureValue, "__init__", counted_init)
+        rep = check_power_bound(five_assignment, trials=20, max_n=5, seed=3)
+        assert sorted(calls) == sorted(five_assignment.forest.covered)
+        assert len(built) == 2 and rep.comparisons == 100
+
+
+def test_cli_power_bound_block_pinned(capsys):
+    # the block as the MeasureValue implementation printed it, plus the exact ratio
+    assert main(["measure", "collatz", "--depth", "8", "--trials", "100", "--seed", "1729"]) == 0
+    assert json.loads(capsys.readouterr().out)["power_bound"] == {
+        "trials": 100,
+        "max_n": 5,
+        "seed": 1729,
+        "comparisons": 500,
+        "violations": 0,
+        "bound_constant": 2,
+        "worst_ratio": 1.2713257867373804,
+        "worst_ratio_exact": "133760/105213",
+        "worst": {"n": 5, "set_size": 14, "mu_set": "526065/2^23", "mu_preimage": "5225/2^16"},
+    }
+
+
+class TestForestGuards:
+    def test_cap_refuses_the_crossing_level(self, monkeypatch):
+        size8 = len(build_forest(collatz(), [CycleInfo((1, 2))], 8).covered)
+        monkeypatch.setattr(measure_module, "_MAX_FOREST_NODES", size8)
+        assert len(build_forest(collatz(), [CycleInfo((1, 2))], 8).covered) == size8
+        with pytest.raises(InvalidParameters, match="cap"):
+            build_forest(collatz(), [CycleInfo((1, 2))], 9)
+
+    def test_huge_depth_exits_one_without_allocating(self, capsys, monkeypatch):
+        monkeypatch.setattr(measure_module, "_MAX_FOREST_NODES", 50)
+        tracemalloc.start()
+        try:
+            code = main(["measure", "collatz", "--depth", "2^40", "--cycle-bound", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "cap of 50" in err
+        assert peak < 2**20
+
+    def test_dead_tree_stops_at_its_last_level(self):
+        # x -> 3x/2 on evens, (x+1)/2 on odds: the fixed point 1 has no other preimage
+        desc = parse_descriptor("d=2;m0=3,r0=0;m1=1,r1=1")
+        forest = build_forest(desc, [CycleInfo((1,))], 2**40)
+        assert forest.levels == (((1,),),)
+        assert forest.covered == frozenset({1})
+        asg = assign_measure(forest)
+        assert asg.total == mv(1, 3)  # 1/2 on the cycle, weighted 2^-2
+        rep = check_power_bound(asg, trials=5, max_n=3, seed=1)
+        assert rep.violations == 0 and rep.worst_ratio_exact == "1/1"
+        # seed 1 draws the empty set first, and no ratio exists for it
+        empty = check_power_bound(asg, trials=1, max_n=1, seed=1)
+        assert (empty.worst_ratio, empty.worst_ratio_exact, empty.worst) == (None, None, None)
+        assert empty.to_json_dict()["worst_ratio_exact"] is None

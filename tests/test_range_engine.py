@@ -5,7 +5,9 @@ as the range subcommands did before they were rebuilt on partition; the
 memoized engine must reproduce them exactly, for any worker count.
 """
 
+import importlib
 import json
+import time
 
 import pytest
 
@@ -15,6 +17,8 @@ from syrdyn.errors import DomainError, InvalidParameters
 from syrdyn.maps import collatz, pxr
 from syrdyn.partition import partition
 from syrdyn.trajectory import Limits, TrajectoryStatus, find_cycles, iterate
+
+partition_module = importlib.import_module("syrdyn.partition")  # syrdyn.partition is the function
 
 
 def reference_scan_rows(desc, lo, hi, limits):
@@ -122,6 +126,10 @@ def test_window_domain_checks():
         partition(collatz(), 9, start=0)
 
 
+def no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
 class TestWorkerPlan:
     # the chunk plan is min(requested, CPUs, points) chunks; nothing here starts a process
 
@@ -145,9 +153,6 @@ class TestWorkerPlan:
         assert _chunks(1, 101, _thread_count(8)) == [(1, 101)]
 
     def test_huge_thread_request_runs_inline(self, capsys, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started")
-
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
         monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
         code, many = run(capsys, "scan", "collatz", "--start", "1", "--end", "40",
@@ -159,3 +164,41 @@ class TestWorkerPlan:
         monkeypatch.delenv("SYRDYN_THREADS")
         assert many == run(capsys, "scan", "collatz", "--start", "1", "--end", "40")[1]
         assert env == run(capsys, "cycles", "pxr:p=5,r=1", "--bound", "300")[1]
+
+
+class TestPointCap:
+    def test_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(partition_module, "_MAX_POINTS", 10)
+        assert len(partition(collatz(), 10)._codes) == 10
+        assert len(partition(collatz(), 14, start=5)._codes) == 10
+        with pytest.raises(InvalidParameters, match="cap"):
+            partition(collatz(), 11)
+        with pytest.raises(InvalidParameters, match="cap"):
+            partition(collatz(), 15, start=5)
+
+    @pytest.mark.parametrize("argv", [
+        ["partition", "collatz", "--bound", "1e12"],
+        ["scan", "collatz", "--start", "1", "--end", "1e12", "--threads", "4"],
+        ["cycles", "collatz", "--bound", "1e12", "--threads", "4"],
+        ["measure", "collatz", "--depth", "3", "--cycle-bound", "1e12"],
+    ])
+    def test_huge_window_exits_one_at_once(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        t0 = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - t0
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert "above the cap" in err
+        assert elapsed < 1
+
+    def test_whole_window_checked_before_fan_out(self, capsys, monkeypatch):
+        # two chunks of 6 would each fit under a cap of 10; the window of 12 does not
+        monkeypatch.setattr(partition_module, "_MAX_POINTS", 10)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        for argv in (["scan", "collatz", "--start", "1", "--end", "12", "--threads", "2"],
+                     ["cycles", "collatz", "--bound", "12", "--threads", "2"]):
+            assert main(argv) == 1
+            assert "above the cap" in capsys.readouterr().err
