@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
     VerificationFailure,
 )
-from .numeric import DyadicRational, dyadic_add, dyadic_cmp
+from .numeric import DyadicRational
 from .maps import MapDescriptor, PxrDescriptor, collatz, parse_descriptor, pxr, validate
 from .trajectory import (
     CycleInfo,
@@ -85,7 +85,7 @@ __all__ = [
     "NotApplicable", "OverlappingCycles", "VerificationFailure",
     "BoundViolation", "ConnectionFailure",
     # numeric
-    "DyadicRational", "dyadic_add", "dyadic_cmp",
+    "DyadicRational",
     # maps
     "MapDescriptor", "PxrDescriptor", "collatz", "pxr", "parse_descriptor", "validate",
     # trajectory

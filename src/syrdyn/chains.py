@@ -342,6 +342,28 @@ def two_preimage_floor(p: int, r: int) -> int:
     return (p + r) // 2
 
 
+def _identity_samples(m: int, d: int, residue: int, l: int, alphas, betas, ks):
+    """Samples (alpha, beta, k, x, expected) of V(m^a*d^b*k - l) = m^(a+1)*d^(b-1)*k - l.
+
+    x = m^alpha * d^beta * k - l for k coprime to d*m, kept when x >= 1 lies
+    in the residue class mod d; expected is the identity's right-hand side.
+    Raises InvalidParameters on reaching a beta below 1.
+    """
+    for alpha in alphas:
+        ma = m ** alpha
+        for beta in betas:
+            if beta < 1:
+                raise InvalidParameters("beta samples must be >= 1")
+            base = ma * d ** beta
+            for k in ks:
+                if math.gcd(k, d * m) != 1:
+                    continue
+                x = base * k - l
+                if x < 1 or x % d != residue:
+                    continue
+                yield alpha, beta, k, x, m ** (alpha + 1) * d ** (beta - 1) * k - l
+
+
 def search_family_witness(
     p: int, r: int, alpha_max: int = 4, beta_max: int = 4, k_max: int = 50
 ) -> int | None:
@@ -352,29 +374,16 @@ def search_family_witness(
     construction, with no knowledge of the r = +-(p-2) criterion baked in.
     """
     desc = pxr(p, r)
+    alphas, betas, ks = range(alpha_max + 1), range(1, beta_max + 1), range(1, k_max + 1)
     for l in range(-p, p + 1):
         checked = 0
-        good = True
-        for alpha in range(alpha_max + 1):
-            pa = p ** alpha
-            for beta in range(1, beta_max + 1):
-                base = pa << beta
-                for k in range(1, k_max + 1):
-                    if math.gcd(k, 2 * p) != 1:
-                        continue
-                    x = base * k - l
-                    if x < 1 or x % 2 == 0:
-                        continue
-                    checked += 1
-                    if desc.apply(x) != p ** (alpha + 1) * (1 << (beta - 1)) * k - l:
-                        good = False
-                        break
-                if not good:
-                    break
-            if not good:
+        for *_, x, expected in _identity_samples(p, 2, 1, l, alphas, betas, ks):
+            if desc.apply(x) != expected:
                 break
-        if good and checked:
-            return l
+            checked += 1
+        else:
+            if checked:
+                return l
     return None
 
 
@@ -396,6 +405,9 @@ def verify_family_identity(
 ) -> FamilyIdentityReport:
     """Check V(p^a*2^b*k - l) = p^(a+1)*2^(b-1)*k - l with l = r/(p-2).
 
+    This is the odd-class case m = p, d = 2 of the identity that
+    verify_general_family_identity checks, on the same sample generator.
+
     Raises NotApplicable when l is not an integer (with |r| < p that limits
     the identity to r = +-(p-2)); any failed sample would disprove the
     criterion, so it raises VerificationFailure.
@@ -405,27 +417,14 @@ def verify_family_identity(
     if rem != 0:
         raise NotApplicable(f"(p-2) = {p - 2} does not divide r = {r}; no family identity")
     desc = pxr(p, r)
-    samples = satisfied = 0
-    for alpha in alphas:
-        pa = p ** alpha
-        for beta in betas:
-            if beta < 1:
-                raise InvalidParameters("beta samples must be >= 1")
-            base = pa << beta
-            for k in ks:
-                if math.gcd(k, 2 * p) != 1:
-                    continue
-                x = base * k - l
-                if x < 1 or x % 2 == 0:
-                    continue
-                samples += 1
-                if desc.apply(x) == p ** (alpha + 1) * (1 << (beta - 1)) * k - l:
-                    satisfied += 1
-                else:
-                    raise VerificationFailure(
-                        f"family identity failed for p={p}, r={r} at alpha={alpha}, beta={beta}, k={k}"
-                    )
-    return FamilyIdentityReport(p, r, l, samples, satisfied)
+    samples = 0
+    for alpha, beta, k, x, expected in _identity_samples(p, 2, 1, l, alphas, betas, ks):
+        if desc.apply(x) != expected:
+            raise VerificationFailure(
+                f"family identity failed for p={p}, r={r} at alpha={alpha}, beta={beta}, k={k}"
+            )
+        samples += 1
+    return FamilyIdentityReport(p, r, l, samples, samples)
 
 
 def family_tails(p: int, r: int, count: int = 500) -> list[int]:
@@ -516,27 +515,14 @@ def verify_general_family_identity(
         if rem != 0:
             reports.append(ClassIdentityReport(i, False, None, 0, 0))
             continue
-        samples = satisfied = 0
-        for alpha in alphas:
-            ma = m ** alpha
-            for beta in betas:
-                if beta < 1:
-                    raise InvalidParameters("beta samples must be >= 1")
-                base = ma * desc.d ** beta
-                for k in ks:
-                    if math.gcd(k, desc.d * m) != 1:
-                        continue
-                    x = base * k - l
-                    if x < 1 or x % desc.d != i:
-                        continue
-                    samples += 1
-                    if desc.apply(x) == m ** (alpha + 1) * desc.d ** (beta - 1) * k - l:
-                        satisfied += 1
-                    else:
-                        raise VerificationFailure(
-                            f"general identity failed on class {i} at alpha={alpha}, beta={beta}, k={k}"
-                        )
-        reports.append(ClassIdentityReport(i, True, l, samples, satisfied))
+        samples = 0
+        for alpha, beta, k, x, expected in _identity_samples(m, desc.d, i, l, alphas, betas, ks):
+            if desc.apply(x) != expected:
+                raise VerificationFailure(
+                    f"general identity failed on class {i} at alpha={alpha}, beta={beta}, k={k}"
+                )
+            samples += 1
+        reports.append(ClassIdentityReport(i, True, l, samples, samples))
     return tuple(reports)
 
 
@@ -583,24 +569,13 @@ def chain_to_dot(chain: Chain) -> str:
                 lines.append(f'    "{v}" [label="{_collatz_label(v)}"];')
                 in_family.add(v)
         lines.append("  }")
-    edges: list[tuple[int, int]] = []
-    seen_edges = set()
-
-    def add_edge(u: int, v: int) -> None:
-        if (u, v) not in seen_edges:
-            seen_edges.add((u, v))
-            edges.append((u, v))
-
-    for fam in chain.families:
-        for j in range(len(fam.members) - 1):
-            add_edge(fam.members[j], fam.members[j + 1])
+    edges = [pair for fam in chain.families for pair in zip(fam.members, fam.members[1:])]
     for t, link in enumerate(chain.links):
         if link not in in_family:
             lines.append(f'  "{link}" [label="{_collatz_label(link)}"];')
             in_family.add(link)
-        add_edge(chain.families[t].tail, link)
-        add_edge(link, _COLLATZ.apply(link))
-    for u, v in edges:
+        edges += [(chain.families[t].tail, link), (link, _COLLATZ.apply(link))]
+    for u, v in dict.fromkeys(edges):
         lines.append(f'  "{u}" -> "{v}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -632,8 +607,6 @@ def tree_to_dot(tree: PreimageTree) -> str:
     """Graphviz rendering, deduplicated to one node per integer."""
     lines = ["digraph preimage_tree {"]
     declared = set()
-    edges = []
-    seen_edges = set()
     for node in tree.nodes:
         if node.value not in declared:
             declared.add(node.value)
@@ -641,10 +614,8 @@ def tree_to_dot(tree: PreimageTree) -> str:
                 lines.append(f'  "{node.value}" [label="{_collatz_label(node.value)}"];')
             else:
                 lines.append(f'  "{node.value}";')
-        if node.parent is not None and (node.parent, node.value) not in seen_edges:
-            seen_edges.add((node.parent, node.value))
-            edges.append((node.parent, node.value))
-    for u, v in edges:
+    edges = [(n.parent, n.value) for n in tree.nodes if n.parent is not None]
+    for u, v in dict.fromkeys(edges):
         lines.append(f'  "{u}" -> "{v}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

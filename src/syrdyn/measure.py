@@ -8,14 +8,14 @@ Construction, per cycle i of length N (cycle trees are disjoint):
   m * 2^(-t-1), so each node's children carry less than half its value;
 * combined: mu = sum over cycles of 2^(-i-1) * mu_i, total at most 1.
 
-1/(2N) is dyadic only when N is a power of two, so a reported value is a
-MeasureValue: a DyadicRational times a symbolic 1/denom with odd denom.
-
-The power-bound check runs on plain integers.  assign_measure puts every
-combined mass over one shared denominator L * 2^E, with L the lcm of the odd
-denominators and E the largest dyadic exponent, and keeps the integer
-numerators.  A set's mass is then an integer sum, the bound is an integer
-comparison, and a MeasureValue is built only to report a mass.
+Every node's combined mass is 2^-e, or 2^-e / odd(N) on a member of a cycle
+of length N, where odd(N) is N with its factors of two removed.
+assign_measure computes those straight from the rules in plain ints and puts
+them over one shared denominator L * 2^E, with L the lcm of the odd(N) and E
+the largest exponent: MeasureAssignment.numerators and .denominator are the
+only stored masses.  A set's mass is an integer sum and the power bound an
+integer comparison.  MeasureValue, a DyadicRational times a symbolic 1/denom
+with odd denom, is only the canonical form in which a mass is reported.
 
 build_forest refuses a forest of more than _MAX_FOREST_NODES nodes before it
 stores the level that would cross the cap, and stops a tree at its first
@@ -50,9 +50,13 @@ __all__ = [
 # 10 s, mostly in the JSON export; depth 20 has 1137 nodes.
 _MAX_FOREST_NODES = 1 << 17
 
+# check_power_bound refuses more comparisons (trials * max_n) than this; each
+# one costs up to a pass over the covered nodes.
+_MAX_COMPARISONS = 1 << 20
+
 
 class MeasureValue:
-    """Non-negative rational (dyadic) * 1/denom with odd denom, exact ops.
+    """Non-negative rational (dyadic) * 1/denom with odd denom, for reporting.
 
     Canonical: factors of two in the denominator move into the dyadic
     exponent, the odd gcd is divided out, and zero is stored over denom 1.
@@ -84,58 +88,13 @@ class MeasureValue:
     def zero(cls) -> "MeasureValue":
         return cls(DyadicRational.zero(), 1)
 
-    def __add__(self, other):
-        if not isinstance(other, MeasureValue):
-            return NotImplemented
-        if self.denom == other.denom:
-            return MeasureValue(self.dyadic + other.dyadic, self.denom)
-        g = math.gcd(self.denom, other.denom)
-        lcm = self.denom // g * other.denom
-        return MeasureValue(
-            self.dyadic * (lcm // self.denom) + other.dyadic * (lcm // other.denom),
-            lcm,
-        )
-
-    def mul_pow2(self, k: int) -> "MeasureValue":
-        return MeasureValue(self.dyadic.mul_pow2(k), self.denom)
-
-    def _diff(self, other) -> int:
-        a, b = self.dyadic * other.denom, other.dyadic * self.denom
-        return (a.num << b.exp) - (b.num << a.exp)
-
     def __eq__(self, other):
         if not isinstance(other, MeasureValue):
             return NotImplemented
         return self.dyadic == other.dyadic and self.denom == other.denom
 
-    def __lt__(self, other):
-        if not isinstance(other, MeasureValue):
-            return NotImplemented
-        return self._diff(other) < 0
-
-    def __le__(self, other):
-        if not isinstance(other, MeasureValue):
-            return NotImplemented
-        return self._diff(other) <= 0
-
-    def __gt__(self, other):
-        if not isinstance(other, MeasureValue):
-            return NotImplemented
-        return self._diff(other) > 0
-
-    def __ge__(self, other):
-        if not isinstance(other, MeasureValue):
-            return NotImplemented
-        return self._diff(other) >= 0
-
     def __hash__(self):
         return hash((self.dyadic, self.denom))
-
-    def __bool__(self):
-        return bool(self.dyadic)
-
-    def __float__(self):
-        return self.dyadic.num / ((1 << self.dyadic.exp) * self.denom)
 
     def __repr__(self):
         return f"MeasureValue({self.dyadic!r}, {self.denom})"
@@ -240,51 +199,44 @@ def build_forest(
 @dataclass(frozen=True)
 class MeasureAssignment:
     forest: PreimageForest
-    per_cycle: dict          # node -> MeasureValue under its own cycle's mu_i
-    combined: dict           # node -> 2^(-i-1) * per_cycle, i 1-based
-    per_cycle_totals: tuple  # MeasureValue per cycle (cycle-local scale)
-    total: "MeasureValue"    # combined mass of the whole forest
-    numerators: dict         # node -> combined mass times denominator, an int
-    denominator: int         # L * 2^E shared by every combined mass
+    numerators: dict   # node -> combined mass times denominator, an int
+    denominator: int   # L * 2^E shared by every combined mass
 
     def value(self, numerator: int) -> MeasureValue:
         """numerator / denominator as a canonical MeasureValue."""
         return MeasureValue(DyadicRational(numerator), self.denominator)
 
+    @property
+    def total(self) -> MeasureValue:
+        """Combined mass of the whole forest."""
+        return self.value(sum(self.numerators.values()))
+
 
 def assign_measure(forest: PreimageForest) -> MeasureAssignment:
-    per_cycle: dict[int, MeasureValue] = {}
-    combined: dict[int, MeasureValue] = {}
-    totals = []
-    half = DyadicRational(1, 1)
+    """Every covered node's combined mass, as an int over one shared denominator.
+
+    Node v of cycle i (1-based) weighs 2^-exps[v], divided by odd(N) on a
+    member of a cycle of length N; the cycle weight 2^(-i-1) is in exps.
+    """
+    exps: dict[int, int] = {}
+    odds: dict[int, int] = {}  # cycle member -> odd part of its cycle's length
     for ci, cyc in enumerate(forest.cycles):
         levels = forest.levels[ci]
-        for v in levels[0]:
-            per_cycle[v] = MeasureValue(half, cyc.length)
-        if len(levels) > 1:
-            for j, v in enumerate(levels[1], start=1):
-                per_cycle[v] = MeasureValue(DyadicRational(1, j + 3), 1)
-        for lvl in range(2, len(levels)):
-            for parent_v in levels[lvl - 1]:
-                for t, child in enumerate(forest.children.get(parent_v, ()), start=1):
-                    per_cycle[child] = per_cycle[parent_v].mul_pow2(-(t + 1))
-        cycle_total = MeasureValue.zero()
-        scale = -(ci + 2)  # 2^(-i-1) with i 1-based
-        for level in levels:
+        weight_exp = ci + 2  # the cycle weight is 2^(-i-1), i 1-based
+        twos = (cyc.length & -cyc.length).bit_length() - 1
+        for v in levels[0]:  # 1/(2N) each
+            exps[v] = 1 + twos + weight_exp
+            odds[v] = cyc.length >> twos
+        for j, v in enumerate(levels[1] if len(levels) > 1 else (), start=1):
+            exps[v] = j + 3 + weight_exp
+        for level in levels[1:]:
             for v in level:
-                cycle_total = cycle_total + per_cycle[v]
-                combined[v] = per_cycle[v].mul_pow2(scale)
-        totals.append(cycle_total)
-    odd = math.lcm(*{m.denom for m in combined.values()})
-    exp = max(m.dyadic.exp for m in combined.values())
-    numerators = {
-        v: (m.dyadic.num * (odd // m.denom)) << (exp - m.dyadic.exp)
-        for v, m in combined.items()
-    }
-    denominator = odd << exp
-    total = MeasureValue(DyadicRational(sum(numerators.values())), denominator)
-    return MeasureAssignment(forest, per_cycle, combined, tuple(totals), total,
-                             numerators, denominator)
+                for t, child in enumerate(forest.children.get(v, ()), start=1):
+                    exps[child] = exps[v] + t + 1
+    odd = math.lcm(*odds.values())
+    top = max(exps.values())
+    numerators = {v: (odd // odds.get(v, 1)) << (top - e) for v, e in exps.items()}
+    return MeasureAssignment(forest, numerators, odd << top)
 
 
 def measure_of(assignment: MeasureAssignment, a) -> MeasureValue:
@@ -340,6 +292,11 @@ def check_power_bound(
         raise InvalidParameters(f"trials must be >= 1, got {trials!r}")
     if type(max_n) is not int or max_n < 1:
         raise InvalidParameters(f"max_n must be >= 1, got {max_n!r}")
+    if trials * max_n > _MAX_COMPARISONS:
+        raise InvalidParameters(
+            f"trials * max_n = {trials * max_n} comparisons, above the cap of "
+            f"{_MAX_COMPARISONS}; use fewer trials or a smaller max_n"
+        )
     if max_n > forest.depth:
         raise InvalidParameters(
             f"max_n {max_n} exceeds forest depth {forest.depth}; deeper preimages are unknowable"
@@ -382,26 +339,30 @@ def check_power_bound(
 
 
 def export_json(assignment: MeasureAssignment, report: PowerBoundReport | None = None) -> dict:
+    """The measure as JSON; cycle-local masses undo the weight 2^(-i-1) by a shift."""
     forest = assignment.forest
+    numerators, value = assignment.numerators, assignment.value
     nodes = []
     for v in sorted(forest.covered):
         parent = forest.parent.get(v)
+        ci = forest.node_cycle[v]
         nodes.append({
             "value": str(v),
-            "cycle": forest.node_cycle[v] + 1,
+            "cycle": ci + 1,
             "level": forest.node_level[v],
             "parent": None if parent is None else str(parent),
-            "cycle_local": assignment.per_cycle[v].to_json_dict(),
-            "combined": assignment.combined[v].to_json_dict(),
+            "cycle_local": value(numerators[v] << (ci + 2)).to_json_dict(),
+            "combined": value(numerators[v]).to_json_dict(),
         })
     cycles = []
     for ci, cyc in enumerate(forest.cycles):
+        local = sum(numerators[v] for level in forest.levels[ci] for v in level) << (ci + 2)
         cycles.append({
             "index": ci + 1,
             "length": cyc.length,
             "members": [str(m) for m in cyc.members],
             "weight": str(DyadicRational(1, ci + 2)),
-            "cycle_local_total": assignment.per_cycle_totals[ci].to_json_dict(),
+            "cycle_local_total": value(local).to_json_dict(),
         })
     return {
         "map": forest.descriptor.to_text(),

@@ -1,16 +1,17 @@
-"""Exact dyadic-rational arithmetic.
+"""Exact dyadic rationals for rendering measure values.
 
-The measure's per-node values and reported masses are non-negative
-rationals of the form num * 2**-exp (its power-bound check sums integer
-numerators instead).  Python integers are arbitrary precision, so values stay
-exact at any forest depth; nothing here ever rounds.  Instances are treated as
-immutable: every operation returns a fresh value, which makes them safe to
-share across threads and processes.
+The measure keeps every mass as an integer numerator over one shared
+denominator and does all its arithmetic on those integers.  A
+DyadicRational is the canonical form num * 2**-exp in which a mass, or the
+dyadic part of one, is reported.  Python integers are arbitrary precision, so
+values stay exact at any forest depth; nothing here ever rounds.  Instances
+are treated as immutable, which makes them safe to share across threads and
+processes.
 """
 
 from __future__ import annotations
 
-__all__ = ["DyadicRational", "dyadic_add", "dyadic_cmp"]
+__all__ = ["DyadicRational"]
 
 
 class DyadicRational:
@@ -33,51 +34,16 @@ class DyadicRational:
             raise ValueError(f"exponent must be non-negative, got {exp}")
         if num == 0:
             exp = 0
-        else:
-            while not num & 1 and exp > 0:
-                num >>= 1
-                exp -= 1
+        elif exp:
+            drop = min((num & -num).bit_length() - 1, exp)
+            num >>= drop
+            exp -= drop
         self.num = num
         self.exp = exp
-
-    # -- constructors --------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "DyadicRational":
         return cls(0, 0)
-
-    @classmethod
-    def one(cls) -> "DyadicRational":
-        return cls(1, 0)
-
-    @classmethod
-    def from_int(cls, n: int) -> "DyadicRational":
-        return cls(n, 0)
-
-    @classmethod
-    def pow2(cls, k: int) -> "DyadicRational":
-        """2**k for any integer k (negative k gives 1/2**-k exactly)."""
-        if k >= 0:
-            return cls(1 << k, 0)
-        return cls(1, -k)
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, DyadicRational):
-            return NotImplemented
-        e = self.exp if self.exp >= other.exp else other.exp
-        return DyadicRational(
-            (self.num << (e - self.exp)) + (other.num << (e - other.exp)), e
-        )
-
-    def __mul__(self, other):
-        # scaling by a non-negative integer only; general products never occur
-        if type(other) is not int:
-            return NotImplemented
-        return DyadicRational(self.num * other, self.exp)
-
-    __rmul__ = __mul__
 
     def mul_pow2(self, k: int) -> "DyadicRational":
         """Exact scaling by 2**k, k of either sign."""
@@ -86,50 +52,13 @@ class DyadicRational:
             return DyadicRational(self.num << (k - drop), self.exp - drop)
         return DyadicRational(self.num, self.exp - k)
 
-    def halve(self) -> "DyadicRational":
-        return self.mul_pow2(-1)
-
-    # -- comparisons ---------------------------------------------------------
-
-    def _diff(self, other) -> int:
-        # sign of self - other without leaving the integers
-        return (self.num << other.exp) - (other.num << self.exp)
-
     def __eq__(self, other):
         if not isinstance(other, DyadicRational):
             return NotImplemented
         return self.num == other.num and self.exp == other.exp
 
-    def __lt__(self, other):
-        if not isinstance(other, DyadicRational):
-            return NotImplemented
-        return self._diff(other) < 0
-
-    def __le__(self, other):
-        if not isinstance(other, DyadicRational):
-            return NotImplemented
-        return self._diff(other) <= 0
-
-    def __gt__(self, other):
-        if not isinstance(other, DyadicRational):
-            return NotImplemented
-        return self._diff(other) > 0
-
-    def __ge__(self, other):
-        if not isinstance(other, DyadicRational):
-            return NotImplemented
-        return self._diff(other) >= 0
-
     def __hash__(self):
         return hash((self.num, self.exp))
-
-    def __bool__(self):
-        return self.num != 0
-
-    def __float__(self):
-        return self.num / (1 << self.exp)
-
-    # -- rendering -----------------------------------------------------------
 
     def __repr__(self):
         return f"DyadicRational({self.num}, {self.exp})"
@@ -151,16 +80,3 @@ class DyadicRational:
         if len(digits) <= self.exp:
             return "0." + digits.zfill(self.exp)
         return digits[: -self.exp] + "." + digits[-self.exp:]
-
-
-def dyadic_add(a: DyadicRational, b: DyadicRational) -> DyadicRational:
-    """Exact sum of two dyadic rationals."""
-    return a + b
-
-
-def dyadic_cmp(a: DyadicRational, b: DyadicRational) -> int:
-    """Three-way exact comparison: -1 if a < b, 0 if equal, 1 if a > b."""
-    d = (a.num << b.exp) - (b.num << a.exp)
-    if d < 0:
-        return -1
-    return 1 if d > 0 else 0

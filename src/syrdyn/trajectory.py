@@ -1,8 +1,8 @@
 """Forward orbits, cycle detection and cycle catalogues.
 
-Every walk is bounded by explicit Limits: a step budget and a value ceiling.
-A finite budget cannot distinguish slow convergence from true escape, so
-limit hits are reported as statuses, never errors.
+Every walk is bounded by explicit Limits: a step budget, at most _MAX_STEPS,
+and a value ceiling.  A finite budget cannot distinguish slow convergence
+from true escape, so limit hits are reported as statuses, never errors.
 """
 
 from __future__ import annotations
@@ -28,6 +28,10 @@ __all__ = [
 DEFAULT_MAX_STEPS = 10**5
 DEFAULT_MAX_VALUE = 10**40
 
+# step budgets above this are refused: a walk keeps its whole orbit, so a huge
+# budget on a slow orbit would exhaust memory long before it ran out
+_MAX_STEPS = 100 * DEFAULT_MAX_STEPS
+
 
 @dataclass(frozen=True)
 class Limits:
@@ -37,6 +41,10 @@ class Limits:
     def __post_init__(self):
         if type(self.max_steps) is not int or self.max_steps < 1:
             raise InvalidParameters(f"max_steps must be >= 1, got {self.max_steps!r}")
+        if self.max_steps > _MAX_STEPS:
+            raise InvalidParameters(
+                f"max_steps {self.max_steps} is above the cap of {_MAX_STEPS}"
+            )
         if type(self.max_value) is not int or self.max_value < 1:
             raise InvalidParameters(f"max_value must be >= 1, got {self.max_value!r}")
 

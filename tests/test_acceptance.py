@@ -7,6 +7,7 @@ so a regression in asymptotics fails loudly rather than quietly dragging.
 
 import json
 import math
+from fractions import Fraction
 import subprocess
 import sys
 import time
@@ -22,13 +23,11 @@ from syrdyn.chains import (
 )
 from syrdyn.maps import collatz, pxr
 from syrdyn.measure import (
-    MeasureValue,
     assign_measure,
     build_forest,
     check_power_bound,
     measure_of,
 )
-from syrdyn.numeric import DyadicRational
 from syrdyn.partition import partition
 from syrdyn.trajectory import CycleInfo, Limits, check_power_cycle, find_cycles
 
@@ -122,14 +121,49 @@ def test_criterion_06_two_preimage_class():
                 assert len(desc.preimage(y)) == expect, (p, r, y)
 
 
+def reference_local(forest):
+    """Cycle-local masses as Fractions, from the forest and the construction rules."""
+    local = {}
+    for cyc, levels in zip(forest.cycles, forest.levels):
+        for v in levels[0]:
+            local[v] = Fraction(1, 2 * cyc.length)
+        for j, v in enumerate(levels[1] if len(levels) > 1 else (), start=1):
+            local[v] = Fraction(1, 2 ** (j + 3))
+        for level in levels[1:]:
+            for v in level:
+                for t, q in enumerate(forest.children.get(v, ()), start=1):
+                    local[q] = local[v] / 2 ** (t + 1)
+    return local
+
+
+def assert_measure_matches_reference(asg):
+    """Every node's numerator against the reference, and the measure's properties on it."""
+    forest = asg.forest
+    ref = reference_local(forest)
+    assert set(asg.numerators) == set(ref) == forest.covered
+    local = {}
+    for v, mass in ref.items():
+        local[v] = Fraction(asg.numerators[v], asg.denominator) * 2 ** (forest.node_cycle[v] + 2)
+        assert local[v] == mass, v
+    for levels in forest.levels:
+        sums = [sum(local[v] for v in level) for level in levels]
+        assert sums[0] == Fraction(1, 2)
+        assert len(sums) < 2 or sums[1] <= Fraction(1, 4)
+        assert all(nxt <= prev / 2 for prev, nxt in zip(sums[1:], sums[2:]))
+    for v, kids in forest.children.items():
+        if forest.node_level[v]:
+            assert sum(local[q] for q in kids) <= local[v] / 2
+    assert sum(asg.numerators.values()) <= asg.denominator
+
+
 def test_criterion_07_collatz_measure_and_power_bound():
     with criterion(7, "measure on the {1,2} forest, depth 15, M = 2"):
         t0 = time.perf_counter()
         forest = build_forest(collatz(), [CycleInfo((1, 2))], 15)
         asg = assign_measure(forest)
-        assert asg.total <= MeasureValue(DyadicRational(1, 0))
-        assert asg.per_cycle[4].dyadic == DyadicRational(1, 4)
-        assert asg.per_cycle[8].dyadic == DyadicRational(1, 6)
+        assert_measure_matches_reference(asg)
+        assert Fraction(asg.numerators[4], asg.denominator) * 4 == Fraction(1, 2**4)
+        assert Fraction(asg.numerators[8], asg.denominator) * 4 == Fraction(1, 2**6)
         report = check_power_bound(asg, trials=1000, max_n=10, seed=1729)
         assert report.violations == 0
         assert report.comparisons == 10000
@@ -145,7 +179,7 @@ def test_criterion_08_multi_cycle_measure():
         assert (1, 3, 8, 4, 2) in [c.members for c in cycles]
         forest = build_forest(desc, cycles, 10)
         asg = assign_measure(forest)
-        assert asg.total <= MeasureValue(DyadicRational(1, 0))
+        assert_measure_matches_reference(asg)
         assert measure_of(asg, forest.covered) == asg.total
         report = check_power_bound(asg, trials=1000, max_n=10, seed=1729)
         assert report.violations == 0

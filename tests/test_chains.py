@@ -338,6 +338,30 @@ class TestFamilyIdentity:
         assert verify_family_identity(7, 5).l == 1
         assert verify_family_identity(7, -5).l == -1
 
+    def test_sample_counts_pinned(self):
+        # counts and witnesses as the separate per-function loops produced them
+        for (p, r), (l, samples) in {
+            (3, 1): (1, 340), (5, 3): (1, 400), (5, -3): (-1, 400), (7, 5): (1, 420),
+            (7, -5): (-1, 420), (9, 7): (1, 340), (11, -9): (-1, 460),
+        }.items():
+            rep = verify_family_identity(p, r)
+            assert (rep.l, rep.samples, rep.satisfied) == (l, samples, samples)
+            assert search_family_witness(p, r) == l
+
+    def test_odd_class_of_the_general_identity(self):
+        # the px+r identity is the general one on class 1 with m = p, d = 2
+        ranges = (range(0, 5), range(1, 5), range(1, 51))
+        for p, r in ((3, 1), (5, -3), (7, 5), (11, -9)):
+            rep = verify_family_identity(p, r, *ranges)
+            general = verify_general_family_identity(pxr(p, r), *ranges)[1]
+            assert (general.l, general.samples) == (rep.l, rep.samples)
+
+    def test_bad_beta(self):
+        with pytest.raises(InvalidParameters, match="beta samples must be >= 1"):
+            verify_family_identity(3, 1, betas=range(0, 2))
+        with pytest.raises(InvalidParameters, match="beta samples must be >= 1"):
+            verify_general_family_identity(C, betas=[1, 0])
+
     def test_not_applicable(self):
         with pytest.raises(NotApplicable):
             verify_family_identity(7, 3)
@@ -408,6 +432,11 @@ class TestGeneralIdentity:
         reports = verify_general_family_identity(pxr(7, 5))
         assert reports[1].l == 1 and reports[1].samples == reports[1].satisfied
 
+    def test_sample_counts_pinned(self):
+        d3 = parse_descriptor("d=3;m0=1,r0=0;m1=2,r1=1;m2=2,r2=2")
+        for desc, samples in ((C, [120, 84]), (pxr(7, 5), [120, 108]), (d3, [168, 84, 84])):
+            assert [rep.samples for rep in verify_general_family_identity(desc)] == samples
+
     def test_d3_map(self):
         d3 = parse_descriptor("d=3;m0=1,r0=0;m1=2,r1=1;m2=2,r2=2")
         reports = verify_general_family_identity(d3)
@@ -430,6 +459,21 @@ class TestExports:
         assert '"26" [label="26 (N2, 3^3*2^0*1-1)"];' in dot
         assert '"14" -> "7";' in dot and '"26" -> "13";' in dot
         assert dot.count('"7" [') == 1  # one declaration per integer
+
+    def test_dot_edges_deduplicated_in_first_seen_order(self):
+        # chain 7 meets 7 -> 11 and 13 -> 20 twice, tree 1 meets 1 -> 2,
+        # 2 -> 1 and 2 -> 4 twice; each edge is printed once, where first met
+        def edges(dot):
+            return [line.strip() for line in dot.splitlines() if "->" in line]
+
+        assert edges(chain_to_dot(chain_of(7, 1))) == [
+            '"9" -> "14";', '"7" -> "11";', '"11" -> "17";', '"17" -> "26";',
+            '"13" -> "20";', '"14" -> "7";', '"26" -> "13";',
+        ]
+        assert edges(tree_to_dot(build_preimage_tree(C, 1, 4))) == [
+            '"1" -> "2";', '"2" -> "1";', '"2" -> "4";', '"4" -> "8";',
+            '"8" -> "5";', '"8" -> "16";',
+        ]
 
     def test_chain_dot_standalone_link(self):
         # family [3,5,8] links through 4, which is no family member

@@ -1,8 +1,10 @@
 import json
 import time
+import tracemalloc
 
 import pytest
 
+import syrdyn.cli as cli
 from syrdyn.cli import _parse_bound, main
 
 
@@ -43,6 +45,32 @@ class TestBoundParsing:
         assert code == 1
         assert "bits" in err
         assert time.perf_counter() - t0 < 5  # building 10^(10^8) takes minutes
+
+
+@pytest.mark.parametrize("argv", [
+    ["traj", "collatz", "27"],
+    ["partition", "collatz", "--bound", "10"],
+    ["scan", "collatz", "--start", "1", "--end", "10"],
+    ["cycles", "collatz", "--bound", "10"],
+    ["measure", "collatz", "--depth", "3"],
+])
+def test_huge_step_budget_exits_one_before_any_walk(argv, capsys, monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a walk started")
+
+    for name in ("iterate", "partition", "find_cycles", "_fan_out"):
+        monkeypatch.setattr(cli, name, no_walk)
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv, "--max-steps", "1e12")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert "max_steps 1000000000000 is above the cap" in err
+    assert peak < 2**20
+    assert time.perf_counter() - t0 < 1
 
 
 class TestExitCodes:

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import random
+import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from syrdyn.cli import main
 from syrdyn.errors import BoundViolation, InvalidParameters, OverlappingCycles, VerificationFailure
 from syrdyn.maps import collatz, parse_descriptor, pxr
 from syrdyn.measure import (
+    MeasureAssignment,
     MeasureValue,
     assign_measure,
     build_forest,
@@ -19,14 +22,64 @@ from syrdyn.measure import (
     measure_of,
 )
 from syrdyn.numeric import DyadicRational
-from syrdyn.trajectory import CycleInfo, find_cycles
+from syrdyn.trajectory import CycleInfo, check_power_cycle, find_cycles
 
 
 def mv(num, exp, denom=1):
     return MeasureValue(DyadicRational(num, exp), denom)
 
 
-ONE = mv(1, 0)
+def reference_local(forest):
+    """Each covered node's cycle-local mass as a Fraction, from the construction rules.
+
+    Built from the forest alone: 1/(2N) on the members of a cycle of length N,
+    2^(-j-3) on the j-th level-1 node, and m * 2^(-t-1) on the t-th child of a
+    node of mass m below level 1.
+    """
+    local = {}
+    for cyc, levels in zip(forest.cycles, forest.levels):
+        for v in levels[0]:
+            local[v] = Fraction(1, 2 * cyc.length)
+        for j, v in enumerate(levels[1] if len(levels) > 1 else (), start=1):
+            local[v] = Fraction(1, 2 ** (j + 3))
+        for level in levels[1:]:
+            for v in level:
+                for t, q in enumerate(forest.children.get(v, ()), start=1):
+                    local[q] = local[v] / 2 ** (t + 1)
+    return local
+
+
+def reference_combined(forest):
+    """Cycle-local masses times the cycle weight 2^(-i-1), i 1-based."""
+    return {v: m / 2 ** (forest.node_cycle[v] + 2) for v, m in reference_local(forest).items()}
+
+
+def combined(asg, v):
+    """The assignment's combined mass of v, read off its integer numerator."""
+    return Fraction(asg.numerators[v], asg.denominator)
+
+
+def local(asg, v):
+    return combined(asg, v) * 2 ** (asg.forest.node_cycle[v] + 2)
+
+
+def as_fraction(value):
+    return Fraction(value.dyadic.num, value.denom << value.dyadic.exp)
+
+
+def parse(text):
+    """'n', 'n/2^k' or 'n/2^k * 1/d' back into a Fraction."""
+    dyadic, _, denom = text.partition(" * 1/")
+    num, _, exp = dyadic.partition("/2^")
+    return Fraction(int(num), int(denom or 1) << int(exp or 0))
+
+
+def render(frac):
+    """A Fraction in MeasureValue's canonical string form."""
+    den = frac.denominator
+    k = (den & -den).bit_length() - 1
+    head = f"{frac.numerator}/2^{k}" if k else str(frac.numerator)
+    return head if den >> k == 1 else f"{head} * 1/{den >> k}"
 
 
 @pytest.fixture(scope="module")
@@ -60,19 +113,26 @@ class TestMeasureValue:
         assert v.dyadic == DyadicRational(1, 0) and v.denom == 3
 
     def test_add_unlike_denominators(self):
-        a, b = mv(1, 1, 5), mv(1, 1, 7)  # 1/10 + 1/14 = 6/35
-        s = a + b
+        # 1/10 + 1/14 as numerators 7 + 5 over the shared denominator 70 is 6/35
+        s = MeasureValue(DyadicRational(7 + 5), 70)
         assert s.dyadic == DyadicRational(6, 0) and s.denom == 35
 
     def test_compare_cross_multiplied(self):
-        assert mv(1, 1, 5) > mv(1, 1, 7)
+        # canonical forms make equality a field comparison; it must agree with
+        # equality of the values, and equal values must hash alike
         assert mv(1, 1, 5) == mv(7, 1, 35)
-        assert mv(1, 4) < mv(1, 3)
+        assert mv(1, 1, 5) != mv(1, 1, 7)
+        grid = [(n, e, d) for n in range(7) for e in range(4) for d in (1, 2, 3, 6, 9, 10)]
+        for a in grid:
+            for b in grid:
+                same = Fraction(a[0], a[2] << a[1]) == Fraction(b[0], b[2] << b[1])
+                assert (mv(*a) == mv(*b)) == same
+                assert not same or hash(mv(*a)) == hash(mv(*b))
 
     def test_zero(self):
         z = MeasureValue.zero()
-        assert not z
-        assert z + mv(3, 2) == mv(3, 2)
+        assert (z.dyadic, z.denom) == (DyadicRational(0, 0), 1)
+        assert z == MeasureValue() == mv(0, 5, 9) and str(z) == "0"
 
     def test_str_and_json(self):
         assert str(mv(1, 2, 5)) == "1/2^2 * 1/5"
@@ -147,45 +207,36 @@ class TestBuildForest:
 
 class TestAssignMeasure:
     def test_cycle_members_quarter(self, collatz_assignment):
-        assert collatz_assignment.per_cycle[1] == mv(1, 2)
-        assert collatz_assignment.per_cycle[2] == mv(1, 2)
+        assert local(collatz_assignment, 1) == local(collatz_assignment, 2) == Fraction(1, 4)
 
     def test_level_one_and_two(self, collatz_assignment):
-        assert collatz_assignment.per_cycle[4] == mv(1, 4)
-        assert collatz_assignment.per_cycle[8] == mv(1, 6)
+        assert local(collatz_assignment, 4) == Fraction(1, 2**4)
+        assert local(collatz_assignment, 8) == Fraction(1, 2**6)
 
     def test_level_three_split(self, collatz_assignment):
-        assert collatz_assignment.per_cycle[5] == mv(1, 8)
-        assert collatz_assignment.per_cycle[16] == mv(1, 9)
+        assert local(collatz_assignment, 5) == Fraction(1, 2**8)
+        assert local(collatz_assignment, 16) == Fraction(1, 2**9)
 
     def test_combined_is_per_cycle_over_four(self, collatz_assignment):
-        assert collatz_assignment.combined[4] == mv(1, 6)
+        assert combined(collatz_assignment, 4) == Fraction(1, 2**6)
         assert measure_of(collatz_assignment, {1, 2}) == mv(1, 3)
 
     def test_total_at_most_one(self, collatz_assignment, five_assignment):
-        assert collatz_assignment.total <= ONE
-        assert five_assignment.total <= ONE
+        for asg in (collatz_assignment, five_assignment):
+            assert sum(asg.numerators.values()) <= asg.denominator
+            assert as_fraction(asg.total) == sum(reference_combined(asg.forest).values()) <= 1
 
     def test_cycle_local_half(self, collatz_assignment, five_assignment):
         # each mu_i gives its own cycle exactly 1/2
-        cyc = collatz_assignment.forest.cycles[0]
-        acc = MeasureValue.zero()
-        for m in cyc.members:
-            acc = acc + collatz_assignment.per_cycle[m]
-        assert acc == mv(1, 1)
-        five = five_assignment.forest.cycles[0]
-        acc = MeasureValue.zero()
-        for m in five.members:
-            acc = acc + five_assignment.per_cycle[m]
-        assert acc == mv(1, 1)
+        for asg in (collatz_assignment, five_assignment):
+            for cyc in asg.forest.cycles:
+                assert sum(local(asg, m) for m in cyc.members) == Fraction(1, 2)
 
     def test_level_one_mass_at_most_quarter(self, five_assignment):
         forest = five_assignment.forest
-        for ci in range(len(forest.cycles)):
-            acc = MeasureValue.zero()
-            for v in forest.levels[ci][1]:
-                acc = acc + five_assignment.per_cycle[v]
-            assert acc <= mv(1, 2)
+        for levels in forest.levels:
+            if len(levels) > 1:
+                assert sum(local(five_assignment, v) for v in levels[1]) <= Fraction(1, 4)
 
     def test_children_sum_at_most_half_parent(self, collatz_assignment, five_assignment):
         # per-parent halving holds from level 1 down; level-1 nodes under the
@@ -195,36 +246,53 @@ class TestAssignMeasure:
             for v, kids in forest.children.items():
                 if forest.node_level[v] == 0:
                     continue
-                acc = MeasureValue.zero()
-                for q in kids:
-                    acc = acc + asg.per_cycle[q]
-                assert acc <= asg.per_cycle[v].mul_pow2(-1)
+                assert sum(local(asg, q) for q in kids) <= local(asg, v) / 2
 
     def test_level_totals_halve(self, collatz_assignment, five_assignment):
         for asg in (collatz_assignment, five_assignment):
-            forest = asg.forest
-            for levels in forest.levels:
-                sums = []
-                for level in levels:
-                    acc = MeasureValue.zero()
-                    for v in level:
-                        acc = acc + asg.per_cycle[v]
-                    sums.append(acc)
-                assert sums[0] == mv(1, 1)
+            for levels in asg.forest.levels:
+                sums = [sum(local(asg, v) for v in level) for level in levels]
+                assert sums[0] == Fraction(1, 2)
                 if len(sums) > 1:
-                    assert sums[1] <= mv(1, 2)
+                    assert sums[1] <= Fraction(1, 4)
                 for prev, nxt in zip(sums[1:], sums[2:]):
-                    assert nxt <= prev.mul_pow2(-1)
+                    assert nxt <= prev / 2
 
     def test_deterministic(self, collatz_forest):
         a = assign_measure(collatz_forest)
         b = assign_measure(collatz_forest)
-        assert a.combined == b.combined and a.total == b.total
+        assert a.numerators == b.numerators and a.denominator == b.denominator
+        assert a.total == b.total
 
     def test_fresh_five_cycle_values(self, five_assignment):
         # 5-cycle: each member carries 1/10 locally
-        assert five_assignment.per_cycle[1] == mv(1, 1, 5)
-        assert five_assignment.per_cycle[8] == mv(1, 1, 5)
+        assert local(five_assignment, 1) == local(five_assignment, 8) == Fraction(1, 10)
+
+    @pytest.mark.parametrize("which", ["collatz", "five", "seven", "six-cycle"])
+    def test_every_node_matches_reference(self, which, collatz_assignment, five_assignment):
+        # six-cycle: a cycle length with both an odd part and a factor of two
+        if which == "collatz":
+            asg = collatz_assignment
+        elif which == "five":
+            asg = five_assignment
+        elif which == "seven":
+            desc = pxr(7, 5)
+            asg = assign_measure(build_forest(desc, find_cycles(desc, 1000), 9))
+        else:
+            asg = assign_measure(build_forest(pxr(63, 1), [check_power_cycle(6)], 6))
+        ref = reference_combined(asg.forest)
+        assert set(asg.numerators) == set(ref) == asg.forest.covered
+        for v, mass in ref.items():
+            assert combined(asg, v) == mass, v
+
+    def test_only_integer_masses_are_stored(self, collatz_forest, monkeypatch):
+        assert [f.name for f in fields(MeasureAssignment)] == ["forest", "numerators", "denominator"]
+        built = []
+        monkeypatch.setattr(MeasureValue, "__init__", lambda self, *a: built.append(a))
+        monkeypatch.setattr(DyadicRational, "__init__", lambda self, *a: built.append(a))
+        asg = assign_measure(collatz_forest)
+        assert built == []
+        assert all(type(n) is int for n in asg.numerators.values())
 
 
 class TestMeasureOf:
@@ -233,7 +301,7 @@ class TestMeasureOf:
 
     def test_uncovered_ignored(self, collatz_assignment):
         big = 10**9 + 7
-        assert measure_of(collatz_assignment, {4, big}) == collatz_assignment.combined[4]
+        assert measure_of(collatz_assignment, {4, big}) == mv(1, 6)
 
     def test_total_matches_sum(self, five_assignment):
         assert measure_of(five_assignment, five_assignment.forest.covered) == five_assignment.total
@@ -257,10 +325,10 @@ class TestPowerBound:
             covered = asg.forest.covered
             for v in sorted(covered):
                 current = {v}
-                bound = measure_of(asg, current).mul_pow2(1)
+                bound = 2 * as_fraction(measure_of(asg, current))
                 for _ in range(asg.forest.depth):
                     current = {q for y in current for q in desc.preimage(y) if q in covered}
-                    assert measure_of(asg, current) <= bound
+                    assert as_fraction(measure_of(asg, current)) <= bound
 
     def test_contraction_off_cycle(self, collatz_assignment):
         asg = collatz_assignment
@@ -271,7 +339,7 @@ class TestPowerBound:
         for lo in range(0, len(off), 7):
             a = set(off[lo:lo + 7])
             pre = {q for y in a for q in desc.preimage(y) if q in covered}
-            assert measure_of(asg, pre) <= measure_of(asg, a).mul_pow2(-1)
+            assert as_fraction(measure_of(asg, pre)) <= as_fraction(measure_of(asg, a)) / 2
 
     def test_seeded_reports_identical(self, collatz_assignment):
         r1 = check_power_bound(collatz_assignment, trials=50, max_n=3, seed=7)
@@ -279,6 +347,28 @@ class TestPowerBound:
         assert r1 == r2
         r3 = check_power_bound(collatz_assignment, trials=50, max_n=3, seed=8)
         assert r3.worst_ratio != r1.worst_ratio or r3.worst != r1.worst
+
+    def test_comparison_cap(self, collatz_assignment, monkeypatch):
+        monkeypatch.setattr(measure_module, "_MAX_COMPARISONS", 100)
+        assert check_power_bound(collatz_assignment, trials=20, max_n=5, seed=1).comparisons == 100
+        monkeypatch.setattr(random, "Random", None)  # refused before any draw
+        for trials, max_n in ((21, 5), (101, 1), (10**12, 10)):
+            with pytest.raises(InvalidParameters, match="cap of 100"):
+                check_power_bound(collatz_assignment, trials=trials, max_n=max_n)
+
+    @pytest.mark.parametrize("argv", [
+        # a fixed point with no other preimage: the depth check cannot bound max_n
+        ["measure", "d=2;m0=3,r0=0;m1=1,r1=1", "--depth", "2^40", "--cycle-bound", "1",
+         "--trials", "1", "--max-n", "1099511627776"],
+        ["measure", "collatz", "--depth", "8", "--trials", "100000000"],
+    ])
+    def test_cli_huge_sampling_exits_one_at_once(self, argv, capsys):
+        t0 = time.perf_counter()
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert "cap of 1048576" in err
+        assert time.perf_counter() - t0 < 1
 
     def test_rejects_deep_max_n(self, collatz_assignment):
         with pytest.raises(InvalidParameters):
@@ -306,31 +396,28 @@ def test_export_shape(collatz_assignment):
     assert no_rep["power_bound"] is None
 
 
-# -- the integer path against MeasureValue arithmetic --------------------------
+def test_export_masses_match_reference(five_assignment):
+    doc = export_json(five_assignment)
+    forest = five_assignment.forest
+    local_ref, combined_ref = reference_local(forest), reference_combined(forest)
+    for node in doc["nodes"]:
+        v = int(node["value"])
+        for key, ref in (("cycle_local", local_ref[v]), ("combined", combined_ref[v])):
+            got = node[key]
+            assert parse(got["dyadic"]) / int(got["denom"]) == ref
+    for ci, cyc in enumerate(doc["cycles"]):
+        got = cyc["cycle_local_total"]
+        want = sum(local_ref[v] for level in forest.levels[ci] for v in level)
+        assert parse(got["dyadic"]) / int(got["denom"]) == want
+    total = doc["total"]
+    assert parse(total["dyadic"]) / int(total["denom"]) == sum(combined_ref.values())
 
 
-def mv_sum(asg, nodes):
-    """Combined mass of the covered members of nodes, by MeasureValue.__add__."""
-    acc = MeasureValue.zero()
-    for v in nodes:
-        if v in asg.combined:
-            acc = acc + asg.combined[v]
-    return acc
+# -- the integer path against Fraction arithmetic ------------------------------
 
 
-def as_fraction(value):
-    return Fraction(value.dyadic.num, value.denom << value.dyadic.exp)
-
-
-def as_value(text):
-    """Parse 'n/2^k' or 'n/2^k * 1/d' back into a MeasureValue."""
-    dyadic, _, denom = text.partition(" * 1/")
-    num, _, exp = dyadic.partition("/2^")
-    return mv(int(num), int(exp or 0), int(denom or 1))
-
-
-def reference_power_bound(asg, trials, max_n, seed):
-    """The sampling check on MeasureValue sums and fresh map preimages.
+def reference_power_bound(asg, trials, max_n, seed, masses):
+    """The sampling check on Fraction sums of masses and fresh map preimages.
 
     Draws the same subsets as check_power_bound and keeps the first pair
     with the largest exact ratio.  Returns (comparisons, ratio, worst).
@@ -342,25 +429,26 @@ def reference_power_bound(asg, trials, max_n, seed):
     comparisons, best, worst = 0, None, None
     for _ in range(trials):
         subset = frozenset(v for v in nodes if rng.getrandbits(1))
-        mu_a = mv_sum(asg, subset)
+        mu_a = sum((masses[v] for v in subset), Fraction(0))
         current = subset
         for n in range(1, max_n + 1):
             current = frozenset(q for y in current for q in desc.preimage(y) if q in covered)
-            mu_n = mv_sum(asg, current)
+            mu_n = sum((masses[v] for v in current), Fraction(0))
             comparisons += 1
-            assert mu_n <= mu_a.mul_pow2(1)
+            assert mu_n <= 2 * mu_a
             if mu_a:
-                ratio = as_fraction(mu_n) / as_fraction(mu_a)
+                ratio = mu_n / mu_a
                 if best is None or ratio > best:
                     best = ratio
                     worst = {"n": n, "set_size": len(subset),
-                             "mu_set": str(mu_a), "mu_preimage": str(mu_n)}
+                             "mu_set": render(mu_a), "mu_preimage": render(mu_n)}
     return comparisons, best, worst
 
 
-def assert_matches_reference(asg, trials, max_n, seed):
+def assert_matches_reference(asg, trials, max_n, seed, masses=None):
+    masses = reference_combined(asg.forest) if masses is None else masses
     rep = check_power_bound(asg, trials=trials, max_n=max_n, seed=seed)
-    comparisons, ratio, worst = reference_power_bound(asg, trials, max_n, seed)
+    comparisons, ratio, worst = reference_power_bound(asg, trials, max_n, seed, masses)
     assert rep.violations == 0
     assert rep.comparisons == comparisons == trials * max_n
     assert rep.worst == worst
@@ -377,8 +465,8 @@ def collatz10_assignment():
 class TestIntegerMasses:
     def test_numerators_over_shared_denominator(self, collatz_assignment, five_assignment):
         for asg in (collatz_assignment, five_assignment):
-            for v, value in asg.combined.items():
-                assert Fraction(asg.numerators[v], asg.denominator) == as_fraction(value)
+            for v, mass in reference_combined(asg.forest).items():
+                assert combined(asg, v) == mass
             assert as_fraction(asg.total) == Fraction(sum(asg.numerators.values()), asg.denominator)
 
     def test_five_forest_has_odd_denominator(self, five_assignment):
@@ -405,31 +493,30 @@ class TestIntegerMasses:
         self, which, collatz_assignment, five_assignment
     ):
         asg = collatz_assignment if which == "collatz" else five_assignment
+        ref = reference_combined(asg.forest)
         rng = random.Random(11)
         nodes = sorted(asg.forest.covered)
         uncovered = [x for x in range(1, 400) if x not in asg.forest.covered] + [10**30 + 1]
         for _ in range(30):
             subset = rng.sample(nodes, rng.randrange(len(nodes) + 1))
             subset += rng.sample(uncovered, 5)
-            assert measure_of(asg, subset) == mv_sum(asg, subset)
+            want = sum((ref.get(v, 0) for v in set(subset)), Fraction(0))
+            got = measure_of(asg, subset)
+            assert as_fraction(got) == want and str(got) == render(want)
 
     def test_masses_below_double_range(self, collatz10_assignment):
         # every mass here is below 2^-1074, so float() of any of them is 0.0;
         # the ratio must still come out exact and correctly rounded
         asg = collatz10_assignment
         shift = 1100
-        tiny = replace(
-            asg,
-            combined={v: m.mul_pow2(-shift) for v, m in asg.combined.items()},
-            total=asg.total.mul_pow2(-shift),
-            denominator=asg.denominator << shift,
-        )
-        assert float(measure_of(tiny, tiny.forest.covered)) == 0.0
-        rep = assert_matches_reference(tiny, trials=30, max_n=4, seed=5)
+        tiny = replace(asg, denominator=asg.denominator << shift)
+        masses = {v: m / 2**shift for v, m in reference_combined(asg.forest).items()}
+        assert float(as_fraction(measure_of(tiny, tiny.forest.covered))) == 0.0
+        rep = assert_matches_reference(tiny, trials=30, max_n=4, seed=5, masses=masses)
         plain = check_power_bound(asg, trials=30, max_n=4, seed=5)
         assert rep.worst_ratio == plain.worst_ratio and rep.worst_ratio_exact == plain.worst_ratio_exact
         assert 1 < rep.worst_ratio <= 2
-        assert rep.worst["mu_set"] == str(as_value(plain.worst["mu_set"]).mul_pow2(-shift))
+        assert rep.worst["mu_set"] == render(parse(plain.worst["mu_set"]) / 2**shift)
 
     def test_heavy_preimage_violates_the_bound(self, collatz10_assignment):
         # 4 is a preimage of 2; weighing it far above the rest breaks the bound
@@ -461,6 +548,19 @@ class TestIntegerMasses:
         rep = check_power_bound(five_assignment, trials=20, max_n=5, seed=3)
         assert sorted(calls) == sorted(five_assignment.forest.covered)
         assert len(built) == 2 and rep.comparisons == 100
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["measure", "collatz", "--depth", "8"],
+     "16e60f8dcfb277853e1c5be2458148f23de2ecac8e63dd86823da30c0456d298"),
+    (["measure", "pxr:p=5,r=1", "--depth", "10"],
+     "7646b7b377ccc47ae16e2dbda1753cdb01f375d93344869610bbebcbf22b0a58"),
+])
+def test_cli_measure_output_pinned(argv, digest, capsys):
+    # SHA-256 of the whole stdout as the per-node MeasureValue implementation
+    # printed it; the second forest has an odd shared denominator part
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_cli_power_bound_block_pinned(capsys):

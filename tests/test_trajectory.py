@@ -27,6 +27,13 @@ class TestLimits:
         with pytest.raises(InvalidParameters):
             Limits(max_steps=2.5)
 
+    def test_step_cap(self):
+        # the budget is only stored, so a refused one allocates nothing
+        assert Limits(max_steps=10**7).max_steps == 10**7
+        for big in (10**7 + 1, 10**12, 10**1000):
+            with pytest.raises(InvalidParameters, match="cap of 10000000"):
+                Limits(max_steps=big)
+
 
 class TestCycleInfo:
     def test_canonical_rotation(self):
