@@ -16,7 +16,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .chains import (
     build_preimage_tree,
@@ -99,22 +98,12 @@ def _positive_int(text: str) -> int:
 
 
 def _thread_count(flag_value: int | None) -> int:
-    """Workers requested by SYRDYN_THREADS, else --threads, else 1; at most the CPU count.
+    """Workers requested by --threads, default 1; at most the CPU count.
 
     Output does not depend on the worker count, so the cap only drops
     processes that could not run at once anyway.
     """
-    env = os.environ.get("SYRDYN_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise InvalidParameters(f"SYRDYN_THREADS must be an integer, got {env!r}") from None
-        if n < 1:
-            raise InvalidParameters(f"SYRDYN_THREADS must be >= 1, got {n}")
-    else:
-        n = flag_value or 1
-    return min(n, os.cpu_count() or 1)
+    return min(flag_value or 1, os.cpu_count() or 1)
 
 
 def _limits(args) -> Limits:
@@ -175,6 +164,9 @@ def _cycles_worker(job):
 def _fan_out(worker, jobs):
     if len(jobs) <= 1:
         return [worker(job) for job in jobs]
+    # imported here: the pool machinery is a large share of the CLI's start-up
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
         return list(pool.map(worker, jobs))  # submission order, so merge is stable
 
@@ -193,7 +185,7 @@ def _cmd_traj(args) -> int:
 def _cmd_cycles(args) -> int:
     desc = parse_descriptor(args.map)
     limits = _limits(args)
-    check_window(1, args.bound)
+    check_window(1, args.bound, limits)
     workers = _thread_count(args.threads)
     jobs = [(desc, lo, hi, limits) for lo, hi in _chunks(1, args.bound + 1, workers)]
     merged = {}
@@ -307,13 +299,7 @@ def _cmd_criterion(args) -> int:
 def _cmd_scan(args) -> int:
     desc = parse_descriptor(args.map)
     limits = _limits(args)
-    if args.start < 1:
-        raise InvalidParameters(f"--start must be >= 1, got {args.start}")
-    if args.end < args.start:
-        raise InvalidParameters(f"--end {args.end} is below --start {args.start}")
-    if args.end > limits.max_value:
-        raise InvalidParameters(f"--end {args.end} exceeds max_value {limits.max_value}")
-    check_window(args.start, args.end)
+    check_window(args.start, args.end, limits)
     workers = _thread_count(args.threads)
     jobs = [(desc, lo, hi, limits) for lo, hi in _chunks(args.start, args.end + 1, workers)]
     lines = ["x,status,steps_to_cycle,max_excursion,cycle_min"]

@@ -120,104 +120,105 @@ class PartitionResult:
         }
 
 
-def _walk(desc, x, limits, conv, vlim, cycles, cycle_ids):
-    """Classify x, growing the caches only with budget-safe entries.
+def _backfill(memo, path, end, steps, cid, exc, budget):
+    """Give path[:end] the verdict (steps, cid, exc) of the value after path[end - 1].
 
-    conv maps a value to (steps_to_cycle, cycle_id, max_excursion) and vlim
-    maps a value to (steps_until_ceiling_hit, max_excursion).  An entry is
-    added only when a fresh walk from that value, with the full step budget,
-    would provably reproduce it; everything else is re-walked later with its
-    own budget.  That keeps results bit-identical to per-point iterate().
+    path[i] lies end - i steps before that value, so each entry gains a step
+    and takes the running maximum of the excursion.  An entry is stored only
+    while its steps stay within budget: max_steps less the cycle length, or
+    less 0 for a ceiling verdict.  That is the number of applications a fresh
+    iterate() needs to reach the same verdict, and steps only grow towards
+    path[0], so the first entry over budget ends the fill.
+    """
+    for i in range(end - 1, -1, -1):
+        steps += 1
+        if steps > budget:
+            break
+        v = path[i]
+        if v > exc:
+            exc = v
+        memo[v] = (steps, cid, exc)
+
+
+def _walk(desc, x, limits, memo, cycles, cycle_ids):
+    """Classify x, growing the memo only with budget-safe entries.
+
+    memo maps a value to (steps, cycle_id, max_excursion).  A cycle_id of
+    None is a ceiling verdict, and steps then counts the applications up to
+    the first value above max_value; otherwise steps is the index of the
+    first orbit point on cycles[cycle_id].  _backfill stores an entry only
+    when a fresh walk from that value, with the full step budget, would
+    reproduce it; everything else is re-walked later with its own budget.
+    That keeps results bit-identical to per-point iterate().
 
     Returns (code, steps_to_cycle, max_excursion, cycle_id) for x; the
     second and last are None for the two limit codes.
     """
-    max_steps = limits.max_steps
-    path = [x]
-    pos = {x: 0}
-    while True:
-        steps = len(path) - 1
-        if steps == max_steps:
-            # out of budget; intermediates keep their larger budgets for later
-            return _STEP_LIMIT, None, max(path), None
-        nxt = desc.apply(path[-1])
-        apps = steps + 1
-
-        hit = conv.get(nxt)
-        if hit is not None:
-            dist0, cid, exc0 = hit
-            n_len = cycles[cid].length
-            m = exc0
-            for i in range(len(path) - 1, -1, -1):
-                if path[i] > m:
-                    m = path[i]
-                d_i = (apps - i) + dist0
-                if d_i + n_len > max_steps:
-                    break  # d_i only grows as i shrinks
-                conv[path[i]] = (d_i, cid, m)
-            rec = conv.get(x)
-            if rec is not None:
-                d_x, _cid, exc_x = rec
-                return (_C if d_x == 0 else _D1), d_x, exc_x, cid
+    rec = memo.get(x)
+    if rec is None:
+        max_steps = limits.max_steps
+        path = [x]
+        pos = {x: 0}
+        while True:
+            if len(path) > max_steps:
+                # out of budget; intermediates keep their larger budgets for later
+                return _STEP_LIMIT, None, max(path), None
+            nxt = desc.apply(path[-1])
+            hit = memo.get(nxt)
+            if hit is not None:
+                steps, cid, exc = hit
+                length = 0 if cid is None else cycles[cid].length
+                _backfill(memo, path, len(path), steps, cid, exc, max_steps - length)
+                break
+            entry = pos.get(nxt)
+            if entry is not None:
+                # a fresh cycle; detection took len(path) <= max_steps
+                # applications, and every path point needs no more
+                cycle = CycleInfo.from_orbit(tuple(path[entry:]))
+                cid = cycle_ids.get(cycle.members)
+                if cid is None:
+                    cid = len(cycles)
+                    cycles.append(cycle)
+                    cycle_ids[cycle.members] = cid
+                cyc_max = max(cycle.members)
+                for v in cycle.members:
+                    memo[v] = (0, cid, cyc_max)
+                _backfill(memo, path, entry, 0, cid, cyc_max, max_steps - cycle.length)
+                break
+            if nxt > limits.max_value:
+                # nxt is dropped from the orbit, so it adds nothing to the excursion
+                _backfill(memo, path, len(path), 0, None, 0, max_steps)
+                break
+            pos[nxt] = len(path)
+            path.append(nxt)
+        rec = memo.get(x)
+        if rec is None:
             report = iterate(desc, x, limits)  # barely out of budget; exact fallback
             return _LIMIT_CODES[report.status], None, report.max_excursion, None
-
-        v_hit = vlim.get(nxt)
-        if v_hit is not None:
-            v0, exc0 = v_hit
-            m = exc0
-            for i in range(len(path) - 1, -1, -1):
-                if path[i] > m:
-                    m = path[i]
-                if (apps - i) + v0 > max_steps:
-                    break
-                vlim[path[i]] = ((apps - i) + v0, m)
-            rec = vlim.get(x)
-            if rec is not None:
-                return _VALUE_LIMIT, None, rec[1], None
-            report = iterate(desc, x, limits)
-            return _LIMIT_CODES[report.status], None, report.max_excursion, None
-
-        entry = pos.get(nxt)
-        if entry is not None:
-            # a fresh cycle; detection took apps <= max_steps, and every path
-            # point detects it within (steps+1-i) + length <= apps <= budget
-            cycle = CycleInfo.from_orbit(tuple(path[entry:]))
-            cid = cycle_ids.get(cycle.members)
-            if cid is None:
-                cid = len(cycles)
-                cycles.append(cycle)
-                cycle_ids[cycle.members] = cid
-            cyc_max = max(cycle.members)
-            for idx in range(entry, len(path)):
-                conv[path[idx]] = (0, cid, cyc_max)
-            m = cyc_max
-            for i in range(entry - 1, -1, -1):
-                if path[i] > m:
-                    m = path[i]
-                conv[path[i]] = (entry - i, cid, m)
-            d_x, _cid, exc_x = conv[x]
-            return (_C if d_x == 0 else _D1), d_x, exc_x, cid
-
-        if nxt > limits.max_value:
-            # every path point sees this violation within its own budget
-            m = 0
-            for i in range(len(path) - 1, -1, -1):
-                if path[i] > m:
-                    m = path[i]
-                vlim[path[i]] = (apps - i, m)
-            return _VALUE_LIMIT, None, vlim[x][1], None
-
-        pos[nxt] = len(path)
-        path.append(nxt)
+    steps, cid, exc = rec
+    if cid is None:
+        return _VALUE_LIMIT, None, exc, None
+    return (_C if steps == 0 else _D1), steps, exc, cid
 
 
-def check_window(start: int, domain_bound: int) -> None:
-    """Raise InvalidParameters if start..domain_bound has more than _MAX_POINTS points."""
-    size = domain_bound - start + 1
+def check_window(start: int, end: int, limits: Limits) -> None:
+    """Raise InvalidParameters unless start..end is a window partition can classify.
+
+    That needs 1 <= start <= end <= limits.max_value, so every point is
+    iterable inside the box, and at most _MAX_POINTS points, since partition
+    stores every one.  The range subcommands call this before any worker
+    starts.
+    """
+    if type(start) is not int or start < 1:
+        raise InvalidParameters(f"start must be >= 1, got {start!r}")
+    if type(end) is not int or end < start:
+        raise InvalidParameters(f"end must be >= start {start}, got {end!r}")
+    if end > limits.max_value:
+        raise InvalidParameters(f"end {end} exceeds max_value {limits.max_value}")
+    size = end - start + 1
     if size > _MAX_POINTS:
         raise InvalidParameters(
-            f"window {start}..{domain_bound} has {size} points, above the cap of "
+            f"window {start}..{end} has {size} points, above the cap of "
             f"{_MAX_POINTS}; partition stores every point"
         )
 
@@ -227,23 +228,14 @@ def partition(
 ) -> PartitionResult:
     """Classify every x in start..domain_bound exactly as iterate() would.
 
-    All starts share one orbit memo, so a window costs about as much as the
-    orbits it touches; only the window itself is stored per point.  A window
-    of more than _MAX_POINTS points is refused before anything is stored.
+    All starts share one orbit memo, value -> (steps, cycle_id, excursion),
+    that holds cycle and ceiling verdicts alike, so a window costs about as
+    much as the orbits it touches; only the window itself is stored per
+    point.  check_window refuses a bad window before anything is stored.
     """
-    if type(start) is not int or start < 1:
-        raise InvalidParameters(f"start must be >= 1, got {start!r}")
-    if type(domain_bound) is not int or domain_bound < start:
-        raise InvalidParameters(f"domain_bound must be >= {start}, got {domain_bound!r}")
-    check_window(start, domain_bound)
     limits = limits or Limits()
-    if domain_bound > limits.max_value:
-        # every domain point must be iterable inside the box
-        raise InvalidParameters(
-            f"domain_bound {domain_bound} exceeds max_value {limits.max_value}"
-        )
-    conv: dict[int, tuple[int, int, int]] = {}
-    vlim: dict[int, tuple[int, int]] = {}
+    check_window(start, domain_bound, limits)
+    memo: dict[int, tuple[int, int | None, int]] = {}
     cycles: list[CycleInfo] = []
     cycle_ids: dict[tuple[int, ...], int] = {}
     size = domain_bound - start + 1
@@ -252,16 +244,7 @@ def partition(
     exc_arr: list = [0] * size
     cycle_arr: list = [None] * size
     for i, x in enumerate(range(start, domain_bound + 1)):
-        rec = conv.get(x)
-        if rec is not None:
-            st, cid, exc = rec
-            code = _C if st == 0 else _D1
-        else:
-            v_rec = vlim.get(x)
-            if v_rec is not None:
-                code, st, exc, cid = _VALUE_LIMIT, None, v_rec[1], None
-            else:
-                code, st, exc, cid = _walk(desc, x, limits, conv, vlim, cycles, cycle_ids)
+        code, st, exc, cid = _walk(desc, x, limits, memo, cycles, cycle_ids)
         codes[i] = code
         steps_arr[i] = st
         exc_arr[i] = exc

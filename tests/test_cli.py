@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -270,21 +273,13 @@ class TestDeterminismAndThreads:
                         "--threads", "3")
         assert one == two
 
-    def test_env_overrides_flag(self, capsys, monkeypatch):
-        monkeypatch.setenv("SYRDYN_THREADS", "2")
-        _, out, _ = run(capsys, "scan", "collatz", "--start", "1", "--end", "30",
-                        "--threads", "1")
-        monkeypatch.delenv("SYRDYN_THREADS")
-        _, plain, _ = run(capsys, "scan", "collatz", "--start", "1", "--end", "30")
-        assert out == plain
 
-    def test_env_invalid(self, capsys, monkeypatch):
-        monkeypatch.setenv("SYRDYN_THREADS", "many")
-        code, _, err = run(capsys, "scan", "collatz", "--start", "1", "--end", "5")
-        assert code == 1
-        assert "SYRDYN_THREADS" in err
-
-    def test_env_nonpositive(self, capsys, monkeypatch):
-        monkeypatch.setenv("SYRDYN_THREADS", "0")
-        code, _, _ = run(capsys, "scan", "collatz", "--start", "1", "--end", "5")
-        assert code == 1
+def test_import_leaves_the_pool_machinery_out():
+    # _fan_out imports concurrent.futures only when it starts a pool
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, syrdyn.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('concurrent')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

@@ -4,7 +4,7 @@ import pytest
 
 from syrdyn.errors import DomainError, InvalidParameters
 from syrdyn.maps import collatz, parse_descriptor, pxr
-from syrdyn.partition import partition, export_csv, summary_dict
+from syrdyn.partition import _walk, partition, export_csv, summary_dict
 from syrdyn.trajectory import Limits, TrajectoryStatus, iterate
 
 D3 = parse_descriptor("d=3;m0=1,r0=0;m1=2,r1=1;m2=2,r2=2")
@@ -85,6 +85,9 @@ class TestPartitionStructure:
         with pytest.raises(InvalidParameters):
             # the whole domain must sit under the ceiling
             partition(collatz(), 100, Limits(max_steps=10, max_value=50))
+        with pytest.raises(InvalidParameters, match="exceeds max_value"):
+            partition(collatz(), 51, Limits(max_steps=10, max_value=50))
+        assert partition(collatz(), 50, Limits(max_steps=10, max_value=50)).domain_bound == 50
 
 
 TIGHT_LIMITS = pytest.mark.parametrize("limits", [
@@ -111,6 +114,27 @@ def test_memoized_equals_naive(desc, bound, limits):
         assert res.class_of(x) == cls, x
         assert res.steps_to_cycle(x) == steps, x
         assert res.max_excursion(x) == exc, x
+
+
+@TIGHT_LIMITS
+@SMALL_DOMAINS
+def test_every_memo_entry_is_a_fresh_iterate(desc, bound, limits):
+    # the memo also holds orbit values outside the window; each entry must be
+    # the verdict a fresh iterate from that value reaches with the full budget
+    memo, cycles, cycle_ids = {}, [], {}
+    for x in range(1, bound + 1):
+        _walk(desc, x, limits, memo, cycles, cycle_ids)
+    assert desc is D3 or any(v > bound for v in memo)  # D3 never climbs above x
+    for v, (steps, cid, exc) in memo.items():
+        rep = iterate(desc, v, limits)
+        assert rep.max_excursion == exc, v
+        if cid is None:
+            assert rep.status is TrajectoryStatus.HIT_VALUE_LIMIT, v
+            assert len(rep.steps) == steps, v  # applications up to the ceiling
+        else:
+            assert rep.status is TrajectoryStatus.ENTERED_CYCLE, v
+            assert rep.entry_index == steps, v
+            assert rep.cycle == cycles[cid], v
 
 
 @TIGHT_LIMITS

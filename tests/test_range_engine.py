@@ -5,6 +5,7 @@ as the range subcommands did before they were rebuilt on partition; the
 memoized engine must reproduce them exactly, for any worker count.
 """
 
+import concurrent.futures
 import importlib
 import json
 import time
@@ -136,8 +137,7 @@ class TestWorkerPlan:
     def test_clamped_to_cpu_count(self, monkeypatch):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         assert _chunks(1, 1001, _thread_count(10000)) == [(1, 501), (501, 1001)]
-        monkeypatch.setenv("SYRDYN_THREADS", "10000")
-        assert _thread_count(None) == 2
+        assert _thread_count(10000) == 2
 
     def test_clamped_to_points(self, monkeypatch):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
@@ -154,16 +154,14 @@ class TestWorkerPlan:
 
     def test_huge_thread_request_runs_inline(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         code, many = run(capsys, "scan", "collatz", "--start", "1", "--end", "40",
                          "--threads", "10000")
         assert code == 0
-        monkeypatch.setenv("SYRDYN_THREADS", "10000")
-        code, env = run(capsys, "cycles", "pxr:p=5,r=1", "--bound", "300")
+        code, cyc = run(capsys, "cycles", "pxr:p=5,r=1", "--bound", "300", "--threads", "10000")
         assert code == 0
-        monkeypatch.delenv("SYRDYN_THREADS")
         assert many == run(capsys, "scan", "collatz", "--start", "1", "--end", "40")[1]
-        assert env == run(capsys, "cycles", "pxr:p=5,r=1", "--bound", "300")[1]
+        assert cyc == run(capsys, "cycles", "pxr:p=5,r=1", "--bound", "300")[1]
 
 
 class TestPointCap:
@@ -184,7 +182,7 @@ class TestPointCap:
     ])
     def test_huge_window_exits_one_at_once(self, capsys, monkeypatch, argv):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         t0 = time.perf_counter()
         code = main(argv)
         elapsed = time.perf_counter() - t0
@@ -197,8 +195,18 @@ class TestPointCap:
         # two chunks of 6 would each fit under a cap of 10; the window of 12 does not
         monkeypatch.setattr(partition_module, "_MAX_POINTS", 10)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         for argv in (["scan", "collatz", "--start", "1", "--end", "12", "--threads", "2"],
                      ["cycles", "collatz", "--bound", "12", "--threads", "2"]):
             assert main(argv) == 1
             assert "above the cap" in capsys.readouterr().err
+
+    def test_ceiling_checked_before_fan_out(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        for argv in (["cycles", "collatz", "--bound", "100", "--max-value", "50", "--threads", "2"],
+                     ["scan", "collatz", "--start", "1", "--end", "100", "--max-value", "50",
+                      "--threads", "2"]):
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and "exceeds max_value 50" in err
