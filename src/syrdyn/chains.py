@@ -33,6 +33,7 @@ from .errors import (
     VerificationFailure,
 )
 from .maps import MapDescriptor, collatz, pxr
+from .measure import _MAX_FOREST_NODES
 
 __all__ = [
     "NodeClass",
@@ -280,7 +281,10 @@ def build_preimage_tree(desc: MapDescriptor, root: int, depth: int) -> PreimageT
     """Exact truncated preimage tree; children are preimage(node), verbatim.
 
     Unlike the measure forest, nothing is excluded: if the root sits on a
-    cycle its members re-occur at deeper levels, flagged as repeats.
+    cycle its members re-occur at deeper levels, flagged as repeats.  The
+    forest's node cap holds here too: InvalidParameters is raised, before
+    it is stored, at the first level that would take the tree above
+    _MAX_FOREST_NODES nodes, and the tree ends at its first empty level.
     """
     if type(root) is not int or root < 1:
         raise DomainError(f"root must be a positive integer, got {root!r}")
@@ -294,6 +298,13 @@ def build_preimage_tree(desc: MapDescriptor, root: int, depth: int) -> PreimageT
         for v in level:
             for q in desc.preimage(v):
                 staged.append((q, v))
+        if not staged:
+            break  # no level below an empty one
+        if len(nodes) + len(staged) > _MAX_FOREST_NODES:
+            raise InvalidParameters(
+                f"tree level {lvl} would take the tree to {len(nodes) + len(staged)} "
+                f"nodes, above the cap of {_MAX_FOREST_NODES}; use a smaller depth"
+            )
         staged.sort()
         for q, v in staged:
             nodes.append(TreeNode(q, lvl, v, q in seen))
@@ -364,16 +375,30 @@ def _identity_samples(m: int, d: int, residue: int, l: int, alphas, betas, ks):
                 yield alpha, beta, k, x, m ** (alpha + 1) * d ** (beta - 1) * k - l
 
 
+# the witness search's default sample bounds, also reported by criterion --verify
+WITNESS_ALPHA_MAX, WITNESS_BETA_MAX, WITNESS_K_MAX = 4, 4, 50
+
+# search_family_witness refuses a larger p: it tries every l in -p..p, and
+# p = 10^4 already takes about 2 s
+_MAX_WITNESS_P = 10**4
+
+
 def search_family_witness(
-    p: int, r: int, alpha_max: int = 4, beta_max: int = 4, k_max: int = 50
+    p: int, r: int, alpha_max: int = WITNESS_ALPHA_MAX, beta_max: int = WITNESS_BETA_MAX,
+    k_max: int = WITNESS_K_MAX,
 ) -> int | None:
     """Look for l with |l| <= p making V(p^a*2^b*k - l) = p^(a+1)*2^(b-1)*k - l.
 
     Tries every l against all valid samples (b >= 1, k coprime to 2p, node in
     the odd class); returns the first universal l, else None.  Exhaustive by
     construction, with no knowledge of the r = +-(p-2) criterion baked in.
+    Raises InvalidParameters, before any sample, for p above _MAX_WITNESS_P.
     """
     desc = pxr(p, r)
+    if p > _MAX_WITNESS_P:
+        raise InvalidParameters(
+            f"the witness search tries every l in -p..p; p above {_MAX_WITNESS_P} is refused"
+        )
     alphas, betas, ks = range(alpha_max + 1), range(1, beta_max + 1), range(1, k_max + 1)
     for l in range(-p, p + 1):
         checked = 0

@@ -18,6 +18,9 @@ import os
 import sys
 
 from .chains import (
+    WITNESS_ALPHA_MAX,
+    WITNESS_BETA_MAX,
+    WITNESS_K_MAX,
     build_preimage_tree,
     chain_criterion,
     chain_of,
@@ -269,9 +272,9 @@ def _cmd_criterion(args) -> int:
         l = search_family_witness(p, r)
         payload["witness_search"] = {
             "l": None if l is None else str(l),
-            "alpha_max": 4,
-            "beta_max": 4,
-            "k_max": 50,
+            "alpha_max": WITNESS_ALPHA_MAX,
+            "beta_max": WITNESS_BETA_MAX,
+            "k_max": WITNESS_K_MAX,
         }
         try:
             ident = verify_family_identity(p, r)

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, InvalidParameters
 from .maps import MapDescriptor
-from .trajectory import CycleInfo, Limits, TrajectoryStatus, iterate
+# iterate is not called here; benchmarks/tracing.py patches syrdyn.partition.iterate
+from .trajectory import CycleInfo, Limits, TrajectoryStatus, iterate  # noqa: F401
 
 __all__ = ["CLASS_C", "CLASS_D1", "CLASS_D2", "PartitionResult", "partition",
            "check_window", "export_csv", "summary_dict"]
@@ -26,7 +27,7 @@ CLASS_D1 = "D1"
 CLASS_D2 = "D2?"
 
 # per-point codes: 1=C 2=D1; the public class D2? is split by the limit hit
-# first, so scan can report iterate()'s status without re-walking
+# first, so scan can report iterate's status without re-walking
 _C, _D1, _STEP_LIMIT, _VALUE_LIMIT = 1, 2, 3, 4
 _CODE_NAMES = {_C: CLASS_C, _D1: CLASS_D1, _STEP_LIMIT: CLASS_D2, _VALUE_LIMIT: CLASS_D2}
 _CODE_STATUS = {
@@ -34,10 +35,6 @@ _CODE_STATUS = {
     _D1: TrajectoryStatus.ENTERED_CYCLE,
     _STEP_LIMIT: TrajectoryStatus.HIT_STEP_LIMIT,
     _VALUE_LIMIT: TrajectoryStatus.HIT_VALUE_LIMIT,
-}
-_LIMIT_CODES = {
-    TrajectoryStatus.HIT_STEP_LIMIT: _STEP_LIMIT,
-    TrajectoryStatus.HIT_VALUE_LIMIT: _VALUE_LIMIT,
 }
 
 # windows of more points than this are refused; partition keeps about 290 B
@@ -80,8 +77,8 @@ class PartitionResult:
     def records(self):
         """Iterate (x, status, steps_to_cycle, max_excursion, cycle) over x in order.
 
-        Each tuple carries what iterate(descriptor, x, limits) reports: its
-        status, entry_index, max_excursion and cycle (None unless entered).
+        Each tuple carries what iterate reports for x under the same limits:
+        its status, entry_index, max_excursion and cycle (None unless entered).
         """
         return zip(
             range(self.start, self.domain_bound + 1),
@@ -127,7 +124,7 @@ def _backfill(memo, path, end, steps, cid, exc, budget):
     and takes the running maximum of the excursion.  An entry is stored only
     while its steps stay within budget: max_steps less the cycle length, or
     less 0 for a ceiling verdict.  That is the number of applications a fresh
-    iterate() needs to reach the same verdict, and steps only grow towards
+    iterate needs to reach the same verdict, and steps only grow towards
     path[0], so the first entry over budget ends the fill.
     """
     for i in range(end - 1, -1, -1):
@@ -148,8 +145,10 @@ def _walk(desc, x, limits, memo, cycles, cycle_ids):
     the first value above max_value; otherwise steps is the index of the
     first orbit point on cycles[cycle_id].  _backfill stores an entry only
     when a fresh walk from that value, with the full step budget, would
-    reproduce it; everything else is re-walked later with its own budget.
-    That keeps results bit-identical to per-point iterate().
+    reproduce it, so results stay bit-identical to a per-point iterate.  If
+    x itself is not stored, its verdict lies past its budget and its first
+    max_steps + 1 orbit points lie at or below max_value: the walk goes on
+    to that length and reports a step-limit hit.
 
     Returns (code, steps_to_cycle, max_excursion, cycle_id) for x; the
     second and last are None for the two limit codes.
@@ -159,10 +158,7 @@ def _walk(desc, x, limits, memo, cycles, cycle_ids):
         max_steps = limits.max_steps
         path = [x]
         pos = {x: 0}
-        while True:
-            if len(path) > max_steps:
-                # out of budget; intermediates keep their larger budgets for later
-                return _STEP_LIMIT, None, max(path), None
+        while len(path) <= max_steps:
             nxt = desc.apply(path[-1])
             hit = memo.get(nxt)
             if hit is not None:
@@ -193,8 +189,10 @@ def _walk(desc, x, limits, memo, cycles, cycle_ids):
             path.append(nxt)
         rec = memo.get(x)
         if rec is None:
-            report = iterate(desc, x, limits)  # barely out of budget; exact fallback
-            return _LIMIT_CODES[report.status], None, report.max_excursion, None
+            # out of budget; intermediates keep their larger budgets for later
+            while len(path) <= max_steps:
+                path.append(desc.apply(path[-1]))
+            return _STEP_LIMIT, None, max(path), None
     steps, cid, exc = rec
     if cid is None:
         return _VALUE_LIMIT, None, exc, None
@@ -226,12 +224,12 @@ def check_window(start: int, end: int, limits: Limits) -> None:
 def partition(
     desc: MapDescriptor, domain_bound: int, limits: Limits | None = None, start: int = 1
 ) -> PartitionResult:
-    """Classify every x in start..domain_bound exactly as iterate() would.
+    """Classify every x in start..domain_bound exactly as iterate would.
 
     All starts share one orbit memo, value -> (steps, cycle_id, excursion),
-    that holds cycle and ceiling verdicts alike, so a window costs about as
-    much as the orbits it touches; only the window itself is stored per
-    point.  check_window refuses a bad window before anything is stored.
+    of cycle and ceiling verdicts, and no start is walked twice, so a window
+    costs about as much as the orbits it touches; only the window is stored
+    per point.  check_window refuses a bad window before storing anything.
     """
     limits = limits or Limits()
     check_window(start, domain_bound, limits)

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -33,6 +35,7 @@ from syrdyn.errors import (
 from syrdyn.maps import collatz, parse_descriptor, pxr
 
 C = collatz()
+chains_module = importlib.import_module("syrdyn.chains")
 
 
 class TestClassify:
@@ -254,6 +257,20 @@ class TestPreimageTree:
         with pytest.raises(InvalidParameters):
             build_preimage_tree(C, 4, -1)
 
+    def test_cap_refuses_the_crossing_level(self, monkeypatch):
+        # the tree counts repeats as nodes; the forest's cap bounds them all
+        size8 = len(build_preimage_tree(C, 1, 8).nodes)
+        monkeypatch.setattr(chains_module, "_MAX_FOREST_NODES", size8)
+        assert len(build_preimage_tree(C, 1, 8).nodes) == size8
+        with pytest.raises(InvalidParameters, match=f"cap of {size8}"):
+            build_preimage_tree(C, 1, 9)
+
+    def test_stops_at_the_first_empty_level(self):
+        # 1 has no preimage under x -> 3x/2 (even), (3x+1)/2 (odd)
+        tree = build_preimage_tree(parse_descriptor("d=2;m0=3,r0=0;m1=3,r1=1"), 1, 2**40)
+        assert [(n.value, n.level) for n in tree.nodes] == [(1, 0)]
+        assert tree.depth == 2**40
+
 
 def admissible_rs(p):
     import math
@@ -314,6 +331,16 @@ class TestCriterion:
     def test_witness_search_on_composite_p(self):
         for r in admissible_rs(9):
             assert (search_family_witness(9, r) is not None) == chain_criterion(9, r)
+
+    def test_witness_search_refuses_p_above_the_cap(self, monkeypatch):
+        def no_sample(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(chains_module, "_MAX_WITNESS_P", 7)
+        assert search_family_witness(7, 5) == 1
+        monkeypatch.setattr(chains_module, "_identity_samples", no_sample)
+        with pytest.raises(InvalidParameters, match="above 7"):
+            search_family_witness(9, 7)
 
 
 class TestFamilyIdentity:

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -7,7 +8,9 @@ import tracemalloc
 
 import pytest
 
+import syrdyn.chains as chains_module
 import syrdyn.cli as cli
+from syrdyn.chains import search_family_witness
 from syrdyn.cli import _parse_bound, main
 
 
@@ -201,6 +204,15 @@ class TestChainsAndTree:
                         "--format", "dot")
         assert out.startswith("digraph preimage_tree {")
 
+    @pytest.mark.parametrize("tree_map", ["collatz", "d=2;m0=3,r0=0;m1=1,r1=1"])
+    def test_huge_tree_depth_exits_one_at_once(self, capsys, tree_map):
+        # the second map gives 1 the single preimage 1: one repeat per level
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "tree", tree_map, "--root", "1", "--depth", "2^40")
+        assert time.perf_counter() - t0 < 1
+        assert code == 1 and out == ""
+        assert err.startswith("error: tree level ") and "above the cap of 131072" in err
+
 
 class TestCriterion:
     def test_positive(self, capsys):
@@ -218,6 +230,10 @@ class TestCriterion:
         _, out, _ = run(capsys, "criterion", "5", "3", "--verify")
         doc = json.loads(out)
         assert doc["witness_search"]["l"] == "1"
+        # the reported bounds are the ones the search ran with
+        bounds = inspect.signature(search_family_witness).parameters
+        assert {k: v for k, v in doc["witness_search"].items() if k != "l"} == {
+            k: bounds[k].default for k in ("alpha_max", "beta_max", "k_max")}
         assert doc["identity"]["applicable"] is True
         assert doc["connection"]["samples"] == doc["connection"]["satisfied"] == 500
 
@@ -232,6 +248,25 @@ class TestCriterion:
     def test_invalid_pair(self, capsys):
         code, _, _ = run(capsys, "criterion", "4", "1")
         assert code == 1
+
+    @pytest.mark.parametrize("p", [10**4 + 1, 10**4299 + 1])
+    def test_verify_refuses_p_above_the_cap(self, capsys, p):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "criterion", str(p), "3", "--verify")
+        assert time.perf_counter() - t0 < 1
+        assert code == 1 and out == ""
+        assert "p above 10000 is refused" in err
+        code, out, _ = run(capsys, "criterion", str(p), "3")  # the criterion alone is cheap
+        assert code == 0 and json.loads(out)["chain_structure"] is False
+
+    def test_verify_accepts_p_at_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(chains_module, "_MAX_WITNESS_P", 7)
+        code, out, _ = run(capsys, "criterion", "7", "5", "--verify")
+        assert code == 0
+        assert json.loads(out)["witness_search"] == {
+            "l": "1", "alpha_max": 4, "beta_max": 4, "k_max": 50}
+        code, _, err = run(capsys, "criterion", "9", "7", "--verify")
+        assert code == 1 and "p above 7 is refused" in err
 
 
 class TestScan:

@@ -1,11 +1,17 @@
+import importlib
 import io
+import json
 
 import pytest
 
+from syrdyn.cli import main
 from syrdyn.errors import DomainError, InvalidParameters
 from syrdyn.maps import collatz, parse_descriptor, pxr
-from syrdyn.partition import _walk, partition, export_csv, summary_dict
+from syrdyn.partition import _STEP_LIMIT, _walk, partition, export_csv, summary_dict
 from syrdyn.trajectory import Limits, TrajectoryStatus, iterate
+from test_range_engine import reference_cycles, reference_scan_rows
+
+partition_module = importlib.import_module("syrdyn.partition")  # syrdyn.partition is the function
 
 D3 = parse_descriptor("d=3;m0=1,r0=0;m1=2,r1=1;m2=2,r2=2")
 
@@ -90,30 +96,66 @@ class TestPartitionStructure:
         assert partition(collatz(), 50, Limits(max_steps=10, max_value=50)).domain_bound == 50
 
 
-TIGHT_LIMITS = pytest.mark.parametrize("limits", [
+LIMITS_GRID = [
     Limits(max_steps=5, max_value=330),
     Limits(max_steps=12, max_value=10**4),
     Limits(max_steps=30, max_value=400),
     Limits(max_steps=120, max_value=10**9),
-])
-SMALL_DOMAINS = pytest.mark.parametrize("desc,bound", [
+]
+DOMAIN_GRID = [
     (collatz(), 300),
     (pxr(5, 1), 120),
     (D3, 120),
-])
+]
+TIGHT_LIMITS = pytest.mark.parametrize("limits", LIMITS_GRID)
+SMALL_DOMAINS = pytest.mark.parametrize("desc,bound", DOMAIN_GRID)
+
+
+def no_iterate(*args, **kwargs):
+    raise AssertionError("the range engine called iterate")
 
 
 @TIGHT_LIMITS
 @SMALL_DOMAINS
-def test_memoized_equals_naive(desc, bound, limits):
+def test_memoized_equals_naive(capsys, monkeypatch, desc, bound, limits):
     # the whole point of the cache: bit-identical to per-point iteration,
-    # including under budgets tight enough to cut walks short
+    # including under budgets tight enough to cut walks short; each start is
+    # finished within its own walk, so partition, cycles and scan never call
+    # iterate, also when a memo hit lies past a start's budget
+    monkeypatch.setattr(partition_module, "iterate", no_iterate)
     res = partition(desc, bound, limits)
     for x in range(1, bound + 1):
         cls, steps, exc = naive_classify(desc, x, limits)
         assert res.class_of(x) == cls, x
         assert res.steps_to_cycle(x) == steps, x
         assert res.max_excursion(x) == exc, x
+    flags = [desc.to_text(), "--max-steps", str(limits.max_steps),
+             "--max-value", str(limits.max_value), "--threads", "1"]
+    assert main(["cycles", *flags, "--bound", str(bound)]) == 0
+    want = [[str(v) for v in c.members] for c in reference_cycles(desc, 1, bound, limits)]
+    assert json.loads(capsys.readouterr().out)["cycles"] == want
+    lo = bound // 3
+    assert main(["scan", *flags, "--start", str(lo), "--end", str(bound)]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows == reference_scan_rows(desc, lo, bound, limits)
+
+
+def test_grid_has_memo_hits_past_the_budget(monkeypatch):
+    # a step-limit start whose walk stored anything broke off at a memo hit
+    # its own budget cannot reach; without one the test above runs no tail
+    fills = []
+    backfill = partition_module._backfill
+    monkeypatch.setattr(partition_module, "_backfill",
+                        lambda *args: (fills.append(args), backfill(*args)))
+    cut = 0
+    for desc, bound in DOMAIN_GRID:
+        for limits in LIMITS_GRID:
+            memo, cycles, cycle_ids = {}, [], {}
+            for x in range(1, bound + 1):
+                fills.clear()
+                code = _walk(desc, x, limits, memo, cycles, cycle_ids)[0]
+                cut += code == _STEP_LIMIT and bool(fills)
+    assert cut > 0
 
 
 @TIGHT_LIMITS
