@@ -51,6 +51,7 @@ from .measure import (
     build_forest,
     check_power_bound,
     measure_of,
+    power_bound_certificate,
 )
 from .chains import (
     Chain,
@@ -96,6 +97,7 @@ __all__ = [
     # measure
     "MeasureValue", "PreimageForest", "MeasureAssignment", "PowerBoundReport",
     "build_forest", "assign_measure", "measure_of", "check_power_bound",
+    "power_bound_certificate",
     # chains
     "NodeClass", "ChainHeadForm", "Family", "Chain", "PreimageTree",
     "classify", "decompose", "structured_preimage", "family_of", "chain_of",

@@ -220,6 +220,9 @@ def _cmd_partition(args) -> int:
 
 def _cmd_measure(args) -> int:
     desc = parse_descriptor(args.map)
+    if args.depth < 1:
+        # the power bound needs max_n >= 1 preimage levels
+        raise InvalidParameters(f"--depth must be >= 1, got {args.depth}")
     limits = _limits(args)
     cycles = find_cycles(desc, args.cycle_bound, limits)
     if not cycles:

@@ -14,8 +14,12 @@ assign_measure computes those straight from the rules in plain ints and puts
 them over one shared denominator L * 2^E, with L the lcm of the odd(N) and E
 the largest exponent: MeasureAssignment.numerators and .denominator are the
 only stored masses.  A set's mass is an integer sum and the power bound an
-integer comparison.  MeasureValue, a DyadicRational times a symbolic 1/denom
-with odd denom, is only the canonical form in which a mass is reported.
+integer comparison.  The sets T^-n{v} of distinct v are disjoint, so
+mu(T^-n(A)) is a sum over A of the fibre masses P_n(v), pushed forward once
+per level: check_power_bound samples such sums, and power_bound_certificate
+reads their exact supremum over all A off the same tables.  MeasureValue, a
+DyadicRational times a symbolic 1/denom with odd denom, is only the canonical
+form in which a mass is reported.
 
 build_forest refuses a forest of more than _MAX_FOREST_NODES nodes before it
 stores the level that would cross the cap, and stops a tree at its first
@@ -27,6 +31,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import InvalidParameters, OverlappingCycles, BoundViolation
 from .maps import MapDescriptor
@@ -42,17 +47,25 @@ __all__ = [
     "assign_measure",
     "measure_of",
     "check_power_bound",
+    "power_bound_certificate",
     "export_json",
 ]
 
 # forests of more nodes than this are refused.  The deepest Collatz forest
-# under the cap, depth 36 with 112,658 nodes, takes `measure` about 490 MB and
-# 10 s, mostly in the JSON export; depth 20 has 1137 nodes.
+# under the cap, depth 36 with 112,658 nodes, takes `measure --trials 1` about
+# 460 MB and 4 s, mostly in the JSON export, and the default 1000 trials about
+# 70 s (Python 3.11, 2 CPUs); depth 20 has 1137 nodes.
 _MAX_FOREST_NODES = 1 << 17
 
 # check_power_bound refuses more comparisons (trials * max_n) than this; each
-# one costs up to a pass over the covered nodes.
+# one is a sum over the drawn set.
 _MAX_COMPARISONS = 1 << 20
+
+# the fibre-mass tables P_0..P_max_n may hold no more entries than this in
+# all, each level counted as at least 8.  Depth 36 (112,658 nodes) with max_n
+# 36 holds 450,893; a forest of long single-preimage chains grows about as
+# nodes * max_n, and a dead tree with a huge max_n as 8 * max_n.
+_MAX_TABLE_ENTRIES = 1 << 21
 
 
 class MeasureValue:
@@ -270,52 +283,89 @@ class PowerBoundReport:
         }
 
 
+def _fibre_masses(assignment: MeasureAssignment, max_n: int) -> list[dict]:
+    """[P_0, ..., P_max_n]: P_n[v] is the numerator sum over T^-n{v} & covered.
+
+    P_0 is the assignment's numerators and P_n the push-forward of P_(n-1)
+    along the image map q -> T(q), keyed by its nonzero entries only.  The
+    image map is read off one map preimage per covered node (not the stored
+    tree links), intersected with the covered set.  The covered set is
+    forward-closed, so pushing forward n times sums exactly the covered part
+    of each n-step preimage, and the supports shrink with n.  Raises
+    InvalidParameters, before the first level and after each one, once the
+    tables must hold more than _MAX_TABLE_ENTRIES entries in all, each level
+    counted as at least 8.
+    """
+    forest = assignment.forest
+    desc, covered = forest.descriptor, forest.covered
+    image = {q: v for v in covered for q in desc.preimage(v) if q in covered}
+    tables = [assignment.numerators]
+    # a lower bound: each level counts as at least the 8 slots of a dict's
+    # smallest table, so that many tiny levels are bounded like a few big ones
+    entries = len(tables[0]) + 8 * max_n
+    while entries <= _MAX_TABLE_ENTRIES:
+        if len(tables) > max_n:
+            return tables
+        pushed: dict[int, int] = {}
+        for q, m in tables[-1].items():
+            v = image[q]
+            pushed[v] = pushed.get(v, 0) + m
+        tables.append(pushed)
+        entries += max(len(pushed), 8) - 8
+    raise InvalidParameters(
+        f"fibre masses up to n = {max_n} need more than {_MAX_TABLE_ENTRIES} "
+        f"table entries; use a smaller max_n"
+    )
+
+
+def _check_max_n(forest: PreimageForest, max_n: int) -> None:
+    if type(max_n) is not int or max_n < 1:
+        raise InvalidParameters(f"max_n must be >= 1, got {max_n!r}")
+    if max_n > forest.depth:
+        raise InvalidParameters(
+            f"max_n {max_n} exceeds forest depth {forest.depth}; deeper preimages are unknowable"
+        )
+
+
 def check_power_bound(
     assignment: MeasureAssignment, trials: int = 1000, max_n: int = 5, seed: int = 1729
 ) -> PowerBoundReport:
     """Sample subsets A of covered nodes; assert mu(T^-n(A)) <= 2 mu(A), n <= max_n.
 
     Subsets are drawn reproducibly from the seed, one random bit per covered
-    node in ascending order.  Each covered node's preimages are computed once
-    per call through the map (not read off the stored tree links) and
-    intersected with the covered set; the covered set is forward-closed, so
-    iterating the one-step intersected preimage equals intersecting the
-    n-step preimage.  Masses are sums of the assignment's integer numerators
-    over its shared denominator, so every comparison is exact integer
-    arithmetic.  The worst pair is the first with the largest ratio, found by
-    cross-multiplication; its ratio is reported correctly rounded and as a
-    reduced fraction, and only its masses are rendered as MeasureValues.
+    node in ascending order.  The sets T^-n{v} of distinct v are disjoint, so
+    mu(T^-n(A)) is the sum over v in A of the fibre mass P_n(v), the mass of
+    the covered part of T^-n{v}.  The fibre masses are computed once per call
+    (see _fibre_masses: one map preimage per covered node, not the stored tree
+    links), so each comparison is one sum over the drawn set.  Masses are
+    integer numerators over the assignment's shared denominator, so every
+    comparison is exact integer arithmetic.  The worst pair is the first with
+    the largest ratio, found by cross-multiplication; its ratio is reported
+    correctly rounded and as a reduced fraction, and only its masses are
+    rendered as MeasureValues.  power_bound_certificate reads the supremum
+    over all subsets off the same fibre masses.
     A violation is an internal bug: the construction guarantees the bound.
     """
     forest = assignment.forest
     if type(trials) is not int or trials < 1:
         raise InvalidParameters(f"trials must be >= 1, got {trials!r}")
-    if type(max_n) is not int or max_n < 1:
-        raise InvalidParameters(f"max_n must be >= 1, got {max_n!r}")
+    _check_max_n(forest, max_n)
     if trials * max_n > _MAX_COMPARISONS:
         raise InvalidParameters(
             f"trials * max_n = {trials * max_n} comparisons, above the cap of "
             f"{_MAX_COMPARISONS}; use fewer trials or a smaller max_n"
         )
-    if max_n > forest.depth:
-        raise InvalidParameters(
-            f"max_n {max_n} exceeds forest depth {forest.depth}; deeper preimages are unknowable"
-        )
     rng = random.Random(seed)
     nodes = sorted(forest.covered)
-    desc = forest.descriptor
-    covered = forest.covered
-    preimages = {v: [q for q in desc.preimage(v) if q in covered] for v in nodes}
+    fibres = [table.get for table in _fibre_masses(assignment, max_n)[1:]]
     weight = assignment.numerators.__getitem__
     comparisons = 0
     best = None  # (mu_n, mu_a, n, |A|) with the largest mu_n / mu_a so far
     for _ in range(trials):
         subset = [v for v in nodes if rng.getrandbits(1)]
         mu_a = sum(map(weight, subset))
-        current = subset
-        for n in range(1, max_n + 1):
-            current = set().union(*map(preimages.__getitem__, current))
-            mu_n = sum(map(weight, current))
+        for n, fibre in enumerate(fibres, start=1):
+            mu_n = sum(map(fibre, subset, repeat(0)))
             comparisons += 1
             if mu_n > 2 * mu_a:
                 raise BoundViolation(
@@ -336,6 +386,31 @@ def check_power_bound(
     }
     return PowerBoundReport(trials, max_n, seed, comparisons, 0, mu_n / mu_a,
                             f"{mu_n // g}/{mu_a // g}", worst)
+
+
+def power_bound_certificate(assignment: MeasureAssignment, max_n: int) -> list[tuple[str, int]]:
+    """The exact sup over nonempty A of mu(T^-n(A)) / mu(A), for n = 1..max_n.
+
+    Entry n - 1 is (ratio, v): ratio = max_v P_n(v) / mu(v) as a reduced
+    "p/q" over the covered nodes v, with P_n the fibre masses check_power_bound
+    sums, and v the smallest node attaining it.  mu(T^-n(A)) / mu(A) is a
+    mediant of the per-node ratios over A, never above the largest, so this is
+    the supremum over all subsets of the covered nodes: every sampled ratio at
+    power n is at most entry n - 1.  The power bound holds iff no ratio
+    exceeds 2.
+    """
+    _check_max_n(assignment.forest, max_n)
+    weight = assignment.numerators
+    certificate = []
+    for fibre in _fibre_masses(assignment, max_n)[1:]:
+        p, q, arg = 0, 1, None
+        for v, mass in fibre.items():
+            m = weight[v]
+            if mass * q > p * m or (mass * q == p * m and v < arg):
+                p, q, arg = mass, m, v
+        g = math.gcd(p, q)
+        certificate.append((f"{p // g}/{q // g}", arg))
+    return certificate
 
 
 def export_json(assignment: MeasureAssignment, report: PowerBoundReport | None = None) -> dict:

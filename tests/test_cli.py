@@ -184,6 +184,15 @@ class TestMeasure:
         assert code == 0
         assert json.loads(out)["power_bound"]["max_n"] == 2
 
+    @pytest.mark.parametrize("depth", ["0", "-1"])
+    def test_depth_below_one_refused_before_cycle_search(self, depth, capsys):
+        # these limits find no cycle, so only a check ahead of the search
+        # can name the flag the user got wrong
+        code, out, err = run(capsys, "measure", "collatz", "--depth", depth,
+                             "--cycle-bound", "5", "--max-steps", "1")
+        assert code == 1 and out == ""
+        assert err == f"error: --depth must be >= 1, got {depth}\n"
+
 
 class TestChainsAndTree:
     def test_chains_json(self, capsys):

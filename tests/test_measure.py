@@ -20,6 +20,7 @@ from syrdyn.measure import (
     check_power_bound,
     export_json,
     measure_of,
+    power_bound_certificate,
 )
 from syrdyn.numeric import DyadicRational
 from syrdyn.trajectory import CycleInfo, check_power_cycle, find_cycles
@@ -548,6 +549,96 @@ class TestIntegerMasses:
         rep = check_power_bound(five_assignment, trials=20, max_n=5, seed=3)
         assert sorted(calls) == sorted(five_assignment.forest.covered)
         assert len(built) == 2 and rep.comparisons == 100
+
+
+# -- fibre masses and the exact certificate ------------------------------------
+
+
+def union_numerators(asg, subset, n):
+    """Numerator sum over T^-n(A) & covered, built by set unions of map preimages."""
+    covered, desc = asg.forest.covered, asg.forest.descriptor
+    current = set(subset)
+    for _ in range(n):
+        current = {q for y in current for q in desc.preimage(y) if q in covered}
+    return sum(asg.numerators[v] for v in current)
+
+
+class TestFibreMasses:
+    @pytest.mark.parametrize("which", ["collatz10", "five"])
+    def test_sum_over_set_equals_preimage_mass(self, which, collatz10_assignment, five_assignment):
+        asg = collatz10_assignment if which == "collatz10" else five_assignment
+        max_n = asg.forest.depth
+        tables = measure_module._fibre_masses(asg, max_n)
+        assert len(tables) == max_n + 1 and tables[0] is asg.numerators
+        assert all(tables[n].keys() <= tables[n - 1].keys() for n in range(1, max_n + 1))
+        rng = random.Random(8)
+        nodes = sorted(asg.forest.covered)
+        for _ in range(12):
+            subset = rng.sample(nodes, rng.randrange(len(nodes) + 1))
+            for n in range(max_n + 1):
+                got = sum(tables[n].get(v, 0) for v in subset)
+                assert got == union_numerators(asg, subset, n)
+
+    @pytest.mark.parametrize("which", ["collatz10", "five"])
+    def test_sampled_worst_at_most_certificate(self, which, collatz10_assignment, five_assignment):
+        asg = collatz10_assignment if which == "collatz10" else five_assignment
+        certificate = power_bound_certificate(asg, 5)
+        for seed in (1, 7, 1729, 2024):
+            rep = check_power_bound(asg, trials=40, max_n=5, seed=seed)
+            ratio, _v = certificate[rep.worst["n"] - 1]
+            assert Fraction(rep.worst_ratio_exact) <= Fraction(ratio) <= 2
+
+    @pytest.mark.parametrize("which", ["collatz10", "five"])
+    def test_certificate_is_attained_by_its_node(self, which, collatz10_assignment, five_assignment):
+        asg = collatz10_assignment if which == "collatz10" else five_assignment
+        nodes = sorted(asg.forest.covered)
+        for n, (ratio, v) in enumerate(power_bound_certificate(asg, 5), start=1):
+            ratios = [Fraction(union_numerators(asg, [u], n), asg.numerators[u]) for u in nodes]
+            assert Fraction(ratio) == max(ratios) == ratios[nodes.index(v)]
+            assert ratios.index(max(ratios)) == nodes.index(v)  # the smallest arg-max
+
+    @pytest.mark.parametrize("desc, cycle_bound, depth, want", [
+        (collatz(), 1, 14, "5/4@2, 5/4@1, 163/128@2, 163/128@1, 5225/4096@2"),
+        (collatz(), 1, 20, "5/4@2, 5/4@1, 163/128@2, 163/128@1, 5225/4096@2"),
+        (pxr(5, 1), 1000, 12,
+         "15/8@13, 127/64@33, 1023/512@83, 8191/4096@208, 8191/4096@104"),
+    ])
+    def test_certificate_pinned(self, desc, cycle_bound, depth, want):
+        asg = assign_measure(build_forest(desc, find_cycles(desc, cycle_bound), depth))
+        assert ", ".join(f"{r}@{v}" for r, v in power_bound_certificate(asg, 5)) == want
+
+    def test_certificate_rejects_bad_max_n(self, collatz_assignment):
+        for max_n in (0, 16, 2.0):
+            with pytest.raises(InvalidParameters, match="max_n"):
+                power_bound_certificate(collatz_assignment, max_n)
+
+    def test_tables_at_the_forest_cap(self):
+        # the deepest Collatz forest under _MAX_FOREST_NODES, every level pushed
+        asg = assign_measure(build_forest(collatz(), [CycleInfo((1, 2))], 36))
+        tables = measure_module._fibre_masses(asg, 36)
+        assert sum(map(len, tables)) <= 5 * len(asg.forest.covered)
+
+    def test_table_cap_refuses_before_pushing(self, collatz_assignment, monkeypatch):
+        entries = sum(max(len(t), 8) for t in measure_module._fibre_masses(collatz_assignment, 5)[1:])
+        entries += len(collatz_assignment.numerators)
+        monkeypatch.setattr(measure_module, "_MAX_TABLE_ENTRIES", entries)
+        assert power_bound_certificate(collatz_assignment, 5)
+        monkeypatch.setattr(measure_module, "_MAX_TABLE_ENTRIES", entries - 1)
+        with pytest.raises(InvalidParameters, match="table entries"):
+            check_power_bound(collatz_assignment, trials=1, max_n=5)
+
+    def test_huge_max_n_on_a_dead_tree_refused_at_once(self):
+        # a fixed point with no other preimage: every level holds one entry,
+        # so only the up-front bound keeps this from 2^40 pushes, and 2^18
+        # one-entry levels from costing a dict each
+        desc = parse_descriptor("d=2;m0=3,r0=0;m1=1,r1=1")
+        asg = assign_measure(build_forest(desc, [CycleInfo((1,))], 2**40))
+        assert power_bound_certificate(asg, 3) == [("1/1", 1)] * 3
+        t0 = time.perf_counter()
+        for max_n in (2**18, 2**40):
+            with pytest.raises(InvalidParameters, match="table entries"):
+                power_bound_certificate(asg, max_n)
+        assert time.perf_counter() - t0 < 1
 
 
 @pytest.mark.parametrize("argv, digest", [
