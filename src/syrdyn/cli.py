@@ -12,10 +12,12 @@ limit without entering a cycle, 3 an internal verification tripped.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
-import json
 import os
 import sys
+from json import JSONEncoder
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .chains import (
     WITNESS_ALPHA_MAX,
@@ -121,8 +123,88 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
+_CONTAINERS = (list, tuple, dict)
+# matched by exact type: a container holding a subclass (an IntEnum, say) is
+# left to the Python walk
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_INF = float("inf")
+_unserializable = JSONEncoder().default  # raises json's TypeError
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """json.dumps(obj, indent=2) plus a newline, byte for byte.
+
+    Any indent sends json.dumps to its pure-Python encoder (CPython before
+    3.13).  Here a container whose children are all scalars is one call to
+    the C encoder, whose item separator carries the newline and padding;
+    only the containers above those are walked in Python.  Without the C
+    encoder the same walk renders every container.
+    """
+    return _value_text(obj, "") + "\n"
+
+
+def _value_text(v, pad: str) -> str:
+    # no type is both a container and a scalar, so containers may go first
+    if isinstance(v, _CONTAINERS):
+        return _container_text(v, pad)
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        return _float_text(v)
+    return _unserializable(v)
+
+
+def _float_text(f: float) -> str:
+    if f != f:
+        return "NaN"
+    if f == _INF:
+        return "Infinity"
+    if f == -_INF:
+        return "-Infinity"
+    return float.__repr__(f)
+
+
+def _key_text(k) -> str:
+    if isinstance(k, str):
+        return encode_basestring_ascii(k)
+    if k is None or isinstance(k, (int, float)):
+        return f'"{_value_text(k, "")}"'  # digits, letters, '.', '+' and '-' need no escape
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _container_text(obj, pad: str) -> str:
+    """One container whose first line sits at indentation `pad`, brackets included."""
+    is_dict = isinstance(obj, dict)
+    if not obj:
+        return "{}" if is_dict else "[]"
+    inner = pad + "  "
+    if c_make_encoder is not None and _SCALARS.issuperset(map(type, obj.values() if is_dict else obj)):
+        text = "".join(_flat_encoder(inner)(obj, 0))
+        return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
+    sep = ",\n" + inner
+    if is_dict:
+        body = sep.join([f"{_key_text(k)}: {_value_text(v, inner)}" for k, v in obj.items()])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    body = sep.join([_value_text(v, inner) for v in obj])
+    return f"[\n{inner}{body}\n{pad}]"
+
+
+@functools.cache
+def _flat_encoder(inner: str):
+    """C encoder for scalar-only containers whose items sit at indentation `inner`.
+
+    One per nesting depth, so the cache is as small as the deepest payload.
+    """
+    return c_make_encoder(None, _unserializable, encode_basestring_ascii, None,
+                          ": ", ",\n" + inner, False, False, True)
 
 
 def _chunks(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
@@ -330,7 +412,13 @@ def _add_out_flag(sub) -> None:
     sub.add_argument("--out", default=None, help="output file (default: stdout)")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The whole parser tree, built on the first main() call and then reused.
+
+    Building it makes a help formatter per argument; parse_args keeps no
+    state between calls, so one tree serves every call in a process.
+    """
     parser = _Parser(prog="syrdyn", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
 

@@ -7,6 +7,7 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import syrdyn.chains as chains_module
 import syrdyn.cli as cli
@@ -327,3 +328,112 @@ def test_import_leaves_the_pool_machinery_out():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"
+
+
+# -- JSON writer ---------------------------------------------------------------
+
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**200, max_value=2**260),
+    st.integers(min_value=-(2**260), max_value=-(2**200)),
+    st.floats(),  # nan, +-inf and -0.0 included
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f\n\t", "é€☃", "\U0001d11e"]),
+)
+_json_keys = st.one_of(st.text(), st.integers(), st.booleans(), st.none(), st.floats())
+_json_trees = st.recursive(
+    _json_scalars,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=5),
+        st.lists(kids, max_size=5).map(tuple),
+        st.dictionaries(_json_keys, kids, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "no-c-encoder"])
+@settings(max_examples=300, deadline=None)
+@given(tree=_json_trees)
+@example(tree=[[], {}, ((),), {"a": {"b": []}}, [[[]]]])
+@example(tree={1: 2**300, True: -0.0, None: float("nan"), 2.5: [float("inf"), -float("inf")]})
+@example(tree=("é", '"', "\x00", (1, "x")))
+def test_json_text_matches_json_dumps_indent_2(c_encoder, tree):
+    with pytest.MonkeyPatch.context() as mp:
+        if not c_encoder:
+            mp.setattr(cli, "c_make_encoder", None)
+        assert cli._json_text(tree) == json.dumps(tree, indent=2) + "\n"
+
+
+def test_json_text_sends_flat_containers_to_the_c_encoder(monkeypatch):
+    calls = []
+    encoder_for = cli._flat_encoder
+
+    def counting(inner):
+        calls.append(inner)
+        return encoder_for(inner)
+
+    monkeypatch.setattr(cli, "_flat_encoder", counting)
+    doc = {"nodes": [{"value": "1", "level": 0}, {"value": "2", "level": 1}], "depth": 1}
+    assert cli._json_text(doc) == json.dumps(doc, indent=2) + "\n"
+    assert calls == [" " * 6, " " * 6]  # the items of each node, not the nodes list
+
+
+def test_json_text_refuses_what_json_refuses():
+    for bad in ({"a": {1, 2}}, [object()], {(1, 2): "tuple key"}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2)
+        with pytest.raises(TypeError):
+            cli._json_text(bad)
+
+
+# -- one parser per process ----------------------------------------------------
+
+
+def _fresh_run(argv, cwd):
+    """Exit code, stdout and stderr bytes of `python -m syrdyn argv` in a new process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-m", "syrdyn", *argv], env=env, cwd=cwd,
+                          capture_output=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_reused_parser_carries_no_state_between_calls(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
+    tree_args = ["tree", "collatz", "--root", "1", "--depth", "10"]
+    sequence = [
+        ["chains", "12", "--format", "svg"],
+        ["chains", "1000003", "--links", "2", "--format", "dot"],
+        ["chains", "1000003", "--links", "2"],
+        [*tree_args, "--out", "tree.json"],
+        tree_args,
+    ]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(here)
+    for argv in sequence:
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert (code, captured.out.encode(), captured.err.encode()) == _fresh_run(argv, fresh), argv
+    assert (here / "tree.json").read_bytes() == (fresh / "tree.json").read_bytes()
+    assert main(tree_args) == 0
+    assert capsys.readouterr().out.encode() == (here / "tree.json").read_bytes()
+
+
+def test_import_builds_no_parser():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import contextlib, io, syrdyn.cli as cli\n"
+             "built = [cli._build_parser.cache_info().currsize]\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    cli.main(['criterion', '5', '3'])\n"
+             "    cli.main(['criterion', '7', '5'])\n"
+             "built.append(cli._build_parser.cache_info().currsize)\n"
+             "print(built)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[0, 1]\n"
