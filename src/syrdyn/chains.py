@@ -32,8 +32,7 @@ from .errors import (
     NotInN2,
     VerificationFailure,
 )
-from .maps import MapDescriptor, collatz, pxr
-from .measure import _MAX_FOREST_NODES
+from .maps import MapDescriptor, collatz, preimage_levels, pxr
 
 __all__ = [
     "NodeClass",
@@ -282,9 +281,8 @@ def build_preimage_tree(desc: MapDescriptor, root: int, depth: int) -> PreimageT
 
     Unlike the measure forest, nothing is excluded: if the root sits on a
     cycle its members re-occur at deeper levels, flagged as repeats.  The
-    forest's node cap holds here too: InvalidParameters is raised, before
-    it is stored, at the first level that would take the tree above
-    _MAX_FOREST_NODES nodes, and the tree ends at its first empty level.
+    levels are maps.preimage_levels below the root, so the forest's node
+    cap, repeats counted, and its stop at the first empty level hold here.
     """
     if type(root) is not int or root < 1:
         raise DomainError(f"root must be a positive integer, got {root!r}")
@@ -292,24 +290,10 @@ def build_preimage_tree(desc: MapDescriptor, root: int, depth: int) -> PreimageT
         raise InvalidParameters(f"depth must be a non-negative int, got {depth!r}")
     nodes = [TreeNode(root, 0, None, False)]
     seen = {root}
-    level = [root]
-    for lvl in range(1, depth + 1):
-        staged = []
-        for v in level:
-            for q in desc.preimage(v):
-                staged.append((q, v))
-        if not staged:
-            break  # no level below an empty one
-        if len(nodes) + len(staged) > _MAX_FOREST_NODES:
-            raise InvalidParameters(
-                f"tree level {lvl} would take the tree to {len(nodes) + len(staged)} "
-                f"nodes, above the cap of {_MAX_FOREST_NODES}; use a smaller depth"
-            )
-        staged.sort()
+    for lvl, staged in enumerate(preimage_levels(desc, [root], depth, 1, "tree"), start=1):
         for q, v in staged:
             nodes.append(TreeNode(q, lvl, v, q in seen))
             seen.add(q)
-        level = [q for q, _v in staged]
     return PreimageTree(desc, root, depth, tuple(nodes), desc.is_collatz)
 
 

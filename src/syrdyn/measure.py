@@ -21,9 +21,9 @@ reads their exact supremum over all A off the same tables.  MeasureValue, a
 DyadicRational times a symbolic 1/denom with odd denom, is only the canonical
 form in which a mass is reported.
 
-build_forest refuses a forest of more than _MAX_FOREST_NODES nodes before it
-stores the level that would cross the cap, and stops a tree at its first
-empty level, so a huge depth costs no more than the nodes it finds.
+build_forest grows each tree with maps.preimage_levels, which refuses the
+level that would cross the node cap and stops at the first empty one, so a
+huge depth costs no more than the nodes it finds.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .errors import InvalidParameters, OverlappingCycles, BoundViolation
-from .maps import MapDescriptor
+from .maps import MapDescriptor, preimage_levels
 from .numeric import DyadicRational
 from .trajectory import CycleInfo
 
@@ -50,13 +50,6 @@ __all__ = [
     "power_bound_certificate",
     "export_json",
 ]
-
-# forests of more nodes than this are refused.  The deepest Collatz forest
-# under the cap, depth 36 with 112,658 nodes, takes `measure --trials 1` about
-# 245 MB peak RSS and 4.5 s, of which the export_json dict holds about 105 MB
-# and the forest and assignment 37 MB, and the default 1000 trials about 70 s
-# (Python 3.11, 2 CPUs); depth 20 has 1137 nodes.
-_MAX_FOREST_NODES = 1 << 17
 
 # check_power_bound refuses more comparisons (trials * max_n) than this; each
 # one is a sum over the drawn set.
@@ -156,8 +149,8 @@ def build_forest(
 ) -> PreimageForest:
     """Breadth-first preimage closure of each cycle, ascending within levels.
 
-    Raises InvalidParameters, before storing it, at the first level that
-    would take the forest above _MAX_FOREST_NODES nodes.
+    Each tree is maps.preimage_levels below its cycle, skipping nodes the
+    forest holds already; that closure refuses a forest above its node cap.
     """
     if type(depth) is not int or depth < 0:
         raise InvalidParameters(f"depth must be a non-negative int, got {depth!r}")
@@ -177,25 +170,12 @@ def build_forest(
     node_level: dict[int, int] = {}
     all_levels = []
     for ci, cyc in enumerate(cycles):
-        level0 = tuple(sorted(cyc.members))
-        levels = [level0]
-        for v in level0:
+        levels = [tuple(sorted(cyc.members))]
+        for v in levels[0]:
             node_cycle[v] = ci
             node_level[v] = 0
-        for lvl in range(1, depth + 1):
-            staged = []
-            for v in levels[lvl - 1]:
-                for q in desc.preimage(v):
-                    if q not in seen:
-                        staged.append((q, v))
-            if not staged:
-                break  # no level below an empty one
-            if len(seen) + len(staged) > _MAX_FOREST_NODES:
-                raise InvalidParameters(
-                    f"forest level {lvl} would take the forest to {len(seen) + len(staged)} "
-                    f"nodes, above the cap of {_MAX_FOREST_NODES}; use a smaller depth"
-                )
-            staged.sort()
+        closure = preimage_levels(desc, levels[0], depth, len(seen), "forest", seen)
+        for lvl, staged in enumerate(closure, start=1):
             for q, v in staged:
                 seen.add(q)
                 parent[q] = v

@@ -36,6 +36,7 @@ from syrdyn.maps import collatz, parse_descriptor, pxr
 
 C = collatz()
 chains_module = importlib.import_module("syrdyn.chains")
+maps_module = importlib.import_module("syrdyn.maps")
 
 
 class TestClassify:
@@ -260,7 +261,7 @@ class TestPreimageTree:
     def test_cap_refuses_the_crossing_level(self, monkeypatch):
         # the tree counts repeats as nodes; the forest's cap bounds them all
         size8 = len(build_preimage_tree(C, 1, 8).nodes)
-        monkeypatch.setattr(chains_module, "_MAX_FOREST_NODES", size8)
+        monkeypatch.setattr(maps_module, "_MAX_FOREST_NODES", size8)
         assert len(build_preimage_tree(C, 1, 8).nodes) == size8
         with pytest.raises(InvalidParameters, match=f"cap of {size8}"):
             build_preimage_tree(C, 1, 9)

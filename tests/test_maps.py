@@ -11,7 +11,16 @@ from syrdyn.errors import (
     NonIntegerBranch,
     NonPositiveImage,
 )
-from syrdyn.maps import MapDescriptor, PxrDescriptor, collatz, parse_descriptor, pxr, validate
+import syrdyn.maps as maps_module
+from syrdyn.maps import (
+    MapDescriptor,
+    PxrDescriptor,
+    collatz,
+    parse_descriptor,
+    preimage_levels,
+    pxr,
+    validate,
+)
 
 D3_TEXT = "d=3;m0=1,r0=0;m1=2,r1=1;m2=2,r2=2"
 
@@ -206,3 +215,33 @@ def test_round_trip_pxr(x, pr):
 def test_round_trip_d3(x):
     d3 = parse_descriptor(D3_TEXT)
     assert x in d3.preimage(d3.apply(x))
+
+
+class TestPreimageLevels:
+    def test_levels_ascend_and_skip(self):
+        levels = list(preimage_levels(collatz(), [1], 3, 1, "tree", skip={2}))
+        assert levels == []  # 1's only preimage is 2
+        levels = list(preimage_levels(collatz(), [8], 2, 1, "tree"))
+        assert levels == [[(5, 8), (16, 8)], [(3, 5), (10, 5), (32, 16)]]
+
+    def test_one_cap_refuses_tree_and_measure_at_the_crossing_level(self, capsys, monkeypatch):
+        from syrdyn.chains import build_preimage_tree
+        from syrdyn.cli import main
+        from syrdyn.measure import build_forest
+        from syrdyn.trajectory import CycleInfo
+
+        cap = len(build_forest(collatz(), [CycleInfo((1, 2))], 8).covered)
+        tree_levels = [n.level for n in build_preimage_tree(collatz(), 1, 12).nodes]
+        crossing = tree_levels[cap]  # the level of the first node past the cap
+        monkeypatch.setattr(maps_module, "_MAX_FOREST_NODES", cap)
+        for argv, level, noun in (
+            (["measure", "collatz", "--cycle-bound", "1", "--trials", "1", "--depth"], 9, "forest"),
+            (["tree", "collatz", "--root", "1", "--depth"], crossing, "tree"),
+        ):
+            assert main(argv + [str(level - 1)]) == 0
+            capsys.readouterr()
+            assert main(argv + [str(level)]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"error: {noun} level {level} would take the {noun} to ")
+            assert f"above the cap of {cap};" in err

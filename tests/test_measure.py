@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import syrdyn.maps as maps_module
 import syrdyn.measure as measure_module
 from syrdyn.cli import main
 from syrdyn.errors import BoundViolation, InvalidParameters, OverlappingCycles, VerificationFailure
@@ -673,13 +674,13 @@ def test_cli_power_bound_block_pinned(capsys):
 class TestForestGuards:
     def test_cap_refuses_the_crossing_level(self, monkeypatch):
         size8 = len(build_forest(collatz(), [CycleInfo((1, 2))], 8).covered)
-        monkeypatch.setattr(measure_module, "_MAX_FOREST_NODES", size8)
+        monkeypatch.setattr(maps_module, "_MAX_FOREST_NODES", size8)
         assert len(build_forest(collatz(), [CycleInfo((1, 2))], 8).covered) == size8
         with pytest.raises(InvalidParameters, match="cap"):
             build_forest(collatz(), [CycleInfo((1, 2))], 9)
 
     def test_huge_depth_exits_one_without_allocating(self, capsys, monkeypatch):
-        monkeypatch.setattr(measure_module, "_MAX_FOREST_NODES", 50)
+        monkeypatch.setattr(maps_module, "_MAX_FOREST_NODES", 50)
         tracemalloc.start()
         try:
             code = main(["measure", "collatz", "--depth", "2^40", "--cycle-bound", "1"])
