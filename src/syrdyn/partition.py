@@ -12,6 +12,7 @@ subcommands read their answers off a PartitionResult.
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import dataclass, field
 
 from .errors import DomainError, InvalidParameters
@@ -37,9 +38,22 @@ _CODE_STATUS = {
     _VALUE_LIMIT: TrajectoryStatus.HIT_VALUE_LIMIT,
 }
 
-# windows of more points than this are refused; partition keeps about 290 B
-# a point (10^6 Collatz starts peak at 288 MB), so the cap is about 1 GB
+# windows of more points than this are refused, before anything is stored;
+# the window arrays take about 25 B a point.  Most of a call's memory is the
+# orbit memo, which the byte budget below bounds.
 _MAX_POINTS = 3_500_000
+
+# each partition call holds its window arrays and orbit memo to this many
+# bytes, at _POINT_BYTES a window point (a code byte and three list slots)
+# and _ENTRY_BYTES a memo entry (a 3-tuple, a step count and a dict slot at
+# its worst, 90 B while a growing table is copied) plus one int of
+# max_value's size, since no memo value exceeds max_value.  The memo is the
+# cost that varies: under the default limits Collatz keeps about 1.6 entries
+# a start, so a window of about 2.7 M starts fits, while pxr:p=5,r=1 keeps
+# about 51 (8.4 KB a start under tracemalloc) and stops after about 87,000.
+_MAX_BYTES = 1 << 30
+_POINT_BYTES = 25
+_ENTRY_BYTES = 182
 
 
 @dataclass
@@ -229,7 +243,9 @@ def partition(
     All starts share one orbit memo, value -> (steps, cycle_id, excursion),
     of cycle and ceiling verdicts, and no start is walked twice, so a window
     costs about as much as the orbits it touches; only the window is stored
-    per point.  check_window refuses a bad window before storing anything.
+    per point.  check_window refuses a bad window before storing anything,
+    and InvalidParameters is raised after the first start whose walk takes
+    the memo past what _MAX_BYTES leaves it beside the window.
     """
     limits = limits or Limits()
     check_window(start, domain_bound, limits)
@@ -237,12 +253,20 @@ def partition(
     cycles: list[CycleInfo] = []
     cycle_ids: dict[tuple[int, ...], int] = {}
     size = domain_bound - start + 1
+    max_entries = (_MAX_BYTES - size * _POINT_BYTES) // (
+        _ENTRY_BYTES + sys.getsizeof(limits.max_value))
     codes = bytearray(size)
     steps_arr: list = [None] * size
     exc_arr: list = [0] * size
     cycle_arr: list = [None] * size
     for i, x in enumerate(range(start, domain_bound + 1)):
         code, st, exc, cid = _walk(desc, x, limits, memo, cycles, cycle_ids)
+        if len(memo) > max_entries:
+            raise InvalidParameters(
+                f"partition of {start}..{domain_bound} outgrows its budget of "
+                f"{_MAX_BYTES >> 20} MiB: the orbit memo passed {max_entries} entries after "
+                f"{i + 1} starts; use a smaller bound, or lower max_value or max_steps"
+            )
         codes[i] = code
         steps_arr[i] = st
         exc_arr[i] = exc

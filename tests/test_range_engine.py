@@ -9,6 +9,7 @@ import concurrent.futures
 import importlib
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -210,3 +211,34 @@ class TestPointCap:
             assert main(argv) == 1
             out, err = capsys.readouterr()
             assert out == "" and "exceeds max_value 50" in err
+
+
+class TestMemoBudget:
+    # pxr:p=5,r=1 under the default limits keeps about 51 memo entries a start
+    BUDGET = 4 << 20
+
+    def test_divergent_map_refused_within_the_budget(self, monkeypatch):
+        monkeypatch.setattr(partition_module, "_MAX_BYTES", self.BUDGET)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParameters, match="outgrows its budget of 4 MiB"):
+                partition(pxr(5, 1), 5000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.BUDGET
+
+    def test_lower_ceiling_admits_more_starts(self, monkeypatch):
+        # a lower max_value means smaller memo entries and shorter walks;
+        # output under the budget is what an unlimited run gives
+        want = partition(pxr(5, 1), 1000, Limits(max_value=10**12)).counts()
+        monkeypatch.setattr(partition_module, "_MAX_BYTES", self.BUDGET)
+        with pytest.raises(InvalidParameters, match="budget"):
+            partition(pxr(5, 1), 1000)
+        assert partition(pxr(5, 1), 1000, Limits(max_value=10**12)).counts() == want
+
+    def test_cli_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(partition_module, "_MAX_BYTES", self.BUDGET)
+        assert main(["partition", "pxr:p=5,r=1", "--bound", "3500000"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: partition of 1..3500000 outgrows its budget")
