@@ -33,6 +33,7 @@ from .errors import (
     VerificationFailure,
 )
 from .maps import MapDescriptor, collatz, preimage_levels, pxr
+from .numeric import max_str_digits, str_ceiling
 
 __all__ = [
     "NodeClass",
@@ -141,10 +142,18 @@ class Family:
 
 
 def family_of(a: int, h: int) -> Family:
+    """The family of (a, h); refused unbuilt if its tail would be too long to print."""
     if type(a) is not int or a < 1:
         raise InvalidParameters(f"a must be an integer >= 1, got {a!r}")
     if type(h) is not int or h < 1 or math.gcd(h, 6) != 1:
         raise InvalidParameters(f"h must be a positive integer coprime to 6, got {h!r}")
+    ceiling = str_ceiling()
+    # 3^a > 2^a, so an a past the ceiling's bit length needs no power built
+    if a >= ceiling.bit_length() or 3 ** a * h > ceiling:
+        raise InvalidParameters(
+            f"family a={a} climbs to 3^a*h - 1, a value of more than "
+            f"{max_str_digits()} digits, too long to print"
+        )
     members = tuple(3 ** j * (1 << (a - j)) * h - 1 for j in range(a + 1))
     for j in range(a):
         got = _COLLATZ.apply(members[j])

@@ -39,6 +39,7 @@ from .chains import (
 from .errors import InternalCheckError, InvalidParameters, NotApplicable, ValidationError
 from .maps import parse_descriptor
 from .measure import assign_measure, build_forest, check_power_bound, export_json
+from .numeric import max_str_digits, str_ceiling
 from .partition import check_window, export_csv, partition, summary_dict
 from .trajectory import (
     DEFAULT_MAX_STEPS,
@@ -62,12 +63,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-# bounds bigger than this many bits are refused before the power is built
-_MAX_BOUND_BITS = 1 << 16
-
-
 def _parse_bound(text: str) -> int:
-    """Integer bounds in plain (10000), scientific (1e6) or power (10^9) form."""
+    """Integer bounds in plain (10000), scientific (1e6) or power (10^9) form.
+
+    A bound must print, so it may have at most max_str_digits() digits.
+    """
     s = text.strip().lower()
     try:
         if "^" in s:
@@ -79,16 +79,15 @@ def _parse_bound(text: str) -> int:
             b, e = 10, int(expo)
             mant = int(mant_text)
         else:
-            return int(s)
+            mant, b, e = int(s), 1, 0
         if e < 0:
             raise ValueError
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer bound: {text!r}") from None
-    # b^e has at least e*(bits(b) - 1) bits, so this rejects only true giants
-    if e * (abs(b).bit_length() - 1) > _MAX_BOUND_BITS:
-        raise argparse.ArgumentTypeError(
-            f"bound {text!r} has more than {_MAX_BOUND_BITS} bits"
-        )
+    ceiling = str_ceiling()
+    # b^e has at least e*(bits(b) - 1) bits, so a giant is refused unbuilt
+    if e * (abs(b).bit_length() - 1) >= ceiling.bit_length() or abs(mant * b**e) >= ceiling:
+        raise argparse.ArgumentTypeError(f"bound {text!r} has more than {max_str_digits()} digits")
     return mant * b**e
 
 

@@ -31,6 +31,7 @@ from .errors import (
     NonIntegerBranch,
     NonPositiveImage,
 )
+from .numeric import max_str_digits, str_ceiling
 
 __all__ = [
     "MapDescriptor",
@@ -109,8 +110,10 @@ def preimage_levels(desc: MapDescriptor, level, depth: int, nodes: int, noun: st
     preimages in `skip` (the caller may grow it between levels); stops at
     the first empty level.  Raises InvalidParameters, before yielding it, at
     the first level that takes `nodes`, the count so far, above
-    _MAX_FOREST_NODES; `noun` names the closure in the message.
+    _MAX_FOREST_NODES, or that holds a value too long to print
+    (numeric.max_str_digits); `noun` names the closure in the message.
     """
+    ceiling = str_ceiling()
     for lvl in range(1, depth + 1):
         staged = [(q, v) for v in level for q in desc.preimage(v) if q not in skip]
         if not staged:
@@ -122,6 +125,11 @@ def preimage_levels(desc: MapDescriptor, level, depth: int, nodes: int, noun: st
                 f"nodes, above the cap of {_MAX_FOREST_NODES}; use a smaller depth"
             )
         staged.sort()
+        if staged[-1][0] >= ceiling:
+            raise InvalidParameters(
+                f"{noun} level {lvl} holds a value of more than {max_str_digits()} "
+                f"digits, too long to print; use a smaller depth"
+            )
         yield staged
         level = [q for q, _v in staged]
 

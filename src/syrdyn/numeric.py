@@ -7,11 +7,43 @@ dyadic part of one, is reported.  Python integers are arbitrary precision, so
 values stay exact at any forest depth; nothing here ever rounds.  Instances
 are treated as immutable, which makes them safe to share across threads and
 processes.
+
+Every int the engines report is printed in decimal, and CPython refuses
+int -> str past sys.get_int_max_str_digits() digits.  max_str_digits and
+str_ceiling state that limit once, for the CLI's bound parser and for the
+builders that refuse a value before it could reach the printer.
 """
 
 from __future__ import annotations
 
+import functools
+import sys
+
 __all__ = ["DyadicRational"]
+
+# CPython's default int -> str digit limit, for interpreters that set none
+_DEFAULT_MAX_STR_DIGITS = 4300
+
+
+def max_str_digits() -> int:
+    """Most decimal digits an int may have and still be printed.
+
+    sys.get_int_max_str_digits(); an interpreter with no limit (0, or a
+    Python before 3.10.7) gets CPython's default of 4300, so the bound still
+    caps the integers the engines build.
+    """
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return (get and get()) or _DEFAULT_MAX_STR_DIGITS
+
+
+def str_ceiling() -> int:
+    """10^max_str_digits(): the smallest positive int too long to print."""
+    return _pow10(max_str_digits())
+
+
+@functools.cache
+def _pow10(digits: int) -> int:
+    return 10**digits
 
 
 class DyadicRational:

@@ -13,6 +13,7 @@ import syrdyn.chains as chains_module
 import syrdyn.cli as cli
 from syrdyn.chains import search_family_witness
 from syrdyn.cli import _parse_bound, main
+from syrdyn.numeric import max_str_digits
 
 
 def run(capsys, *args):
@@ -40,18 +41,37 @@ class TestBoundParsing:
                 _parse_bound(bad)
 
     def test_rejects_giants_before_building_them(self):
+        # a bound may have as many digits as int -> str prints, and no more
         import argparse
-        assert _parse_bound("2^65536") == 1 << 65536
-        for big in ("10^100000000", "2^70000", "7e100000000"):
-            with pytest.raises(argparse.ArgumentTypeError):
+        digits = max_str_digits()
+        assert _parse_bound(f"9e{digits - 1}") == 9 * 10 ** (digits - 1)
+        for big in ("10^100000000", "2^70000", "7e100000000", f"1e{digits}", "2^65536"):
+            with pytest.raises(argparse.ArgumentTypeError, match=f"more than {digits} digits"):
                 _parse_bound(big)
 
     def test_giant_limit_exits_one_at_once(self, capsys):
         t0 = time.perf_counter()
         code, _, err = run(capsys, "traj", "collatz", "7", "--max-value", "10^100000000")
         assert code == 1
-        assert "bits" in err
+        assert "digits" in err
         assert time.perf_counter() - t0 < 5  # building 10^(10^8) takes minutes
+
+
+@pytest.mark.parametrize("argv", [
+    ["traj", "collatz", "2^20000", "--max-value", "2^20001"],
+    ["partition", "collatz", "--bound", "10", "--max-value", "2^15000"],
+    ["cycles", "collatz", "--bound", "10", "--max-value", "2^15000"],
+    ["tree", "collatz", "--root", "2^20000", "--depth", "1"],
+    ["tree", "collatz", "--root", "3", "--depth", "20000"],  # a doubling chain from 3
+    ["chains", str((1 << 14000) - 1)],  # its family climbs to 3^14000 - 1
+], ids=["traj", "partition", "cycles", "tree-root", "tree-depth", "chains"])
+def test_values_too_long_to_print_exit_one(argv, capsys):
+    # refused on parsing (argparse prints its usage line first) or by the
+    # engine, never by int -> str in the middle of the output
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "error: " in err.splitlines()[-1] and "Traceback" not in err
+    assert f"more than {max_str_digits()} digits" in err
 
 
 @pytest.mark.parametrize("argv", [
