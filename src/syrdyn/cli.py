@@ -86,9 +86,11 @@ def _parse_bound(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer bound: {text!r}") from None
     ceiling = str_ceiling()
     # b^e has at least e*(bits(b) - 1) bits, so a giant is refused unbuilt
-    if e * (abs(b).bit_length() - 1) >= ceiling.bit_length() or abs(mant * b**e) >= ceiling:
-        raise argparse.ArgumentTypeError(f"bound {text!r} has more than {max_str_digits()} digits")
-    return mant * b**e
+    if e * (abs(b).bit_length() - 1) < ceiling.bit_length():
+        value = mant * b**e
+        if abs(value) < ceiling:
+            return value
+    raise argparse.ArgumentTypeError(f"bound {text!r} has more than {max_str_digits()} digits")
 
 
 def _positive_int(text: str) -> int:
