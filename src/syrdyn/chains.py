@@ -33,7 +33,7 @@ from .errors import (
     VerificationFailure,
 )
 from .maps import MapDescriptor, collatz, preimage_levels, pxr
-from .numeric import max_str_digits, str_ceiling
+from .numeric import RECORDS, json_with_records, max_str_digits, record_str, str_ceiling
 
 __all__ = [
     "NodeClass",
@@ -58,7 +58,7 @@ __all__ = [
     "verify_general_family_identity",
     "chain_to_json_dict",
     "chain_to_dot",
-    "tree_to_json_dict",
+    "tree_to_json",
     "tree_to_dot",
 ]
 
@@ -547,11 +547,15 @@ def verify_general_family_identity(
 # -- serialization ------------------------------------------------------------
 
 
+# NodeClass names by n % 3, for the renderers: no NodeClass is built per node
+_CLASS_NAMES = tuple(cls.name for cls in NodeClass)
+
+
 def _collatz_label(v: int) -> str:
-    cls = classify(v)
-    if cls is NodeClass.N2:
-        return f"{v} ({cls.name}, {decompose(v).form_str()})"
-    return f"{v} ({cls.name})"
+    name = _CLASS_NAMES[v % 3]
+    if v % 3 == 2:
+        return f"{v} ({name}, {decompose(v).form_str()})"
+    return f"{v} ({name})"
 
 
 def chain_to_json_dict(chain: Chain) -> dict:
@@ -599,26 +603,32 @@ def chain_to_dot(chain: Chain) -> str:
     return "\n".join(lines) + "\n"
 
 
-def tree_to_json_dict(tree: PreimageTree) -> dict:
-    out_nodes = []
+def tree_to_json(tree: PreimageTree) -> str:
+    """The tree as indent-2 JSON text, one record template per node.
+
+    An annotated (halved 3x+1) record adds the node's class and, in N2, its
+    3^a*2^b*h-1 form; see numeric.json_with_records for the escaping rule.
+    """
+    records = []
     for node in tree.nodes:
-        entry = {
-            "value": str(node.value),
-            "level": node.level,
-            "parent": None if node.parent is None else str(node.parent),
-            "repeat": node.repeat,
-        }
+        v, extra = node.value, ""
         if tree.annotated:
-            cls = classify(node.value)
-            entry["class"] = cls.name
-            entry["form"] = decompose(node.value).form_str() if cls is NodeClass.N2 else None
-        out_nodes.append(entry)
-    return {
+            form = decompose(v).form_str() if v % 3 == 2 else None
+            extra = f',\n      "class": "{_CLASS_NAMES[v % 3]}",\n      "form": {record_str(form)}'
+        records.append(
+            "{\n"
+            f'      "value": "{v}",\n'
+            f'      "level": {node.level},\n'
+            f'      "parent": {record_str(node.parent)},\n'
+            f'      "repeat": {"true" if node.repeat else "false"}{extra}\n'
+            "    }"
+        )
+    return json_with_records({
         "map": tree.descriptor.to_text(),
         "root": str(tree.root),
         "depth": tree.depth,
-        "nodes": out_nodes,
-    }
+        "nodes": RECORDS,
+    }, records)
 
 
 def tree_to_dot(tree: PreimageTree) -> str:

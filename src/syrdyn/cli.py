@@ -4,6 +4,9 @@ Every engine is reachable as a subcommand with file-based, reproducible
 output: identical arguments (and seed) give byte-identical bytes.  Numbers
 that live in the map's domain are serialized as decimal strings since scans
 routinely leave the 64-bit range; counts and indices stay plain ints.
+Every JSON payload is json.dumps(payload, indent=2) plus a newline;
+chains.tree_to_json and measure.export_json return their documents as text,
+the node arrays written record by record in those same bytes.
 
 Exit codes: 0 success, 1 usage or validation error, 2 trajectory hit a
 limit without entering a cycle, 3 an internal verification tripped.
@@ -14,10 +17,9 @@ from __future__ import annotations
 import argparse
 import functools
 import io
+import json
 import os
 import sys
-from json import JSONEncoder
-from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .chains import (
     WITNESS_ALPHA_MAX,
@@ -30,7 +32,7 @@ from .chains import (
     chain_to_json_dict,
     search_family_witness,
     tree_to_dot,
-    tree_to_json_dict,
+    tree_to_json,
     two_preimage_class,
     two_preimage_floor,
     verify_family_connection,
@@ -66,31 +68,37 @@ class _Parser(argparse.ArgumentParser):
 def _parse_bound(text: str) -> int:
     """Integer bounds in plain (10000), scientific (1e6) or power (10^9) form.
 
-    A bound must print, so it may have at most max_str_digits() digits.
+    A bound must print, so it may have at most max_str_digits() digits.  A
+    longer integer text is refused before int() reads it, and a message
+    quotes at most a short prefix of the bound.
     """
     s = text.strip().lower()
+    if "^" in s:
+        base, _, expo = s.partition("^")
+        parts = ("1", base, expo)
+    elif "e" in s:
+        mant_text, _, expo = s.partition("e")
+        parts = (mant_text, "10", expo)
+    else:
+        parts = (s, "1", "0")
+    shown = repr(text) if len(text) <= 40 else f"{text[:24]!r}... ({len(text)} characters)"
+    too_long = argparse.ArgumentTypeError(f"bound {shown} has more than {max_str_digits()} digits")
+    # int() refuses more digits than it could print back; leading zeros count
+    if any(len(t.strip().lstrip("+-")) - t.count("_") > max_str_digits() for t in parts):
+        raise too_long
     try:
-        if "^" in s:
-            base, _, expo = s.partition("^")
-            b, e = int(base), int(expo)
-            mant = 1
-        elif "e" in s:
-            mant_text, _, expo = s.partition("e")
-            b, e = 10, int(expo)
-            mant = int(mant_text)
-        else:
-            mant, b, e = int(s), 1, 0
+        mant, b, e = map(int, parts)
         if e < 0:
             raise ValueError
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer bound: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not an integer bound: {shown}") from None
     ceiling = str_ceiling()
     # b^e has at least e*(bits(b) - 1) bits, so a giant is refused unbuilt
     if e * (abs(b).bit_length() - 1) < ceiling.bit_length():
         value = mant * b**e
         if abs(value) < ceiling:
             return value
-    raise argparse.ArgumentTypeError(f"bound {text!r} has more than {max_str_digits()} digits")
+    raise too_long
 
 
 def _positive_int(text: str) -> int:
@@ -124,88 +132,8 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-_CONTAINERS = (list, tuple, dict)
-# matched by exact type: a container holding a subclass (an IntEnum, say) is
-# left to the Python walk
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-_INF = float("inf")
-_unserializable = JSONEncoder().default  # raises json's TypeError
-
-
-def _json_text(obj) -> str:
-    """json.dumps(obj, indent=2) plus a newline, byte for byte.
-
-    Any indent sends json.dumps to its pure-Python encoder (CPython before
-    3.13).  Here a container whose children are all scalars is one call to
-    the C encoder, whose item separator carries the newline and padding;
-    only the containers above those are walked in Python.  Without the C
-    encoder the same walk renders every container.
-    """
-    return _value_text(obj, "") + "\n"
-
-
-def _value_text(v, pad: str) -> str:
-    # no type is both a container and a scalar, so containers may go first
-    if isinstance(v, _CONTAINERS):
-        return _container_text(v, pad)
-    if isinstance(v, str):
-        return encode_basestring_ascii(v)
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, float):
-        return _float_text(v)
-    return _unserializable(v)
-
-
-def _float_text(f: float) -> str:
-    if f != f:
-        return "NaN"
-    if f == _INF:
-        return "Infinity"
-    if f == -_INF:
-        return "-Infinity"
-    return float.__repr__(f)
-
-
-def _key_text(k) -> str:
-    if isinstance(k, str):
-        return encode_basestring_ascii(k)
-    if k is None or isinstance(k, (int, float)):
-        return f'"{_value_text(k, "")}"'  # digits, letters, '.', '+' and '-' need no escape
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-
-
-def _container_text(obj, pad: str) -> str:
-    """One container whose first line sits at indentation `pad`, brackets included."""
-    is_dict = isinstance(obj, dict)
-    if not obj:
-        return "{}" if is_dict else "[]"
-    inner = pad + "  "
-    if c_make_encoder is not None and _SCALARS.issuperset(map(type, obj.values() if is_dict else obj)):
-        text = "".join(_flat_encoder(inner)(obj, 0))
-        return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
-    sep = ",\n" + inner
-    if is_dict:
-        body = sep.join([f"{_key_text(k)}: {_value_text(v, inner)}" for k, v in obj.items()])
-        return f"{{\n{inner}{body}\n{pad}}}"
-    body = sep.join([_value_text(v, inner) for v in obj])
-    return f"[\n{inner}{body}\n{pad}]"
-
-
-@functools.cache
-def _flat_encoder(inner: str):
-    """C encoder for scalar-only containers whose items sit at indentation `inner`.
-
-    One per nesting depth, so the cache is as small as the deepest payload.
-    """
-    return c_make_encoder(None, _unserializable, encode_basestring_ascii, None,
-                          ": ", ",\n" + inner, False, False, True)
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _chunks(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
@@ -316,7 +244,7 @@ def _cmd_measure(args) -> int:
     assignment = assign_measure(forest)
     max_n = args.max_n if args.max_n is not None else max(1, min(5, args.depth))
     report = check_power_bound(assignment, trials=args.trials, max_n=max_n, seed=args.seed)
-    _emit(_json_text(export_json(assignment, report)), args.out)
+    _emit(export_json(assignment, report), args.out)
     return 0
 
 
@@ -335,7 +263,7 @@ def _cmd_tree(args) -> int:
     if args.format == "dot":
         _emit(tree_to_dot(tree), args.out)
     else:
-        _emit(_json_text(tree_to_json_dict(tree)), args.out)
+        _emit(tree_to_json(tree), args.out)
     return 0
 
 

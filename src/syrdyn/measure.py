@@ -24,6 +24,10 @@ form in which a mass is reported.
 build_forest grows each tree with maps.preimage_levels, which refuses the
 level that would cross the node cap and stops at the first empty one, so a
 huge depth costs no more than the nodes it finds.
+
+export_json writes the measure as JSON text without a dict per node: each
+node is one record template, spliced into json.dumps of the small envelope
+by numeric.json_with_records.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from itertools import repeat
 
 from .errors import InvalidParameters, OverlappingCycles, BoundViolation
 from .maps import MapDescriptor, preimage_levels
-from .numeric import DyadicRational
+from .numeric import RECORDS, DyadicRational, json_with_records, record_str
 from .trajectory import CycleInfo
 
 __all__ = [
@@ -394,22 +398,35 @@ def power_bound_certificate(assignment: MeasureAssignment, max_n: int) -> list[t
     return certificate
 
 
-def export_json(assignment: MeasureAssignment, report: PowerBoundReport | None = None) -> dict:
-    """The measure as JSON; cycle-local masses undo the weight 2^(-i-1) by a shift."""
+def _mass_text(mass: MeasureValue) -> str:
+    """MeasureValue.to_json_dict() as a node record's field, 6 spaces deep."""
+    d = mass.to_json_dict()
+    return (f'{{\n        "dyadic": "{d["dyadic"]}",\n        "denom": "{d["denom"]}",\n'
+            f'        "decimal": {record_str(d["decimal"])}\n      }}')
+
+
+def export_json(assignment: MeasureAssignment, report: PowerBoundReport | None = None) -> str:
+    """The measure as indent-2 JSON text, one record template per node.
+
+    Cycle-local masses undo the weight 2^(-i-1) by a shift.  See
+    numeric.json_with_records for the records' escaping rule.
+    """
     forest = assignment.forest
     numerators, value = assignment.numerators, assignment.value
-    nodes = []
+    parent, node_cycle, node_level = forest.parent, forest.node_cycle, forest.node_level
+    records = []
     for v in sorted(forest.covered):
-        parent = forest.parent.get(v)
-        ci = forest.node_cycle[v]
-        nodes.append({
-            "value": str(v),
-            "cycle": ci + 1,
-            "level": forest.node_level[v],
-            "parent": None if parent is None else str(parent),
-            "cycle_local": value(numerators[v] << (ci + 2)).to_json_dict(),
-            "combined": value(numerators[v]).to_json_dict(),
-        })
+        ci = node_cycle[v]
+        records.append(
+            "{\n"
+            f'      "value": "{v}",\n'
+            f'      "cycle": {ci + 1},\n'
+            f'      "level": {node_level[v]},\n'
+            f'      "parent": {record_str(parent.get(v))},\n'
+            f'      "cycle_local": {_mass_text(value(numerators[v] << (ci + 2)))},\n'
+            f'      "combined": {_mass_text(value(numerators[v]))}\n'
+            "    }"
+        )
     cycles = []
     for ci, cyc in enumerate(forest.cycles):
         local = sum(numerators[v] for level in forest.levels[ci] for v in level) << (ci + 2)
@@ -420,12 +437,12 @@ def export_json(assignment: MeasureAssignment, report: PowerBoundReport | None =
             "weight": str(DyadicRational(1, ci + 2)),
             "cycle_local_total": value(local).to_json_dict(),
         })
-    return {
+    return json_with_records({
         "map": forest.descriptor.to_text(),
         "depth": forest.depth,
         "covered_nodes": len(forest.covered),
         "cycles": cycles,
-        "nodes": nodes,
+        "nodes": RECORDS,
         "total": assignment.total.to_json_dict(),
         "power_bound": report.to_json_dict() if report else None,
-    }
+    }, records)

@@ -12,11 +12,16 @@ Every int the engines report is printed in decimal, and CPython refuses
 int -> str past sys.get_int_max_str_digits() digits.  max_str_digits and
 str_ceiling state that limit once, for the CLI's bound parser and for the
 builders that refuse a value before it could reach the printer.
+
+json_with_records writes the `tree` and `measure` documents: json.dumps
+renders the small envelope, and the node array, pre-rendered one record per
+node, is spliced in where the envelope holds RECORDS.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import sys
 
 __all__ = ["DyadicRational"]
@@ -44,6 +49,36 @@ def str_ceiling() -> int:
 @functools.cache
 def _pow10(digits: int) -> int:
     return 10**digits
+
+
+# json.dumps writes this NUL as '"\u0000"'; an envelope's other strings are
+# map descriptors, numerals and n/2^k forms, so that text marks only the splice
+RECORDS = "\x00"
+
+
+def record_str(value) -> str:
+    """value's text, unescaped, as a JSON string; null for None."""
+    return "null" if value is None else f'"{value}"'
+
+
+def json_with_records(envelope: dict, records: list[str]) -> str:
+    """json.dumps(document, indent=2) plus a newline, built around pre-rendered records.
+
+    The document is `envelope` with its one top-level value RECORDS replaced
+    by the array of `records`.  Each record is one array item as indent-2
+    json.dumps writes it there: its first line unindented and every later
+    line with its full indentation, 4 spaces for the closing brace.  Records
+    go in unescaped, so every string in them must need no escaping: decimal
+    digits, class names, 3^a*2^b*h-1 forms, n/2^k dyadics and decimals do.
+    """
+    head, _, tail = json.dumps(envelope, indent=2).partition(json.dumps(RECORDS))
+    if not records:
+        return f"{head}[]{tail}\n"
+    # the first and last records are widened in place, so one join builds
+    # the whole text and nothing copies it again; the caller's list is used up
+    records[0] = f"{head}[\n    {records[0]}"
+    records[-1] = f"{records[-1]}\n  ]{tail}\n"
+    return ",\n    ".join(records)
 
 
 class DyadicRational:

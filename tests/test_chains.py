@@ -1,7 +1,8 @@
 import importlib
+import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from syrdyn.chains import (
     ChainHeadForm,
@@ -18,7 +19,7 @@ from syrdyn.chains import (
     search_family_witness,
     structured_preimage,
     tree_to_dot,
-    tree_to_json_dict,
+    tree_to_json,
     two_preimage_class,
     two_preimage_floor,
     verify_family_connection,
@@ -522,12 +523,66 @@ class TestExports:
         assert '"8" -> "5";' in dot and '"8" -> "16";' in dot
 
     def test_tree_json(self):
-        doc = tree_to_json_dict(build_preimage_tree(C, 8, 1))
+        doc = json.loads(tree_to_json(build_preimage_tree(C, 8, 1)))
         assert doc["root"] == "8"
         assert [n["value"] for n in doc["nodes"]] == ["8", "5", "16"]
         assert doc["nodes"][1]["class"] == "N2"
         assert doc["nodes"][0]["form"] == "3^2*2^0*1-1"
 
     def test_tree_json_unannotated(self):
-        doc = tree_to_json_dict(build_preimage_tree(pxr(5, 1), 4, 1))
+        doc = json.loads(tree_to_json(build_preimage_tree(pxr(5, 1), 4, 1)))
         assert "class" not in doc["nodes"][0]
+
+
+# -- tree records against json.dumps -------------------------------------------
+
+_TREE_MAPS = {
+    "collatz": C,
+    "pxr5": pxr(5, 1),
+    "pxr7": pxr(7, 5),
+    "d3": parse_descriptor("d=3;m0=1,r0=0;m1=4,r1=2;m2=4,r2=1"),
+}
+
+
+def reference_tree_dict(tree):
+    """The tree document as a dict, the way it was built before the record templates."""
+    out_nodes = []
+    for node in tree.nodes:
+        entry = {
+            "value": str(node.value),
+            "level": node.level,
+            "parent": None if node.parent is None else str(node.parent),
+            "repeat": node.repeat,
+        }
+        if tree.annotated:
+            cls = classify(node.value)
+            entry["class"] = cls.name
+            entry["form"] = decompose(node.value).form_str() if cls is NodeClass.N2 else None
+        out_nodes.append(entry)
+    return {
+        "map": tree.descriptor.to_text(),
+        "root": str(tree.root),
+        "depth": tree.depth,
+        "nodes": out_nodes,
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_TREE_MAPS)),
+    root=st.one_of(st.integers(1, 500), st.integers(1, 2**100)),
+    depth=st.integers(0, 8),
+)
+# roots on a cycle, so repeats are rendered
+@example(name="collatz", root=1, depth=8)
+@example(name="pxr5", root=8, depth=8)
+@example(name="pxr7", root=5, depth=8)
+@example(name="d3", root=2, depth=8)
+def test_tree_json_is_json_dumps_of_the_reference(name, root, depth):
+    tree = build_preimage_tree(_TREE_MAPS[name], root, depth)
+    assert tree_to_json(tree) == json.dumps(reference_tree_dict(tree), indent=2) + "\n"
+
+
+def test_tree_json_examples_hold_repeats():
+    for name, root in (("collatz", 1), ("pxr5", 8), ("pxr7", 5), ("d3", 2)):
+        assert any(node.repeat for node in build_preimage_tree(_TREE_MAPS[name], root, 8).nodes)

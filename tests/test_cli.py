@@ -7,7 +7,6 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 import syrdyn.chains as chains_module
 import syrdyn.cli as cli
@@ -72,6 +71,22 @@ def test_values_too_long_to_print_exit_one(argv, capsys):
     assert code == 1 and out == ""
     assert "error: " in err.splitlines()[-1] and "Traceback" not in err
     assert f"more than {max_str_digits()} digits" in err
+
+
+@pytest.mark.parametrize("bound", [
+    "1" * 4301,
+    "0" * 4300 + "7",
+    "1" * 4400 + "e2",
+    "1" * 4400 + "^2",
+    "2^" + "1" * 4400,
+], ids=["plain", "leading-zeros", "mantissa", "base", "exponent"])
+def test_integer_text_too_long_is_refused_briefly(bound, capsys):
+    # refused by its length before int() reads it; the message quotes a prefix
+    code, out, err = run(capsys, "traj", "collatz", bound)
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1].startswith("syrdyn traj: error: ")
+    assert f"more than {max_str_digits()} digits" in err
+    assert len(err.encode()) < 300
 
 
 @pytest.mark.parametrize("argv", [
@@ -348,65 +363,6 @@ def test_import_leaves_the_pool_machinery_out():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"
-
-
-# -- JSON writer ---------------------------------------------------------------
-
-_json_scalars = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.integers(min_value=2**200, max_value=2**260),
-    st.integers(min_value=-(2**260), max_value=-(2**200)),
-    st.floats(),  # nan, +-inf and -0.0 included
-    st.text(),
-    st.sampled_from(['"', "\\", "\x00\x1f\x7f\n\t", "é€☃", "\U0001d11e"]),
-)
-_json_keys = st.one_of(st.text(), st.integers(), st.booleans(), st.none(), st.floats())
-_json_trees = st.recursive(
-    _json_scalars,
-    lambda kids: st.one_of(
-        st.lists(kids, max_size=5),
-        st.lists(kids, max_size=5).map(tuple),
-        st.dictionaries(_json_keys, kids, max_size=5),
-    ),
-    max_leaves=40,
-)
-
-
-@pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "no-c-encoder"])
-@settings(max_examples=300, deadline=None)
-@given(tree=_json_trees)
-@example(tree=[[], {}, ((),), {"a": {"b": []}}, [[[]]]])
-@example(tree={1: 2**300, True: -0.0, None: float("nan"), 2.5: [float("inf"), -float("inf")]})
-@example(tree=("é", '"', "\x00", (1, "x")))
-def test_json_text_matches_json_dumps_indent_2(c_encoder, tree):
-    with pytest.MonkeyPatch.context() as mp:
-        if not c_encoder:
-            mp.setattr(cli, "c_make_encoder", None)
-        assert cli._json_text(tree) == json.dumps(tree, indent=2) + "\n"
-
-
-def test_json_text_sends_flat_containers_to_the_c_encoder(monkeypatch):
-    calls = []
-    encoder_for = cli._flat_encoder
-
-    def counting(inner):
-        calls.append(inner)
-        return encoder_for(inner)
-
-    monkeypatch.setattr(cli, "_flat_encoder", counting)
-    doc = {"nodes": [{"value": "1", "level": 0}, {"value": "2", "level": 1}], "depth": 1}
-    assert cli._json_text(doc) == json.dumps(doc, indent=2) + "\n"
-    assert calls == [" " * 6, " " * 6]  # the items of each node, not the nodes list
-
-
-def test_json_text_refuses_what_json_refuses():
-    for bad in ({"a": {1, 2}}, [object()], {(1, 2): "tuple key"}):
-        with pytest.raises(TypeError):
-            json.dumps(bad, indent=2)
-        with pytest.raises(TypeError):
-            cli._json_text(bad)
 
 
 # -- one parser per process ----------------------------------------------------

@@ -7,6 +7,7 @@ from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import syrdyn.maps as maps_module
 import syrdyn.measure as measure_module
@@ -381,7 +382,7 @@ class TestPowerBound:
 
 def test_export_shape(collatz_assignment):
     rep = check_power_bound(collatz_assignment, trials=10, max_n=2, seed=1)
-    doc = export_json(collatz_assignment, rep)
+    doc = json.loads(export_json(collatz_assignment, rep))
     assert doc["map"] == "d=2;m0=1,r0=0;m1=3,r1=1"
     assert doc["depth"] == 15
     assert doc["covered_nodes"] == len(collatz_assignment.forest.covered)
@@ -394,12 +395,12 @@ def test_export_shape(collatz_assignment):
     assert by_value["1"]["parent"] is None
     values = [int(n["value"]) for n in doc["nodes"]]
     assert values == sorted(values)
-    no_rep = export_json(collatz_assignment)
+    no_rep = json.loads(export_json(collatz_assignment))
     assert no_rep["power_bound"] is None
 
 
 def test_export_masses_match_reference(five_assignment):
-    doc = export_json(five_assignment)
+    doc = json.loads(export_json(five_assignment))
     forest = five_assignment.forest
     local_ref, combined_ref = reference_local(forest), reference_combined(forest)
     for node in doc["nodes"]:
@@ -413,6 +414,82 @@ def test_export_masses_match_reference(five_assignment):
         assert parse(got["dyadic"]) / int(got["denom"]) == want
     total = doc["total"]
     assert parse(total["dyadic"]) / int(total["denom"]) == sum(combined_ref.values())
+
+
+def reference_export_dict(assignment, report=None):
+    """The measure document as a dict, the way it was built before the record templates."""
+    forest = assignment.forest
+    numerators, value = assignment.numerators, assignment.value
+    nodes = []
+    for v in sorted(forest.covered):
+        parent = forest.parent.get(v)
+        ci = forest.node_cycle[v]
+        nodes.append({
+            "value": str(v),
+            "cycle": ci + 1,
+            "level": forest.node_level[v],
+            "parent": None if parent is None else str(parent),
+            "cycle_local": value(numerators[v] << (ci + 2)).to_json_dict(),
+            "combined": value(numerators[v]).to_json_dict(),
+        })
+    cycles = []
+    for ci, cyc in enumerate(forest.cycles):
+        local = sum(numerators[v] for level in forest.levels[ci] for v in level) << (ci + 2)
+        cycles.append({
+            "index": ci + 1,
+            "length": cyc.length,
+            "members": [str(m) for m in cyc.members],
+            "weight": str(DyadicRational(1, ci + 2)),
+            "cycle_local_total": value(local).to_json_dict(),
+        })
+    return {
+        "map": forest.descriptor.to_text(),
+        "depth": forest.depth,
+        "covered_nodes": len(forest.covered),
+        "cycles": cycles,
+        "nodes": nodes,
+        "total": assignment.total.to_json_dict(),
+        "power_bound": report.to_json_dict() if report else None,
+    }
+
+
+_EXPORT_MAPS = {
+    "collatz": collatz(),
+    "pxr5": pxr(5, 1),
+    "pxr7": pxr(7, 5),
+    "d3": parse_descriptor("d=3;m0=1,r0=0;m1=4,r1=2;m2=4,r2=1"),
+}
+
+
+def _export_case(name, depth, with_report, seed=1):
+    desc = _EXPORT_MAPS[name]
+    asg = assign_measure(build_forest(desc, find_cycles(desc, 100), depth))
+    rep = check_power_bound(asg, trials=3, max_n=min(depth, 3), seed=seed) if with_report else None
+    return export_json(asg, rep), json.dumps(reference_export_dict(asg, rep), indent=2) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_EXPORT_MAPS)),
+    depth=st.integers(1, 12),
+    with_report=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_export_json_is_json_dumps_of_the_reference(name, depth, with_report, seed):
+    text, want = _export_case(name, depth, with_report, seed)
+    assert text == want
+
+
+@pytest.mark.parametrize("name, depth, null_denom", [
+    ("pxr5", 10, "5"),  # odd cycle lengths: the members' masses have a denominator
+    ("pxr7", 20, "1"),  # masses below 2^-64 print no decimal
+])
+def test_export_json_renders_both_decimal_kinds(name, depth, null_denom):
+    text, want = _export_case(name, depth, True)
+    assert text == want
+    masses = [n[k] for n in json.loads(text)["nodes"] for k in ("cycle_local", "combined")]
+    assert any(m["decimal"] is None and m["denom"] == null_denom for m in masses)
+    assert any(m["decimal"] is not None for m in masses)
 
 
 # -- the integer path against Fraction arithmetic ------------------------------
