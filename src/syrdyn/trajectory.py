@@ -157,11 +157,14 @@ def iterate(desc: MapDescriptor, start: int, limits: Limits | None = None) -> Tr
 def find_cycles(
     desc: MapDescriptor, search_bound: int, limits: Limits | None = None
 ) -> list[CycleInfo]:
-    """Distinct cycles entered by any start in 1..search_bound, sorted by minimum.
+    """Distinct cycles that starts in 1..search_bound enter within the limits.
 
-    These are the cycles of partition(desc, search_bound, limits): its shared
-    orbit memo classifies every start exactly as iterate() would, so the list
-    is the one per-start walks give, and a parallel scan merges to it too.
+    These are the cycles of partition(desc, search_bound, limits), sorted by
+    minimum: its shared orbit memo classifies every start exactly as
+    iterate() would, and it lists a cycle only when some start enters it
+    within the step budget, never one that a walk past the budget found.
+    So the list is the one per-start walks give, and a parallel scan merges
+    to it too.
     """
     if type(search_bound) is not int or search_bound < 1:
         raise InvalidParameters(f"search_bound must be >= 1, got {search_bound!r}")

@@ -7,7 +7,8 @@ import pytest
 from syrdyn.cli import main
 from syrdyn.errors import DomainError, InvalidParameters
 from syrdyn.maps import collatz, parse_descriptor, pxr
-from syrdyn.partition import _STEP_LIMIT, _walk, partition, export_csv, summary_dict
+from syrdyn.partition import (_OPEN, _checkpoint_gap, _walk, export_csv, partition,
+                              summary_dict)
 from syrdyn.trajectory import Limits, TrajectoryStatus, iterate
 from test_range_engine import reference_cycles, reference_scan_rows
 
@@ -101,6 +102,10 @@ LIMITS_GRID = [
     Limits(max_steps=12, max_value=10**4),
     Limits(max_steps=30, max_value=400),
     Limits(max_steps=120, max_value=10**9),
+    # keeps verdicts past the budget (gap 4); walks run out of points below
+    # the ceiling, and the last path point that may be open (index 22) is a
+    # checkpoint
+    Limits(max_steps=21, max_value=10**12),
 ]
 DOMAIN_GRID = [
     (collatz(), 300),
@@ -140,43 +145,87 @@ def test_memoized_equals_naive(capsys, monkeypatch, desc, bound, limits):
     assert rows == reference_scan_rows(desc, lo, bound, limits)
 
 
-def test_grid_has_memo_hits_past_the_budget(monkeypatch):
-    # a step-limit start whose walk stored anything broke off at a memo hit
-    # its own budget cannot reach; without one the test above runs no tail
-    fills = []
-    backfill = partition_module._backfill
-    monkeypatch.setattr(partition_module, "_backfill",
-                        lambda *args: (fills.append(args), backfill(*args)))
-    cut = 0
+class SpyDict(dict):
+    """A memo or segment cache that records every value a walk finds in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.found = []
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        if value is not None:
+            self.found.append(value)
+        return value
+
+
+def walk_window(desc, bound, limits, memo=None, segments=None):
+    """The walks partition(desc, bound, limits) makes; it classifies memo hits itself."""
+    k = _checkpoint_gap(limits.max_steps)
+    memo = {} if memo is None else memo
+    segments = {} if segments is None else segments
+    cycles, cycle_ids = [], {}
+    for x in range(1, bound + 1):
+        if memo.get(x) is None:
+            _walk(desc, x, limits, k, memo, segments, cycles, cycle_ids)
+    return k, memo, segments, cycles
+
+
+def entry_budget(limits, cycles, cid):
+    return limits.max_steps - (0 if cid is None else cycles[cid].length)
+
+
+def test_grid_has_memo_hits_past_the_budget():
+    # without walks that find a past-budget checkpoint, an open entry and a
+    # cached segment, the grid would not exercise the code that reads them
+    past = opened = hops = 0
     for desc, bound in DOMAIN_GRID:
         for limits in LIMITS_GRID:
-            memo, cycles, cycle_ids = {}, [], {}
-            for x in range(1, bound + 1):
-                fills.clear()
-                code = _walk(desc, x, limits, memo, cycles, cycle_ids)[0]
-                cut += code == _STEP_LIMIT and bool(fills)
-    assert cut > 0
+            memo, segments = SpyDict(), SpyDict()
+            _k, _memo, _segments, cycles = walk_window(desc, bound, limits, memo, segments)
+            for depth, cid, _exc in memo.found:
+                opened += depth >= _OPEN
+                past += entry_budget(limits, cycles, cid) < depth < _OPEN
+            hops += len(segments.found)
+    assert past > 0 and opened > 0 and hops > 0
 
 
 @TIGHT_LIMITS
 @SMALL_DOMAINS
 def test_every_memo_entry_is_a_fresh_iterate(desc, bound, limits):
-    # the memo also holds orbit values outside the window; each entry must be
-    # the verdict a fresh iterate from that value reaches with the full budget
-    memo, cycles, cycle_ids = {}, [], {}
-    for x in range(1, bound + 1):
-        _walk(desc, x, limits, memo, cycles, cycle_ids)
+    # the memo also holds orbit values outside the window and verdicts past
+    # the budget; each exact entry must be the verdict a fresh iterate from
+    # that value reaches with an unbounded budget, each open entry must have
+    # the clean points ahead that it claims, and each cached segment must be
+    # k real steps
+    k, memo, segments, cycles = walk_window(desc, bound, limits)
     assert desc is D3 or any(v > bound for v in memo)  # D3 never climbs above x
-    for v, (steps, cid, exc) in memo.items():
-        rep = iterate(desc, v, limits)
-        assert rep.max_excursion == exc, v
+    unbounded = Limits(max_steps=10**6, max_value=limits.max_value)
+    for v, (depth, cid, exc) in memo.items():
+        if depth >= _OPEN:
+            ahead = depth - _OPEN
+            assert ahead >= limits.max_steps and depth % k == 0 and cid is None, v
+            rep = iterate(desc, v, Limits(max_steps=ahead, max_value=limits.max_value))
+            assert rep.status is TrajectoryStatus.HIT_STEP_LIMIT, v
+            continue
+        rep = iterate(desc, v, unbounded)
         if cid is None:
             assert rep.status is TrajectoryStatus.HIT_VALUE_LIMIT, v
-            assert len(rep.steps) == steps, v  # applications up to the ceiling
+            assert len(rep.steps) == depth, v  # applications up to the ceiling
         else:
             assert rep.status is TrajectoryStatus.ENTERED_CYCLE, v
-            assert rep.entry_index == steps, v
+            assert rep.entry_index == depth, v
             assert rep.cycle == cycles[cid], v
+        if depth <= entry_budget(limits, cycles, cid):
+            assert exc == rep.max_excursion == iterate(desc, v, limits).max_excursion, v
+        else:
+            assert depth % k == 0 and exc == 0, v  # a checkpoint past the budget
+    for v, (after, top) in segments.items():
+        points = [v]
+        for _ in range(k):
+            points.append(desc.apply(points[-1]))
+        assert (after, top) == (points[k], max(points[:k])), v
+        assert top <= limits.max_value, v
 
 
 @TIGHT_LIMITS

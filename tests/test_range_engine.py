@@ -7,16 +7,19 @@ memoized engine must reproduce them exactly, for any worker count.
 
 import concurrent.futures
 import importlib
+import io
 import json
 import time
 import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from syrdyn import cli
 from syrdyn.cli import _chunks, _thread_count, main
 from syrdyn.errors import DomainError, InvalidParameters
-from syrdyn.maps import collatz, pxr
+from syrdyn.maps import collatz, parse_descriptor, pxr
 from syrdyn.partition import partition
 from syrdyn.trajectory import Limits, TrajectoryStatus, find_cycles, iterate
 
@@ -105,6 +108,57 @@ def test_window_agrees_with_full_range(text, desc, limits, flags):
         assert window.class_of(x) == full.class_of(x)
         assert window.steps_to_cycle(x) == full.steps_to_cycle(x)
         assert window.max_excursion(x) == full.max_excursion(x)
+
+
+def test_cycle_found_past_every_budget_is_not_listed(capsys, monkeypatch):
+    # walks look past max_steps for a verdict; from 279..383 they find six
+    # cycles of pxr:p=5,r=3 that no start enters within 5 steps
+    desc, limits = pxr(5, 3), Limits(5, 10**12)
+    assert reference_cycles(desc, 279, 383, limits) == []
+    assert partition(desc, 383, limits, start=279).cycles == ()
+    assert cli._cycles_worker((desc, 279, 384, limits)) == []
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # two chunks whatever the host
+    want = [[str(v) for v in c.members] for c in reference_cycles(desc, 1, 383, limits)]
+    for threads in ("1", "2"):
+        code, out = run(capsys, "cycles", "pxr:p=5,r=3", "--bound", "383", "--threads", threads,
+                        "--max-steps", "5", "--max-value", "1e12")
+        assert code == 0
+        assert json.loads(out)["cycles"] == want
+
+
+GRID_MAPS = ["collatz", "pxr:p=5,r=1", "d=3;m0=1,r0=0;m1=2,r1=1;m2=2,r2=2"]
+
+
+@st.composite
+def windows(draw):
+    max_value = draw(st.one_of(st.integers(1, 5000), st.integers(1, 10**15)))
+    lo = draw(st.integers(1, min(max_value, 3000)))
+    hi = draw(st.integers(lo, min(max_value, lo + 120)))
+    return max_value, lo, hi
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(GRID_MAPS), st.integers(1, 60), windows())
+@example("pxr:p=5,r=1", 1, (10**12, 279, 383))
+@example("collatz", 60, (400, 1, 120))
+def test_records_cycles_and_scan_match_iterate(text, max_steps, window):
+    max_value, lo, hi = window
+    desc, limits = parse_descriptor(text), Limits(max_steps, max_value)
+    res = partition(desc, hi, limits, start=lo)
+    reps = [iterate(desc, x, limits) for x in range(lo, hi + 1)]
+    assert list(res.records()) == [
+        (rep.start, rep.status, rep.entry_index, rep.max_excursion, rep.cycle) for rep in reps]
+    assert list(res.cycles) == reference_cycles(desc, lo, hi, limits)
+    argv = ["scan", text, "--start", str(lo), "--end", str(hi),
+            "--max-steps", str(max_steps), "--max-value", str(max_value)]
+    outs = []
+    with mock.patch.object(cli.os, "cpu_count", lambda: 2):
+        for threads in ("1", "2"):
+            buf = io.StringIO()
+            with mock.patch.object(cli.sys, "stdout", buf):
+                assert main([*argv, "--threads", threads]) == 0
+            outs.append(buf.getvalue())
+    assert outs[0] == outs[1]
 
 
 def test_window_near_the_ceiling_stores_only_the_window():
@@ -236,6 +290,24 @@ class TestMemoBudget:
         with pytest.raises(InvalidParameters, match="budget"):
             partition(pxr(5, 1), 1000)
         assert partition(pxr(5, 1), 1000, Limits(max_value=10**12)).counts() == want
+
+    def test_verdicts_past_the_budget_are_dropped_first(self, monkeypatch):
+        # pxr:p=5,r=1 with max_steps 50 keeps about 1.5 entries a start, nearly
+        # all past the budget, and about 0.05 within it; a budget too small
+        # for the former drops them and finishes the window without them
+        limits = Limits(max_steps=50)
+        want = list(partition(pxr(5, 1), 20000, limits).records())
+        gaps = []
+        walk = partition_module._walk
+
+        def spy(desc, x, limits, k, *rest):
+            gaps.append(k)
+            return walk(desc, x, limits, k, *rest)
+
+        monkeypatch.setattr(partition_module, "_walk", spy)
+        monkeypatch.setattr(partition_module, "_MAX_BYTES", 3 << 20)
+        assert list(partition(pxr(5, 1), 20000, limits).records()) == want
+        assert gaps[0] == 7 and gaps[-1] == partition_module._NO_CHECKPOINTS
 
     def test_cli_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(partition_module, "_MAX_BYTES", self.BUDGET)
