@@ -4,6 +4,8 @@ Every engine is reachable as a subcommand with file-based, reproducible
 output: identical arguments (and seed) give byte-identical bytes.  Numbers
 that live in the map's domain are serialized as decimal strings since scans
 routinely leave the 64-bit range; counts and indices stay plain ints.
+cycles and scan classify their whole window with one partition call in this
+process, under one memo budget; their --threads flag is accepted and ignored.
 Every JSON payload is json.dumps(payload, indent=2) plus a newline;
 chains.tree_to_json and measure.export_json return their documents as text,
 the node arrays written record by record in those same bytes.
@@ -18,7 +20,6 @@ import argparse
 import functools
 import io
 import json
-import os
 import sys
 
 from .chains import (
@@ -42,7 +43,7 @@ from .errors import InternalCheckError, InvalidParameters, NotApplicable, Valida
 from .maps import parse_descriptor
 from .measure import assign_measure, build_forest, check_power_bound, export_json
 from .numeric import max_str_digits, str_ceiling
-from .partition import check_window, export_csv, partition, summary_dict
+from .partition import export_csv, partition, summary_dict
 from .trajectory import (
     DEFAULT_MAX_STEPS,
     DEFAULT_MAX_VALUE,
@@ -65,6 +66,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _shown(text: str) -> str:
+    """Flag text as an error message quotes it: whole, or a short prefix if long."""
+    return repr(text) if len(text) <= 40 else f"{text[:24]!r}... ({len(text)} characters)"
+
+
 def _parse_bound(text: str) -> int:
     """Integer bounds in plain (10000), scientific (1e6) or power (10^9) form.
 
@@ -81,7 +87,7 @@ def _parse_bound(text: str) -> int:
         parts = (mant_text, "10", expo)
     else:
         parts = (s, "1", "0")
-    shown = repr(text) if len(text) <= 40 else f"{text[:24]!r}... ({len(text)} characters)"
+    shown = _shown(text)
     too_long = argparse.ArgumentTypeError(f"bound {shown} has more than {max_str_digits()} digits")
     # int() refuses more digits than it could print back; leading zeros count
     if any(len(t.strip().lstrip("+-")) - t.count("_") > max_str_digits() for t in parts):
@@ -101,23 +107,19 @@ def _parse_bound(text: str) -> int:
     raise too_long
 
 
-def _positive_int(text: str) -> int:
+def _int(text: str, refusal: str = "invalid int value") -> int:
+    """int(text) for a plain integer flag; a refusal quotes the text via _shown."""
     try:
-        n = int(text)
+        return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"{refusal}: {_shown(text)}") from None
+
+
+def _positive_int(text: str) -> int:
+    n = _int(text, "not an integer")
     if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1: {text!r}")
+        raise argparse.ArgumentTypeError(f"must be >= 1: {_shown(text)}")
     return n
-
-
-def _thread_count(flag_value: int | None) -> int:
-    """Workers requested by --threads, default 1; at most the CPU count.
-
-    Output does not depend on the worker count, so the cap only drops
-    processes that could not run at once anyway.
-    """
-    return min(flag_value or 1, os.cpu_count() or 1)
 
 
 def _limits(args) -> Limits:
@@ -136,55 +138,6 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _chunks(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
-    """Split [lo, hi) into at most `parts` contiguous ranges, in order."""
-    total = hi - lo
-    if total <= 0:
-        return []
-    parts = min(parts, total)
-    size, extra = divmod(total, parts)
-    out = []
-    cur = lo
-    for i in range(parts):
-        step = size + (1 if i < extra else 0)
-        out.append((cur, cur + step))
-        cur += step
-    return out
-
-
-# top level so ProcessPoolExecutor can pickle them; each chunk gets its own
-# partition memo, and the callers merge chunk results in order
-
-
-def _scan_worker(job):
-    desc, lo, hi, limits = job
-    return [
-        (
-            str(x),
-            status.value,
-            "" if cycle is None else str(steps),
-            str(excursion),
-            "" if cycle is None else str(cycle.min_member),
-        )
-        for x, status, steps, excursion, cycle in partition(desc, hi - 1, limits, lo).records()
-    ]
-
-
-def _cycles_worker(job):
-    desc, lo, hi, limits = job
-    return [c.members for c in partition(desc, hi - 1, limits, lo).cycles]
-
-
-def _fan_out(worker, jobs):
-    if len(jobs) <= 1:
-        return [worker(job) for job in jobs]
-    # imported here: the pool machinery is a large share of the CLI's start-up
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-        return list(pool.map(worker, jobs))  # submission order, so merge is stable
-
-
 # -- subcommand bodies ---------------------------------------------------------
 
 
@@ -199,20 +152,13 @@ def _cmd_traj(args) -> int:
 def _cmd_cycles(args) -> int:
     desc = parse_descriptor(args.map)
     limits = _limits(args)
-    check_window(1, args.bound, limits)
-    workers = _thread_count(args.threads)
-    jobs = [(desc, lo, hi, limits) for lo, hi in _chunks(1, args.bound + 1, workers)]
-    merged = {}
-    for part in _fan_out(_cycles_worker, jobs):
-        for members in part:
-            merged.setdefault(members, None)
-    cycles = sorted(merged, key=lambda m: m[0])
+    cycles = partition(desc, args.bound, limits).cycles
     payload = {
         "map": desc.to_text(),
         "bound": str(args.bound),
         "limits": {"max_steps": limits.max_steps, "max_value": str(limits.max_value)},
         "count": len(cycles),
-        "cycles": [[str(v) for v in members] for members in cycles],
+        "cycles": [[str(v) for v in c.members] for c in cycles],
     }
     _emit(_json_text(payload), args.out)
     return 0
@@ -315,19 +261,21 @@ def _cmd_criterion(args) -> int:
 
 def _cmd_scan(args) -> int:
     desc = parse_descriptor(args.map)
-    limits = _limits(args)
-    check_window(args.start, args.end, limits)
-    workers = _thread_count(args.threads)
-    jobs = [(desc, lo, hi, limits) for lo, hi in _chunks(args.start, args.end + 1, workers)]
+    result = partition(desc, args.end, _limits(args), args.start)
     lines = ["x,status,steps_to_cycle,max_excursion,cycle_min"]
-    for part in _fan_out(_scan_worker, jobs):
-        for row in part:
-            lines.append(",".join(row))
+    for x, status, steps, excursion, cycle in result.records():
+        if cycle is None:
+            lines.append(f"{x},{status.value},,{excursion},")
+        else:
+            lines.append(f"{x},{status.value},{steps},{excursion},{cycle.min_member}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 # -- parser assembly -----------------------------------------------------------
+
+
+_THREADS_HELP = "accepted for compatibility; every range runs in one process"
 
 
 def _add_limit_flags(sub) -> None:
@@ -361,7 +309,7 @@ def _build_parser() -> _Parser:
     sp = subs.add_parser("cycles", help="distinct cycles reached from a range of starts")
     sp.add_argument("map")
     sp.add_argument("--bound", type=_parse_bound, required=True, help="scan starts 1..bound")
-    sp.add_argument("--threads", type=_positive_int, default=None)
+    sp.add_argument("--threads", type=_positive_int, default=None, help=_THREADS_HELP)
     _add_limit_flags(sp)
     _add_out_flag(sp)
     sp.set_defaults(func=_cmd_cycles)
@@ -382,7 +330,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--trials", type=_positive_int, default=1000)
     sp.add_argument("--max-n", type=_positive_int, default=None,
                     help="deepest preimage power tested (default min(5, depth))")
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sp.add_argument("--seed", type=_int, default=DEFAULT_SEED)
     _add_limit_flags(sp)
     _add_out_flag(sp)
     sp.set_defaults(func=_cmd_measure)
@@ -404,8 +352,8 @@ def _build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_tree)
 
     sp = subs.add_parser("criterion", help="px+r chain criterion and two-preimage class")
-    sp.add_argument("p", type=int)
-    sp.add_argument("r", type=int)
+    sp.add_argument("p", type=_int)
+    sp.add_argument("r", type=_int)
     sp.add_argument("--verify", action="store_true",
                     help="run the witness search, identity and connection checks")
     _add_out_flag(sp)
@@ -415,7 +363,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("map")
     sp.add_argument("--start", type=_parse_bound, required=True)
     sp.add_argument("--end", type=_parse_bound, required=True)
-    sp.add_argument("--threads", type=_positive_int, default=None)
+    sp.add_argument("--threads", type=_positive_int, default=None, help=_THREADS_HELP)
     _add_limit_flags(sp)
     _add_out_flag(sp)
     sp.set_defaults(func=_cmd_scan)

@@ -47,9 +47,9 @@ __all__ = [
 class MapDescriptor:
     """Modulus d >= 2 plus one (multiplier, offset) pair per residue class.
 
-    Frozen and picklable so scans can ship descriptors to worker processes.
-    Construct through collatz()/pxr()/parse_descriptor() or run validate()
-    on a raw instance; apply/preimage assume a validated table.
+    Frozen, so a descriptor is hashable and safe to share.  Construct
+    through collatz()/pxr()/parse_descriptor() or run validate() on a raw
+    instance; apply/preimage assume a validated table.
     """
 
     d: int

@@ -298,8 +298,7 @@ def check_window(start: int, end: int, limits: Limits) -> None:
 
     That needs 1 <= start <= end <= limits.max_value, so every point is
     iterable inside the box, and at most _MAX_POINTS points, since partition
-    stores every one.  The range subcommands call this before any worker
-    starts.
+    stores every one.  partition calls this before it stores anything.
     """
     if type(start) is not int or start < 1:
         raise InvalidParameters(f"start must be >= 1, got {start!r}")

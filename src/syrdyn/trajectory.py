@@ -163,8 +163,7 @@ def find_cycles(
     minimum: its shared orbit memo classifies every start exactly as
     iterate() would, and it lists a cycle only when some start enters it
     within the step budget, never one that a walk past the budget found.
-    So the list is the one per-start walks give, and a parallel scan merges
-    to it too.
+    So the list is the one per-start walks give.
     """
     if type(search_bound) is not int or search_bound < 1:
         raise InvalidParameters(f"search_bound must be >= 1, got {search_bound!r}")

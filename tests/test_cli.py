@@ -90,6 +90,42 @@ def test_integer_text_too_long_is_refused_briefly(bound, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["measure", "collatz", "--depth", "3", "--trials", "1" * 5000],
+    ["measure", "collatz", "--depth", "3", "--max-n", "1" * 5000],
+    ["chains", "7", "--links", "x" * 5000],
+    ["scan", "collatz", "--start", "1", "--end", "9", "--threads", "1" * 5000],
+], ids=["trials", "max-n", "links", "threads"])
+def test_positive_int_flag_quotes_a_prefix(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1].startswith(f"syrdyn {argv[0]}: error: argument ")
+    assert err.splitlines()[-1].endswith("... (5000 characters)")
+    assert len(err.splitlines()[-1].encode()) < 200  # the usage line comes before it
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "collatz", "--depth", "3", "--seed", "1" * 5000],
+    ["criterion", "1" * 5000, "1"],
+    ["criterion", "5", "x" * 5000],
+], ids=["seed", "criterion-p", "criterion-r"])
+def test_int_flag_quotes_a_prefix(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1].endswith("... (5000 characters)")
+    assert "invalid int value: " in err
+    assert len(err.splitlines()[-1].encode()) < 200  # the usage line comes before it
+
+
+def test_short_int_flag_refusals_quote_the_whole_text(capsys):
+    assert run(capsys, "criterion", "5", "x")[2].endswith(
+        "error: argument r: invalid int value: 'x'\n")
+    assert run(capsys, "chains", "7", "--links", "0")[2].endswith(
+        "error: argument --links: must be >= 1: '0'\n")
+    assert run(capsys, "chains", "7", "--links", "y")[2].endswith(
+        "error: argument --links: not an integer: 'y'\n")
+
+
+@pytest.mark.parametrize("argv", [
     ["traj", "collatz", "27"],
     ["partition", "collatz", "--bound", "10"],
     ["scan", "collatz", "--start", "1", "--end", "10"],
@@ -100,7 +136,7 @@ def test_huge_step_budget_exits_one_before_any_walk(argv, capsys, monkeypatch):
     def no_walk(*args, **kwargs):
         raise AssertionError("a walk started")
 
-    for name in ("iterate", "partition", "find_cycles", "_fan_out"):
+    for name in ("iterate", "partition", "find_cycles"):
         monkeypatch.setattr(cli, name, no_walk)
     t0 = time.perf_counter()
     tracemalloc.start()
@@ -355,7 +391,7 @@ class TestDeterminismAndThreads:
 
 
 def test_import_leaves_the_pool_machinery_out():
-    # _fan_out imports concurrent.futures only when it starts a pool
+    # the CLI runs every range in one process and never imports a pool
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     probe = ("import sys, syrdyn.cli; "

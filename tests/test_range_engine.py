@@ -2,7 +2,7 @@
 
 The reference functions below walk every start on its own with iterate(),
 as the range subcommands did before they were rebuilt on partition; the
-memoized engine must reproduce them exactly, for any worker count.
+memoized engine must reproduce them exactly, whatever --threads says.
 """
 
 import concurrent.futures
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from syrdyn import cli
-from syrdyn.cli import _chunks, _thread_count, main
+from syrdyn.cli import main
 from syrdyn.errors import DomainError, InvalidParameters
 from syrdyn.maps import collatz, parse_descriptor, pxr
 from syrdyn.partition import partition
@@ -69,8 +69,7 @@ def run(capsys, *args):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("text,desc,limits,flags", CASES, ids=IDS)
-def test_scan_rows_match_reference(capsys, monkeypatch, text, desc, limits, flags, threads):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # two chunks whatever the host
+def test_scan_rows_match_reference(capsys, text, desc, limits, flags, threads):
     code, out = run(capsys, "scan", text, "--start", str(LO), "--end", str(HI),
                     "--threads", threads, *flags)
     assert code == 0
@@ -81,8 +80,7 @@ def test_scan_rows_match_reference(capsys, monkeypatch, text, desc, limits, flag
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("text,desc,limits,flags", CASES, ids=IDS)
-def test_cycles_match_reference(capsys, monkeypatch, text, desc, limits, flags, threads):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # two chunks whatever the host
+def test_cycles_match_reference(capsys, text, desc, limits, flags, threads):
     code, out = run(capsys, "cycles", text, "--bound", str(HI), "--threads", threads, *flags)
     assert code == 0
     want = [[str(v) for v in c.members] for c in reference_cycles(desc, 1, HI, limits)]
@@ -110,14 +108,12 @@ def test_window_agrees_with_full_range(text, desc, limits, flags):
         assert window.max_excursion(x) == full.max_excursion(x)
 
 
-def test_cycle_found_past_every_budget_is_not_listed(capsys, monkeypatch):
+def test_cycle_found_past_every_budget_is_not_listed(capsys):
     # walks look past max_steps for a verdict; from 279..383 they find six
     # cycles of pxr:p=5,r=3 that no start enters within 5 steps
     desc, limits = pxr(5, 3), Limits(5, 10**12)
     assert reference_cycles(desc, 279, 383, limits) == []
     assert partition(desc, 383, limits, start=279).cycles == ()
-    assert cli._cycles_worker((desc, 279, 384, limits)) == []
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # two chunks whatever the host
     want = [[str(v) for v in c.members] for c in reference_cycles(desc, 1, 383, limits)]
     for threads in ("1", "2"):
         code, out = run(capsys, "cycles", "pxr:p=5,r=3", "--bound", "383", "--threads", threads,
@@ -152,12 +148,11 @@ def test_records_cycles_and_scan_match_iterate(text, max_steps, window):
     argv = ["scan", text, "--start", str(lo), "--end", str(hi),
             "--max-steps", str(max_steps), "--max-value", str(max_value)]
     outs = []
-    with mock.patch.object(cli.os, "cpu_count", lambda: 2):
-        for threads in ("1", "2"):
-            buf = io.StringIO()
-            with mock.patch.object(cli.sys, "stdout", buf):
-                assert main([*argv, "--threads", threads]) == 0
-            outs.append(buf.getvalue())
+    for threads in ("1", "2"):
+        buf = io.StringIO()
+        with mock.patch.object(cli.sys, "stdout", buf):
+            assert main([*argv, "--threads", threads]) == 0
+        outs.append(buf.getvalue())
     assert outs[0] == outs[1]
 
 
@@ -187,28 +182,9 @@ def no_pool(*args, **kwargs):
 
 
 class TestWorkerPlan:
-    # the chunk plan is min(requested, CPUs, points) chunks; nothing here starts a process
-
-    def test_clamped_to_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        assert _chunks(1, 1001, _thread_count(10000)) == [(1, 501), (501, 1001)]
-        assert _thread_count(10000) == 2
-
-    def test_clamped_to_points(self, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
-        assert _chunks(5, 8, _thread_count(10000)) == [(5, 6), (6, 7), (7, 8)]
-
-    def test_requested_below_cpus(self, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
-        assert _chunks(1, 101, _thread_count(3)) == [(1, 35), (35, 68), (68, 101)]
-        assert _thread_count(None) == 1
-
-    def test_unknown_cpu_count_means_one(self, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-        assert _chunks(1, 101, _thread_count(8)) == [(1, 101)]
+    # --threads is accepted and ignored: no request starts a process pool
 
     def test_huge_thread_request_runs_inline(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         code, many = run(capsys, "scan", "collatz", "--start", "1", "--end", "40",
                          "--threads", "10000")
@@ -236,7 +212,6 @@ class TestPointCap:
         ["measure", "collatz", "--depth", "3", "--cycle-bound", "1e12"],
     ])
     def test_huge_window_exits_one_at_once(self, capsys, monkeypatch, argv):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         t0 = time.perf_counter()
         code = main(argv)
@@ -246,18 +221,16 @@ class TestPointCap:
         assert "above the cap" in err
         assert elapsed < 1
 
-    def test_whole_window_checked_before_fan_out(self, capsys, monkeypatch):
-        # two chunks of 6 would each fit under a cap of 10; the window of 12 does not
+    def test_whole_window_checked(self, capsys, monkeypatch):
+        # the window of 12 is over a cap of 10, whatever --threads says
         monkeypatch.setattr(partition_module, "_MAX_POINTS", 10)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         for argv in (["scan", "collatz", "--start", "1", "--end", "12", "--threads", "2"],
                      ["cycles", "collatz", "--bound", "12", "--threads", "2"]):
             assert main(argv) == 1
             assert "above the cap" in capsys.readouterr().err
 
-    def test_ceiling_checked_before_fan_out(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    def test_ceiling_checked(self, capsys, monkeypatch):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         for argv in (["cycles", "collatz", "--bound", "100", "--max-value", "50", "--threads", "2"],
                      ["scan", "collatz", "--start", "1", "--end", "100", "--max-value", "50",
@@ -308,6 +281,22 @@ class TestMemoBudget:
         monkeypatch.setattr(partition_module, "_MAX_BYTES", 3 << 20)
         assert list(partition(pxr(5, 1), 20000, limits).records()) == want
         assert gaps[0] == 7 and gaps[-1] == partition_module._NO_CHECKPOINTS
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "collatz", "--start", "1", "--end", "20000"],
+        ["cycles", "collatz", "--bound", "20000"],
+    ], ids=["scan", "cycles"])
+    def test_refusal_ignores_threads(self, capsys, monkeypatch, argv):
+        # one memo and one budget for the whole window, whatever --threads says
+        monkeypatch.setattr(partition_module, "_MAX_BYTES", 3_000_000)
+        runs = []
+        for threads in ("1", "2"):
+            code = main([*argv, "--threads", threads])
+            runs.append((code, *capsys.readouterr()))
+        assert runs[0] == runs[1]
+        code, out, err = runs[0]
+        assert code == 1 and out == ""
+        assert err.startswith("error: partition of 1..20000 outgrows its budget")
 
     def test_cli_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(partition_module, "_MAX_BYTES", self.BUDGET)
