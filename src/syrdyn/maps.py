@@ -56,7 +56,12 @@ class MapDescriptor:
     branches: tuple[tuple[int, int], ...]
 
     def apply(self, x: int) -> int:
-        """One forward step.  Raises DomainError off {1, 2, 3, ...}."""
+        """One forward step.  Raises DomainError off {1, 2, 3, ...}.
+
+        This is the definition of the map, and iterate steps through it.  The
+        range engine (partition) inlines the same formula without the domain
+        check, which validate makes redundant on orbit points.
+        """
         if type(x) is not int or x < 1:
             raise DomainError(f"map domain is the positive integers, got {x!r}")
         m, r = self.branches[x % self.d]

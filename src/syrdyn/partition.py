@@ -9,12 +9,13 @@ This is the one range engine: find_cycles and the CLI's cycles and scan
 subcommands read their answers off a PartitionResult.  Its starts share an
 orbit memo of exact verdict depths, kept past the step budget at checkpoint
 depths only, and a step-limited start reads its excursion off cached orbit
-segments, so orbits shared by many starts are walked about once.
+segments, so orbits shared by many starts are walked about once.  The engine
+steps the map inline, with the formula of MapDescriptor.apply, and reports
+the steps it took as PartitionResult.applications.
 """
 
 from __future__ import annotations
 
-import csv
 import sys
 from dataclasses import dataclass, field
 from math import isqrt
@@ -79,6 +80,7 @@ class PartitionResult:
     limits: Limits
     cycles: tuple[CycleInfo, ...]
     start: int
+    applications: int                           # map steps the call took
     _codes: bytearray = field(repr=False)       # one of the per-point codes above
     _steps: list = field(repr=False)            # steps_to_cycle, None for D2?
     _excursions: list = field(repr=False)
@@ -167,9 +169,11 @@ def _peak(desc, v, depth, count, segments, k):
     Steps to the next checkpoint depth, hops k points at a time through
     segments, value -> (T^k(value), max of those k points), filled on first
     use, and steps through the rest.  Only step-limited starts ask, so every
-    point read lies at or below max_value.
+    point read lies at or below max_value.  Returns (maximum, map steps
+    taken); a filled segment takes k steps, a hop through a cached one none.
     """
-    best = 0
+    branches, d = desc.branches, desc.d
+    best = steps = 0
     lead = depth % k
     while count:
         if lead or count < k:
@@ -179,21 +183,26 @@ def _peak(desc, v, depth, count, segments, k):
             if lead:
                 lead -= 1
             if count:
-                v = desc.apply(v)
+                m, r = branches[v % d]
+                v = (m * v + r) // d
+                steps += 1
             continue
         seg = segments.get(v)
         if seg is None:
             u = top = v
             for _ in range(k - 1):
-                u = desc.apply(u)
+                m, r = branches[u % d]
+                u = (m * u + r) // d
                 if u > top:
                     top = u
-            seg = segments[v] = (desc.apply(u), top)
+            m, r = branches[u % d]
+            seg = segments[v] = ((m * u + r) // d, top)
+            steps += k
         v, top = seg
         if top > best:
             best = top
         count -= k
-    return best
+    return best, steps
 
 
 def _walk(desc, x, limits, k, memo, segments, cycles, cycle_ids):
@@ -222,16 +231,25 @@ def _walk(desc, x, limits, k, memo, segments, cycles, cycle_ids):
     the maximum of its first max_steps + 1 orbit points, read off the path
     and, beyond it, from _peak.
 
-    Returns (code, steps_to_cycle, max_excursion, cycle_id) for x; the
-    second and last are None for the two limit codes.
+    The walk steps the map inline, with MapDescriptor.apply's formula but
+    without its domain check: check_window has checked x, and maps.validate
+    guarantees that every branch sends a positive int to a positive int, so
+    every orbit point is in the domain.
+
+    Returns (code, steps_to_cycle, max_excursion, cycle_id, applications)
+    for x; the second and fourth are None for the two limit codes, and the
+    last is the number of map steps the walk and its _peak took.
     """
+    branches, d, max_value = desc.branches, desc.d, limits.max_value
     max_steps = limits.max_steps
     # a gap of _NO_CHECKPOINTS exceeds every budget, and the walk stops at the budget
     cap = 2 * (max_steps + 1) if k <= max_steps else max_steps + 1
     path = [x]
     pos = {x: 0}
-    for n in range(1, cap):  # n = len(path)
-        nxt = desc.apply(path[-1])
+    nxt = x
+    for n in range(1, cap):  # n = len(path), the steps taken so far
+        m, r = branches[nxt % d]
+        nxt = (m * nxt + r) // d
         hit = memo.get(nxt)
         if hit is not None:
             depth, cid, exc = hit
@@ -251,7 +269,7 @@ def _walk(desc, x, limits, k, memo, segments, cycles, cycle_ids):
                 memo[v] = (0, cid, exc)
             depth, end = 0, entry
             break
-        if nxt > limits.max_value:
+        if nxt > max_value:
             # nxt is dropped from the orbit, so it adds nothing to the excursion
             depth, cid, exc, end = 0, None, 0, n
             break
@@ -260,10 +278,10 @@ def _walk(desc, x, limits, k, memo, segments, cycles, cycle_ids):
     else:
         # no verdict after cap - 1 applications; path[j] has cap - 1 - j points ahead
         if cap == max_steps + 1:  # nothing past the budget is kept
-            return _STEP_LIMIT, None, max(path), None
+            return _STEP_LIMIT, None, max(path), None, cap - 1
         for j in range((_OPEN + cap - 1) % k, max_steps + 2, k):
             memo[path[j]] = (_OPEN + cap - 1 - j, None, 0)
-        return _STEP_LIMIT, None, max(path[:max_steps + 1]), None
+        return _STEP_LIMIT, None, max(path[:max_steps + 1]), None, cap - 1
     # path[:end] takes the verdict of path[end] (nxt): path[i] lies end - i
     # steps before it.  Verdicts within budget, depth <= keep, are a suffix.
     keep = max_steps - (0 if cid is None else cycles[cid].length)
@@ -278,8 +296,8 @@ def _walk(desc, x, limits, k, memo, segments, cycles, cycle_ids):
     else:
         if exc:  # x's verdict is within budget
             if cid is None:
-                return _VALUE_LIMIT, None, exc, None
-            return (_C if depth == 0 else _D1), depth, exc, cid
+                return _VALUE_LIMIT, None, exc, None, n
+            return (_C if depth == 0 else _D1), depth, exc, cid, n
         i = -1  # x is on a cycle longer than the budget
     # path[:i + 1] lies past the budget: store its checkpoint depths
     top = depth + i + 1  # x's depth; path[j] lies at top - j
@@ -288,9 +306,9 @@ def _walk(desc, x, limits, k, memo, segments, cycles, cycle_ids):
     # x is step-limited; nxt follows path[-1] on its orbit, at depth top - end
     count = max_steps + 1
     if len(path) >= count:
-        return _STEP_LIMIT, None, max(path[:count]), None
-    peak = _peak(desc, nxt, top - end, count - len(path), segments, k)
-    return _STEP_LIMIT, None, max(peak, max(path)), None
+        return _STEP_LIMIT, None, max(path[:count]), None, n
+    peak, steps = _peak(desc, nxt, top - end, count - len(path), segments, k)
+    return _STEP_LIMIT, None, max(peak, max(path)), None, n + steps
 
 
 def check_window(start: int, end: int, limits: Limits) -> None:
@@ -328,6 +346,7 @@ def partition(
     If the memo and segment cache outgrow what _MAX_BYTES leaves beside the
     window, everything past the budget is dropped and no more is kept; if the
     verdicts within the budget alone outgrow it, InvalidParameters is raised.
+    The result's applications is the number of map steps the call took.
     """
     limits = limits or Limits()
     check_window(start, domain_bound, limits)
@@ -344,15 +363,19 @@ def partition(
     exc_arr: list = [0] * size
     cid_arr: list = [None] * size
     room = max_entries  # for the memo, beside the segment cache
+    applications = 0
     for i, x in enumerate(range(start, domain_bound + 1)):
         rec = memo.get(x)
         if rec is None:
-            code, st, exc, cid = _walk(desc, x, limits, k, memo, segments, cycles, cycle_ids)
+            code, st, exc, cid, steps = _walk(desc, x, limits, k, memo, segments,
+                                              cycles, cycle_ids)
+            applications += steps
         else:  # classified on lookup, as _walk describes
             depth, cid, exc = rec
             if not exc:  # past the budget
                 code, st, cid = _STEP_LIMIT, None, None
-                exc = _peak(desc, x, depth, limits.max_steps + 1, segments, k)
+                exc, steps = _peak(desc, x, depth, limits.max_steps + 1, segments, k)
+                applications += steps
             elif cid is None:
                 code, st = _VALUE_LIMIT, None
             else:
@@ -383,22 +406,16 @@ def partition(
     cycle_of = {cid: cycles[cid] for cid in set(cid_arr) if cid is not None}
     ordered = tuple(sorted(cycle_of.values(), key=lambda c: c.members[0]))
     cycle_of[None] = None
-    return PartitionResult(desc, domain_bound, limits, ordered, start,
+    return PartitionResult(desc, domain_bound, limits, ordered, start, applications,
                            codes, steps_arr, exc_arr, cid_arr, cycle_of)
 
 
 def export_csv(result: PartitionResult, stream) -> None:
     """Columns x, class, steps_to_cycle (empty for D2?), max_excursion."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["x", "class", "steps_to_cycle", "max_excursion"])
-    for x, code, st, exc in zip(range(result.start, result.domain_bound + 1),
-                                result._codes, result._steps, result._excursions):
-        writer.writerow([
-            str(x),
-            _CODE_NAMES[code],
-            "" if st is None else str(st),
-            str(exc),
-        ])
+    rows = zip(range(result.start, result.domain_bound + 1),
+               map(_CODE_NAMES.__getitem__, result._codes), result._steps, result._excursions)
+    stream.write("x,class,steps_to_cycle,max_excursion\n" + "".join(
+        f"{x},{name},{'' if st is None else st},{exc}\n" for x, name, st, exc in rows))
 
 
 def summary_dict(result: PartitionResult) -> dict:

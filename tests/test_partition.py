@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import io
 import json
@@ -266,6 +267,61 @@ def test_csv_golden():
         "11,D1,9,26\n"
         "12,D1,6,12\n"
     )
+
+
+@pytest.mark.parametrize("desc,start,bound,limits,count", [
+    (collatz(), 1, 5000, Limits(max_steps=10**5, max_value=10**40), 7958),
+    (pxr(5, 1), 1, 2000, Limits(max_steps=200, max_value=10**12), 34559),
+    (pxr(5, 1), 1300, 1899, Limits(max_steps=200, max_value=10**12), 26624),
+    # checkpoints past the budget, open entries and _peak's segment hops
+    (pxr(5, 1), 1, 20000, Limits(max_steps=50, max_value=10**40), 360565),
+    (D3, 1, 120, Limits(max_steps=21, max_value=10**12), 120),
+])
+def test_applications_count_every_map_step(desc, start, bound, limits, count):
+    # the MapDescriptor.apply calls the engine made when it stepped through
+    # apply: the inline step does the same work, step for step
+    assert partition(desc, bound, limits, start).applications == count
+
+
+RANGE_FLAGS = {
+    "collatz": ["--max-steps", "100000", "--max-value", "10^40"],
+    "pxr:p=5,r=1": ["--max-steps", "200", "--max-value", "10^12"],
+}
+
+
+@pytest.mark.parametrize("map_text,bound,digests", [
+    ("collatz", 5000, (
+        "5c8114973117664f0858766495127688adb912c6d00db6eebecfd6b85b129b1a",
+        "b5305340f0f80bfca2c1343e6ba0d3329cfcd43a785768486bd15b555660b858")),
+    ("pxr:p=5,r=1", 2000, (
+        "221b6da108af1607052b14dfaa2d26a29674eb673f689e897ae9d6d50bf8dc50",
+        "0c6a58cb3f03eaf2da9eb8123589f55fa70bbbf6e882ae9bdba7793e7722cb2b")),
+])
+def test_cli_partition_output_pinned(map_text, bound, digests, capsys, tmp_path):
+    # SHA-256 of the JSON on stdout and of the CSV, as the engine printed
+    # them when it stepped the map through MapDescriptor.apply
+    csv_path = tmp_path / "partition.csv"
+    argv = ["partition", map_text, "--bound", str(bound), "--csv", str(csv_path)]
+    assert main([*argv, *RANGE_FLAGS[map_text]]) == 0
+    out = capsys.readouterr().out.encode()
+    assert (hashlib.sha256(out).hexdigest(),
+            hashlib.sha256(csv_path.read_bytes()).hexdigest()) == digests
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["cycles", "collatz", "--bound", "5000"],
+     "b5282d57b92576f00dfe39a700997d524271b667d655ad2489ee2e755d059fe4"),
+    (["scan", "collatz", "--start", "3001", "--end", "4500"],
+     "5a2f70f77e525564cbf08009948d412132d2b9efb004ed317772bf66549e22a4"),
+    (["cycles", "pxr:p=5,r=1", "--bound", "2000"],
+     "aa34156b3c8b50e78fbb7055b3e7d5cc419a904725959d0cf7b86ac1e1803ad2"),
+    (["scan", "pxr:p=5,r=1", "--start", "1300", "--end", "1899"],
+     "3dabb5f7492d413af6cbc337d79675876305eba99788bd19b8d6d26674e6a6d8"),
+])
+def test_cli_cycles_and_scan_output_pinned(argv, digest, capsys):
+    # SHA-256 of the whole stdout, at the sizes and limits of the range benchmarks
+    assert main([*argv, *RANGE_FLAGS[argv[1]]]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_csv_d2_rows_leave_steps_empty():
