@@ -73,6 +73,11 @@ class MapDescriptor:
         Solves m_i*x + r_i = d*y per branch; a candidate counts only when the
         division is exact and the solution actually lies in class i.  At most
         one preimage per branch, so at most d in total.
+
+        This is the definition of the inverse, and the tests hold the closure
+        to it.  preimage_levels inlines the same solve and checks for every
+        node of a level, without the codomain check: its nodes are positive
+        ints by construction.
         """
         if type(y) is not int or y < 1:
             raise DomainError(f"map codomain is the positive integers, got {y!r}")
@@ -119,8 +124,14 @@ def preimage_levels(desc: MapDescriptor, level, depth: int, nodes: int, noun: st
     (numeric.max_str_digits); `noun` names the closure in the message.
     """
     ceiling = str_ceiling()
+    d = desc.d
+    table = tuple((i, m, r) for i, (m, r) in enumerate(desc.branches))
     for lvl in range(1, depth + 1):
-        staged = [(q, v) for v in level for q in desc.preimage(v) if q not in skip]
+        # MapDescriptor.preimage's solve and checks; a d*v - r <= 0 gives a q <= 0
+        staged = [
+            (q, v) for v in level for i, m, r in table for q, rem in [divmod(d * v - r, m)]
+            if not rem and q >= 1 and q % d == i and q not in skip
+        ]
         if not staged:
             return  # no level below an empty one
         nodes += len(staged)

@@ -1,5 +1,7 @@
+import hashlib
 import importlib
 import json
+import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from syrdyn.chains import (
     ChainHeadForm,
     NodeClass,
+    TreeNode,
     build_preimage_tree,
     chain_criterion,
     chain_of,
@@ -33,6 +36,7 @@ from syrdyn.errors import (
     NotApplicable,
     NotInN2,
 )
+from syrdyn.cli import main
 from syrdyn.maps import collatz, parse_descriptor, pxr
 
 C = collatz()
@@ -249,6 +253,12 @@ class TestPreimageTree:
         assert flags[(1, 3)] is True
         assert flags[(5, 3)] is False
 
+    def test_nodes_are_named_tuples(self):
+        tree = build_preimage_tree(C, 8, 1)
+        assert all(type(n) is TreeNode for n in tree.nodes)
+        assert tree.nodes[1] == TreeNode(5, 1, 8, False) == (5, 1, 8, False)
+        assert tree.nodes[0]._asdict() == {"value": 8, "level": 0, "parent": None, "repeat": False}
+
     def test_non_collatz_unannotated(self):
         tree = build_preimage_tree(pxr(5, 1), 4, 2)
         assert not tree.annotated
@@ -275,8 +285,30 @@ class TestPreimageTree:
 
 
 def admissible_rs(p):
-    import math
     return [r for r in range(-(p - 1), p) if r % 2 == 1 and math.gcd(r, p) == 1]
+
+
+def reference_witness(p, r, alpha_max, beta_max, k_max):
+    """The witness search as a per-l loop: every sample redrawn for every l and stepped by apply."""
+    desc = pxr(p, r)
+
+    def samples(l):
+        for alpha in range(alpha_max + 1):
+            for beta in range(1, beta_max + 1):
+                for k in range(1, k_max + 1):
+                    x = p ** alpha * 2 ** beta * k - l
+                    if math.gcd(k, 2 * p) == 1 and x >= 1 and x % 2 == 1:
+                        yield x, p ** (alpha + 1) * 2 ** (beta - 1) * k - l
+
+    for l in range(-p, p + 1):
+        holds = None
+        for x, expected in samples(l):
+            holds = desc.apply(x) == expected
+            if not holds:
+                break
+        if holds:
+            return l
+    return None
 
 
 class TestCriterion:
@@ -340,9 +372,21 @@ class TestCriterion:
 
         monkeypatch.setattr(chains_module, "_MAX_WITNESS_P", 7)
         assert search_family_witness(7, 5) == 1
-        monkeypatch.setattr(chains_module, "_identity_samples", no_sample)
+        # every sample, the search's and _identity_samples', is drawn from this table
+        monkeypatch.setattr(chains_module, "_identity_table", no_sample)
         with pytest.raises(InvalidParameters, match="above 7"):
             search_family_witness(9, 7)
+        with pytest.raises(AssertionError, match="a sample was drawn"):
+            search_family_witness(7, 5)
+
+    @pytest.mark.parametrize("bounds", [
+        (4, 4, 50), (0, 1, 1), (1, 1, 3), (2, 3, 7), (3, 2, 20), (6, 1, 5),
+        (4, 0, 50), (4, 4, 0), (-1, 4, 50),  # no samples at all
+    ])
+    def test_witness_search_equals_the_per_l_reference(self, bounds):
+        for p in range(3, 16, 2):
+            for r in admissible_rs(p):
+                assert search_family_witness(p, r, *bounds) == reference_witness(p, r, *bounds), (p, r)
 
 
 class TestFamilyIdentity:
@@ -536,11 +580,13 @@ class TestExports:
 
 # -- tree records against json.dumps -------------------------------------------
 
+D3_TEXT = "d=3;m0=1,r0=0;m1=4,r1=2;m2=4,r2=1"
+
 _TREE_MAPS = {
     "collatz": C,
     "pxr5": pxr(5, 1),
     "pxr7": pxr(7, 5),
-    "d3": parse_descriptor("d=3;m0=1,r0=0;m1=4,r1=2;m2=4,r2=1"),
+    "d3": parse_descriptor(D3_TEXT),
 }
 
 
@@ -586,3 +632,64 @@ def test_tree_json_is_json_dumps_of_the_reference(name, root, depth):
 def test_tree_json_examples_hold_repeats():
     for name, root in (("collatz", 1), ("pxr5", 8), ("pxr7", 5), ("d3", 2)):
         assert any(node.repeat for node in build_preimage_tree(_TREE_MAPS[name], root, 8).nodes)
+
+
+# -- chain-layer CLI output pinned ----------------------------------------------
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["tree", "collatz", "--root", "1", "--depth", "24"],
+     "94ad8d4a2d65fe689f293514bb9464ce0f22a79e7248db94a37207920b74b295"),
+    (["tree", "collatz", "--root", "1", "--depth", "24", "--format", "dot"],
+     "f0cd4f92872b55ce0701952c23566eadc31d0a50cf9784feef3ad9d6f4cec608"),
+    (["tree", "pxr:p=5,r=1", "--root", "4", "--depth", "12"],
+     "150f4e56bd2ccffa19ee6c5267402936b870e0e29968c709a151bda3aeb5a0a5"),
+    (["tree", "pxr:p=5,r=1", "--root", "4", "--depth", "12", "--format", "dot"],
+     "80f79b1a92dc30a9b32a479aacf46a180e5a5b7ab8a733868b539fbfce615876"),
+    (["tree", "pxr:p=7,r=-5", "--root", "1", "--depth", "14"],
+     "a9dc1be756470d9e0883c455fce0b87a21c57f95afb7a2a47870cd9da70340be"),
+    (["tree", "pxr:p=7,r=-5", "--root", "1", "--depth", "14", "--format", "dot"],
+     "cffa80c51dfb54f99742d78f94bb210a1c5ee840a03723c4faee6ce356c50223"),
+    (["tree", D3_TEXT, "--root", "2", "--depth", "10"],
+     "97d006fc6776d757551f9960ff2a1b394fdb2f94f42220420f30377845868d3f"),
+    (["chains", "7", "--links", "1"],
+     "bb55594b4d703b5da1e92993d8ed52ef8a248670d1885fb94e459cb1d8247daf"),
+    (["chains", "7", "--links", "1", "--format", "dot"],
+     "35c8bfe8cbec940aa0ac71c41b15ae6cf1375595f9cb3fab439a0fef4d6ed4ba"),
+    (["chains", "27", "--links", "2"],
+     "ad9ce775a6efb4fd2fe6b1085cce8bf442ccfd04c33d76c8e2dac135069495e4"),
+    (["chains", "27", "--links", "2", "--format", "dot"],
+     "9779f382b3944c9a8901f775cc7795bbaeee264976cf3fe826deb490ff7ea9c4"),
+    (["chains", "1000003", "--links", "3"],
+     "267a0d7792fa4115098513643c44cfefbbd41c318f30ae94ea90672203807332"),
+    (["chains", "1000003", "--links", "3", "--format", "dot"],
+     "cfdd7d29b9941cf1eb1c6c22ef5d9689a0dfab2f3a2147e6d77fea3801c3be2d"),
+    (["chains", "123456789", "--links", "4"],
+     "1f80c95f435e5340f423e4e2b87892fd8260f2ef6d6c3e3ab2c1964b7c841b5f"),
+    (["chains", "123456789", "--links", "4", "--format", "dot"],
+     "069c04d953cc2790e5ba38e344a22f37c379024db2014908574eeabe13ded94b"),
+])
+def test_cli_tree_and_chains_output_pinned(argv, digest, capsys):
+    # SHA-256 of the whole stdout as the per-call MapDescriptor.preimage
+    # closure and the dataclass tree nodes printed it
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("p,r,digest", [
+    (3, 1, "600def7355f0713cc05ff86cc03c2fa1bd7543e45cec0ec883f548cf3e318458"),
+    (5, 1, "4a9b87431e5f08e93ea3be58acb66a59704c704b103e005496a8ee259d7ad778"),
+    (5, 3, "cbbbe48ea0db38dda22ec752ddac1e91013ccf1c78f35afcb73ae6768588fe18"),
+    (7, -5, "11760df63ab7dcffb98a8b3836ab05225542ccb33bed1f1e9bd83b160f356216"),
+    (7, 3, "d376b943f8c772e0eeb1ea423f49e2c3d00e7fa08c2e8fbe23cef250d43dabea"),
+    (9, 7, "cd8d6f9e2834952472d19ad128e34e2245e9d5b101a28d0a2f06b2276ead27a8"),
+    (9, 5, "dd516cbc915e40b6f2c303573a635be54aa2e8877f17a653f4d27fb5e31c2c5c"),
+    (11, -9, "585f92397be88200b3b3ddc5ca5ea2e8d32495bc3f0b48eb2e56dfad90fc97ff"),
+    (101, 99, "533ef0b839857ba2d1bc0cbb81f8b0b22fd7e89ab648bf16cb789215bcd6967d"),
+    (101, -37, "2997b77a2f45d622bc5a274e442186c001245ac1d145ca7df6eebfee871db562"),
+])
+def test_cli_criterion_verify_output_pinned(p, r, digest, capsys):
+    # the benchmark's (p, r) grid plus a larger p with and without chains,
+    # as the per-l sample loop through MapDescriptor.apply printed them
+    assert main(["criterion", str(p), str(r), "--verify"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -1,7 +1,7 @@
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from syrdyn.errors import (
     DescriptorParseError,
@@ -215,6 +215,51 @@ def test_round_trip_pxr(x, pr):
 def test_round_trip_d3(x):
     d3 = parse_descriptor(D3_TEXT)
     assert x in d3.preimage(d3.apply(x))
+
+
+def reference_levels(desc, level, depth, skip):
+    """The closure from one MapDescriptor.preimage call per node, read the way preimage_levels is."""
+    for _ in range(depth):
+        staged = sorted((q, v) for v in level for q in desc.preimage(v) if q not in skip)
+        if not staged:
+            return
+        yield staged
+        level = [q for q, _v in staged]
+
+
+@st.composite
+def validated_maps(draw):
+    """Validated tables with d = 2 or 3: offsets of either sign, any multiplier coprime to d."""
+    d = draw(st.sampled_from([2, 3]))
+    branches = []
+    for i in range(d):
+        m = draw(st.integers(1, 13).filter(lambda m: m % d))
+        # r = -m*i (mod d) makes branch i divide exactly
+        r = -m * i + d * draw(st.integers(-6, 6))
+        branches.append((m, r))
+    try:
+        return validate(MapDescriptor(d, tuple(branches)))
+    except InvalidDescriptor:
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(desc=validated_maps(), root=st.integers(1, 3000), depth=st.integers(0, 8),
+       grow=st.booleans(), data=st.data())
+@example(desc=collatz(), root=1, depth=8, grow=False, data=None)
+@example(desc=pxr(5, -3), root=7, depth=8, grow=True, data=None)
+def test_preimage_levels_equals_the_preimage_closure(desc, root, depth, grow, data):
+    # skip is drawn from the unskipped closure, so it removes real nodes; with
+    # grow the caller adds each level to it, as build_forest does
+    full = [q for staged in reference_levels(desc, [root], depth, ()) for q, _v in staged]
+    skip = set(data.draw(st.lists(st.sampled_from(full), max_size=4))) if data and full else set()
+    ref_skip = set(skip)
+    got = preimage_levels(desc, [root], depth, 1, "tree", skip)
+    for staged, ref in zip(got, reference_levels(desc, [root], depth, ref_skip), strict=True):
+        assert staged == ref
+        if grow:
+            skip.update(q for q, _v in staged)
+            ref_skip.update(q for q, _v in ref)
 
 
 class TestPreimageLevels:
