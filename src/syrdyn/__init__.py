@@ -31,7 +31,7 @@ from .errors import (
     VerificationFailure,
 )
 from .numeric import DyadicRational
-from .maps import MapDescriptor, PxrDescriptor, collatz, parse_descriptor, pxr, validate
+from .maps import MapDescriptor, collatz, parse_descriptor, pxr, validate
 from .trajectory import (
     CycleInfo,
     Limits,
@@ -72,7 +72,6 @@ from .chains import (
     two_preimage_floor,
     verify_family_connection,
     verify_family_identity,
-    verify_general_family_identity,
 )
 
 __version__ = "0.1.0"
@@ -88,7 +87,7 @@ __all__ = [
     # numeric
     "DyadicRational",
     # maps
-    "MapDescriptor", "PxrDescriptor", "collatz", "pxr", "parse_descriptor", "validate",
+    "MapDescriptor", "collatz", "pxr", "parse_descriptor", "validate",
     # trajectory
     "Limits", "TrajectoryStatus", "TrajectoryReport", "CycleInfo",
     "iterate", "find_cycles", "check_power_cycle",
@@ -103,5 +102,5 @@ __all__ = [
     "classify", "decompose", "structured_preimage", "family_of", "chain_of",
     "build_preimage_tree", "chain_criterion", "two_preimage_class",
     "two_preimage_floor", "search_family_witness", "verify_family_identity",
-    "family_tails", "verify_family_connection", "verify_general_family_identity",
+    "family_tails", "verify_family_connection",
 ]

@@ -11,7 +11,8 @@ Families are the orbit runs 2^a*h - 1 -> 3*2^(a-1)*h - 1 -> ... -> 3^a*h - 1;
 the even tail maps to an N1 node, whose image is again N2, linking family to
 family into chains.  The px+r analogues exist precisely when r = p - 2 or
 r = 2 - p, with the doubled preimage class at r/(2-p) mod p; the verifiers
-below pin those facts empirically with iteration as the oracle.
+below pin those facts empirically, stepping the map itself as the oracle.
+Every px+r entry point checks its (p, r) with maps.pxr, through _validate_pr.
 
 A caution recorded as a tested truth table rather than folklore: the odd
 preimage of an N2 node is itself in N2 exactly when a >= 2 (witness n = 8,
@@ -28,6 +29,7 @@ from typing import NamedTuple
 from .errors import (
     ConnectionFailure,
     DomainError,
+    InvalidDescriptor,
     InvalidParameters,
     NotApplicable,
     NotInN2,
@@ -56,7 +58,6 @@ __all__ = [
     "verify_family_identity",
     "family_tails",
     "verify_family_connection",
-    "verify_general_family_identity",
     "chain_to_json_dict",
     "chain_to_dot",
     "tree_to_json",
@@ -323,15 +324,12 @@ def build_preimage_tree(desc: MapDescriptor, root: int, depth: int) -> PreimageT
 # -- px+r chain criterion and verifiers ---------------------------------------
 
 
-def _validate_pr(p: int, r: int) -> None:
-    if type(p) is not int or type(r) is not int:
-        raise InvalidParameters("p and r must be ints")
-    if p < 3 or p % 2 == 0:
-        raise InvalidParameters(f"p must be an odd integer >= 3, got {p}")
-    if abs(r) >= p:
-        raise InvalidParameters(f"need |r| < p, got r={r}, p={p}")
-    if math.gcd(r, p) != 1:
-        raise InvalidParameters(f"need gcd(r, p) = 1, got r={r}, p={p}")
+def _validate_pr(p: int, r: int) -> MapDescriptor:
+    """The px+r map of (p, r); a pair pxr refuses raises InvalidParameters."""
+    try:
+        return pxr(p, r)
+    except InvalidDescriptor as exc:
+        raise InvalidParameters(str(exc)) from exc
 
 
 def chain_criterion(p: int, r: int) -> bool:
@@ -355,42 +353,43 @@ def two_preimage_floor(p: int, r: int) -> int:
     exist, so every positive member of the class has two preimages.
     """
     _validate_pr(p, r)
-    if r % 2 == 0:
-        raise InvalidParameters(f"r must be odd for a px+r map, got {r}")
     return (p + r) // 2
 
 
-def _identity_table(m: int, d: int, alphas, betas, ks):
-    """The l-free part (alpha, beta, k, n, rhs) of the identity's samples.
+def _identity_table(p: int, alphas, betas, ks):
+    """The l-free rows (alpha, beta, k, n, rhs) of the identity's samples.
 
-    n = m^alpha * d^beta * k and rhs = m^(alpha+1) * d^(beta-1) * k for k
-    coprime to d*m, so the sample for l is x = n - l with V(x) = rhs - l.
-    Every n is a multiple of d.  Raises InvalidParameters on reaching a
-    beta below 1.
+    n = p^alpha * 2^beta * k and rhs = p^(alpha+1) * 2^(beta-1) * k for k
+    coprime to 2p, so the sample for l is x = n - l with V(x) = rhs - l.
+    Every n is even.  Raises InvalidParameters on reaching a beta below 1.
     """
-    ks = [k for k in ks if math.gcd(k, d * m) == 1]
+    ks = [k for k in ks if math.gcd(k, 2 * p) == 1]
     for alpha in alphas:
-        ma = m ** alpha
+        pa = p ** alpha
         for beta in betas:
             if beta < 1:
                 raise InvalidParameters("beta samples must be >= 1")
-            base = ma * d ** beta
-            rhs = ma * m * d ** (beta - 1)
+            base = pa * 2 ** beta
+            rhs = pa * p * 2 ** (beta - 1)
             for k in ks:
                 yield alpha, beta, k, base * k, rhs * k
 
 
-def _identity_samples(m: int, d: int, residue: int, l: int, alphas, betas, ks):
-    """Samples (alpha, beta, k, x, expected) of V(m^a*d^b*k - l) = m^(a+1)*d^(b-1)*k - l.
+def _check_identity(p: int, r: int, rows, l: int):
+    """(samples checked, (alpha, beta, k) of the first failing row or None).
 
-    x = m^alpha * d^beta * k - l for k coprime to d*m, kept when x >= 1 lies
-    in the residue class mod d; expected is the identity's right-hand side.
-    Raises InvalidParameters on reaching a beta below 1.
+    Checks V(n - l) = rhs - l on each row with x = n - l >= 1.  l must be
+    odd: every n is even, so every x is odd and V(x) is (p*x + r)/2.
     """
-    for alpha, beta, k, n, rhs in _identity_table(m, d, alphas, betas, ks):
+    checked = 0
+    for alpha, beta, k, n, rhs in rows:
         x = n - l
-        if x >= 1 and x % d == residue:
-            yield alpha, beta, k, x, rhs - l
+        if x < 1:
+            continue
+        if (p * x + r) // 2 != rhs - l:
+            return checked, (alpha, beta, k)
+        checked += 1
+    return checked, None
 
 
 # the witness search's default sample bounds, also reported by criterion --verify
@@ -412,31 +411,21 @@ def search_family_witness(
     construction, with no knowledge of the r = +-(p-2) criterion baked in.
     Raises InvalidParameters, before any sample, for p above _MAX_WITNESS_P.
 
-    The samples are _identity_samples', with the l-free table drawn once and
-    the odd branch (p*x + r)/2 stepped inline.
+    The rows are _identity_table's, drawn once; _check_identity runs them
+    once per odd l.  An even l puts every x = n - l in the even class, so it
+    has no sample.
     """
-    desc = pxr(p, r)
+    _validate_pr(p, r)
     if p > _MAX_WITNESS_P:
         raise InvalidParameters(
             f"the witness search tries every l in -p..p; p above {_MAX_WITNESS_P} is refused"
         )
     alphas, betas, ks = range(alpha_max + 1), range(1, beta_max + 1), range(1, k_max + 1)
-    table = [(n, rhs) for *_, n, rhs in _identity_table(p, 2, alphas, betas, ks)]
-    m, c = desc.branches[1]  # every sample x is odd
-    for l in range(-p, p + 1):
-        if l % 2 == 0:
-            continue  # every n is even, so no x = n - l is in the odd class
-        checked = 0
-        for n, rhs in table:
-            x = n - l
-            if x < 1:
-                continue
-            if (m * x + c) // 2 != rhs - l:
-                break
-            checked += 1
-        else:
-            if checked:
-                return l
+    rows = list(_identity_table(p, alphas, betas, ks))
+    for l in range(-p, p + 1, 2):  # p is odd, so these are the odd l
+        checked, failed = _check_identity(p, r, rows, l)
+        if checked and failed is None:
+            return l
     return None
 
 
@@ -458,8 +447,8 @@ def verify_family_identity(
 ) -> FamilyIdentityReport:
     """Check V(p^a*2^b*k - l) = p^(a+1)*2^(b-1)*k - l with l = r/(p-2).
 
-    This is the odd-class case m = p, d = 2 of the identity that
-    verify_general_family_identity checks, on the same sample generator.
+    The samples are _identity_table's rows, run once through
+    _check_identity, the loop the witness search runs per l.
 
     Raises NotApplicable when l is not an integer (with |r| < p that limits
     the identity to r = +-(p-2)); any failed sample would disprove the
@@ -469,14 +458,12 @@ def verify_family_identity(
     l, rem = divmod(r, p - 2)
     if rem != 0:
         raise NotApplicable(f"(p-2) = {p - 2} does not divide r = {r}; no family identity")
-    desc = pxr(p, r)
-    samples = 0
-    for alpha, beta, k, x, expected in _identity_samples(p, 2, 1, l, alphas, betas, ks):
-        if desc.apply(x) != expected:
-            raise VerificationFailure(
-                f"family identity failed for p={p}, r={r} at alpha={alpha}, beta={beta}, k={k}"
-            )
-        samples += 1
+    samples, failed = _check_identity(p, r, _identity_table(p, alphas, betas, ks), l)
+    if failed is not None:
+        alpha, beta, k = failed
+        raise VerificationFailure(
+            f"family identity failed for p={p}, r={r} at alpha={alpha}, beta={beta}, k={k}"
+        )
     return FamilyIdentityReport(p, r, l, samples, samples)
 
 
@@ -519,9 +506,9 @@ def verify_family_connection(
     once, and the landing must be r/(2-p) mod p.  Iteration is the oracle
     here; a mismatch would contradict the chain criterion, hence the error.
     """
+    desc = _validate_pr(p, r)
     if not chain_criterion(p, r):
         raise InvalidParameters(f"pxr(p={p}, r={r}) has no chain structure")
-    desc = pxr(p, r)
     target = two_preimage_class(p, r)
     l = 1 if r == p - 2 else -1
     if tails is None:
@@ -538,45 +525,6 @@ def verify_family_connection(
             )
         n_checked += 1
     return ConnectionReport(p, r, n_checked, target, n_checked)
-
-
-@dataclass(frozen=True)
-class ClassIdentityReport:
-    residue: int
-    applicable: bool
-    l: int | None
-    samples: int
-    satisfied: int
-
-
-def verify_general_family_identity(
-    desc: MapDescriptor, alphas=range(0, 4), betas=range(1, 4), ks=range(1, 21)
-) -> tuple[ClassIdentityReport, ...]:
-    """Per residue class i: when (m_i - d) divides r_i, check the lifted identity.
-
-    With l_i = r_i/(m_i - d), samples x = m_i^a * d^b * k - l_i lying in class
-    i must map to m_i^(a+1) * d^(b-1) * k - l_i.  Classes with non-integral
-    l_i are reported not applicable rather than errored.
-    """
-    reports = []
-    for i, (m, r) in enumerate(desc.branches):
-        den = m - desc.d
-        if den == 0:
-            # impossible on a validated map: gcd(m, d) = 1 forbids m = d >= 2
-            raise VerificationFailure(f"branch {i} multiplier equals modulus {desc.d}")
-        l, rem = divmod(r, den)
-        if rem != 0:
-            reports.append(ClassIdentityReport(i, False, None, 0, 0))
-            continue
-        samples = 0
-        for alpha, beta, k, x, expected in _identity_samples(m, desc.d, i, l, alphas, betas, ks):
-            if desc.apply(x) != expected:
-                raise VerificationFailure(
-                    f"general identity failed on class {i} at alpha={alpha}, beta={beta}, k={k}"
-                )
-            samples += 1
-        reports.append(ClassIdentityReport(i, True, l, samples, samples))
-    return tuple(reports)
 
 
 # -- serialization ------------------------------------------------------------

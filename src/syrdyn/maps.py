@@ -3,7 +3,8 @@
 A map with modulus d and branch table ((m_0, r_0), ..., (m_{d-1}, r_{d-1}))
 sends x to (m_i*x + r_i) / d on the residue class x = i (mod d).  The halved
 3x+1 step is d=2 with branches (1, 0) and (3, 1); the general px+r variants
-keep the even branch x/2 and use (p*x + r)/2 on odd x.
+keep the even branch x/2 and use (p*x + r)/2 on odd x.  pxr(p, r) is the one
+check of a (p, r) pair; the chain layer's px+r entry points call it too.
 
 Validation enforces what keeps such a table a self-map of {1, 2, 3, ...}:
 
@@ -35,7 +36,6 @@ from .numeric import max_str_digits, str_ceiling
 
 __all__ = [
     "MapDescriptor",
-    "PxrDescriptor",
     "collatz",
     "pxr",
     "validate",
@@ -70,9 +70,9 @@ class MapDescriptor:
     def preimage(self, y: int) -> list[int]:
         """All x >= 1 with apply(x) == y, ascending.
 
-        Solves m_i*x + r_i = d*y per branch; a candidate counts only when the
-        division is exact and the solution actually lies in class i.  At most
-        one preimage per branch, so at most d in total.
+        Solves m_i*x + r_i = d*y per branch; a candidate counts when the
+        division is exact and x >= 1.  At most one preimage per branch, so at
+        most d in total.
 
         This is the definition of the inverse, and the tests hold the closure
         to it.  preimage_levels inlines the same solve and checks for every
@@ -82,12 +82,14 @@ class MapDescriptor:
         if type(y) is not int or y < 1:
             raise DomainError(f"map codomain is the positive integers, got {y!r}")
         out = []
-        for i, (m, r) in enumerate(self.branches):
+        for m, r in self.branches:
             num = self.d * y - r
             if num <= 0:
                 continue
+            # an exact x of branch i lies in class i untested: m_i*x = -r_i = m_i*i (mod d)
+            # by validate's integrality rule, and gcd(m_i, d) = 1 cancels m_i
             x, rem = divmod(num, m)
-            if rem == 0 and x >= 1 and x % self.d == i:
+            if rem == 0:
                 out.append(x)
         out.sort()
         return out
@@ -125,12 +127,12 @@ def preimage_levels(desc: MapDescriptor, level, depth: int, nodes: int, noun: st
     """
     ceiling = str_ceiling()
     d = desc.d
-    table = tuple((i, m, r) for i, (m, r) in enumerate(desc.branches))
+    branches = desc.branches
     for lvl in range(1, depth + 1):
         # MapDescriptor.preimage's solve and checks; a d*v - r <= 0 gives a q <= 0
         staged = [
-            (q, v) for v in level for i, m, r in table for q, rem in [divmod(d * v - r, m)]
-            if not rem and q >= 1 and q % d == i and q not in skip
+            (q, v) for v in level for m, r in branches for q, rem in [divmod(d * v - r, m)]
+            if not rem and q >= 1 and q not in skip
         ]
         if not staged:
             return  # no level below an empty one
@@ -148,35 +150,6 @@ def preimage_levels(desc: MapDescriptor, level, depth: int, nodes: int, noun: st
             )
         yield staged
         level = [q for q, _v in staged]
-
-
-@dataclass(frozen=True)
-class PxrDescriptor:
-    """The px+r view: x/2 on even x, (p*x + r)/2 on odd x.
-
-    Requires p odd >= 3, r odd (else the odd branch is non-integral),
-    |r| < p and gcd(r, p) = 1.
-    """
-
-    p: int
-    r: int
-
-    def __post_init__(self):
-        if type(self.p) is not int or type(self.r) is not int:
-            raise InvalidDescriptor("p and r must be ints")
-        if self.p < 3 or self.p % 2 == 0:
-            raise InvalidDescriptor(f"p must be an odd integer >= 3, got {self.p}")
-        if self.r % 2 == 0:
-            raise InvalidDescriptor(f"r must be odd, got {self.r}")
-        if abs(self.r) >= self.p:
-            raise InvalidDescriptor(f"need |r| < p, got r={self.r}, p={self.p}")
-        if math.gcd(self.r, self.p) != 1:
-            raise InvalidDescriptor(
-                f"r and p must be coprime, got gcd({self.r}, {self.p}) != 1"
-            )
-
-    def to_map_descriptor(self) -> MapDescriptor:
-        return MapDescriptor(2, ((1, 0), (self.p, self.r)))
 
 
 def validate(desc: MapDescriptor) -> MapDescriptor:
@@ -218,8 +191,22 @@ def collatz() -> MapDescriptor:
 
 
 def pxr(p: int, r: int) -> MapDescriptor:
-    """Validated px+r map as a two-branch descriptor."""
-    return validate(PxrDescriptor(p, r).to_map_descriptor())
+    """The px+r map x/2 on even x, (p*x + r)/2 on odd x, as a validated descriptor.
+
+    Requires p odd >= 3, r odd (else the odd branch is non-integral),
+    |r| < p and gcd(r, p) = 1; raises InvalidDescriptor otherwise.
+    """
+    if type(p) is not int or type(r) is not int:
+        raise InvalidDescriptor("p and r must be ints")
+    if p < 3 or p % 2 == 0:
+        raise InvalidDescriptor(f"p must be an odd integer >= 3, got {p}")
+    if r % 2 == 0:
+        raise InvalidDescriptor(f"r must be odd, got {r}")
+    if abs(r) >= p:
+        raise InvalidDescriptor(f"need |r| < p, got r={r}, p={p}")
+    if math.gcd(r, p) != 1:
+        raise InvalidDescriptor(f"r and p must be coprime, got gcd({r}, {p}) != 1")
+    return validate(MapDescriptor(2, ((1, 0), (p, r))))
 
 
 # -- descriptor text parsing -------------------------------------------------

@@ -27,7 +27,6 @@ from syrdyn.chains import (
     two_preimage_floor,
     verify_family_connection,
     verify_family_identity,
-    verify_general_family_identity,
 )
 from syrdyn.errors import (
     ConnectionFailure,
@@ -35,6 +34,7 @@ from syrdyn.errors import (
     InvalidParameters,
     NotApplicable,
     NotInN2,
+    VerificationFailure,
 )
 from syrdyn.cli import main
 from syrdyn.maps import collatz, parse_descriptor, pxr
@@ -320,12 +320,13 @@ class TestCriterion:
         assert chain_criterion(7, 5) is True
 
     def test_validation(self):
-        with pytest.raises(InvalidParameters):
-            chain_criterion(4, 1)
-        with pytest.raises(InvalidParameters):
-            chain_criterion(5, 5)
-        with pytest.raises(InvalidParameters):
-            chain_criterion(9, 3)
+        # one (p, r) check serves every chain entry point, with one exception type
+        for entry in (chain_criterion, two_preimage_class, two_preimage_floor,
+                      search_family_witness, verify_family_identity, family_tails,
+                      verify_family_connection):
+            for p, r in ((4, 1), (5, 5), (9, 3), (5, 2)):
+                with pytest.raises(InvalidParameters):
+                    entry(p, r)
 
     def test_two_preimage_class_goldens(self):
         assert two_preimage_class(3, 1) == 2
@@ -372,7 +373,7 @@ class TestCriterion:
 
         monkeypatch.setattr(chains_module, "_MAX_WITNESS_P", 7)
         assert search_family_witness(7, 5) == 1
-        # every sample, the search's and _identity_samples', is drawn from this table
+        # every sample, the search's and the verifier's, is drawn from this table
         monkeypatch.setattr(chains_module, "_identity_table", no_sample)
         with pytest.raises(InvalidParameters, match="above 7"):
             search_family_witness(9, 7)
@@ -421,19 +422,24 @@ class TestFamilyIdentity:
             assert (rep.l, rep.samples, rep.satisfied) == (l, samples, samples)
             assert search_family_witness(p, r) == l
 
-    def test_odd_class_of_the_general_identity(self):
-        # the px+r identity is the general one on class 1 with m = p, d = 2
-        ranges = (range(0, 5), range(1, 5), range(1, 51))
-        for p, r in ((3, 1), (5, -3), (7, 5), (11, -9)):
-            rep = verify_family_identity(p, r, *ranges)
-            general = verify_general_family_identity(pxr(p, r), *ranges)[1]
-            assert (general.l, general.samples) == (rep.l, rep.samples)
-
     def test_bad_beta(self):
         with pytest.raises(InvalidParameters, match="beta samples must be >= 1"):
             verify_family_identity(3, 1, betas=range(0, 2))
-        with pytest.raises(InvalidParameters, match="beta samples must be >= 1"):
-            verify_general_family_identity(C, betas=[1, 0])
+
+    def test_a_failing_row_is_named_and_blocks_its_l(self, monkeypatch):
+        # one row of 3x+1 at alpha=1, beta=2, k=5: n = 60, but rhs 10^6 in place of 90
+        def tampered(*args):
+            yield 1, 2, 5, 60, 10**6
+
+        monkeypatch.setattr(chains_module, "_identity_table", tampered)
+        with pytest.raises(VerificationFailure, match="p=3, r=1 at alpha=1, beta=2, k=5$"):
+            verify_family_identity(3, 1)
+        assert search_family_witness(3, 1) != 1
+        # the same row with its true rhs makes l = 1 the witness again
+        true_row = (1, 2, 5, 60, 90)
+        monkeypatch.setattr(chains_module, "_identity_table", lambda *args: iter([true_row]))
+        assert search_family_witness(3, 1) == 1
+        assert verify_family_identity(3, 1).samples == 1
 
     def test_not_applicable(self):
         with pytest.raises(NotApplicable):
@@ -491,37 +497,6 @@ class TestFamilyConnection:
     def test_requires_criterion(self):
         with pytest.raises(InvalidParameters):
             verify_family_connection(5, 1)
-
-
-class TestGeneralIdentity:
-    def test_collatz_classes(self):
-        reports = verify_general_family_identity(C)
-        assert reports[0].l == 0 and reports[0].applicable
-        assert reports[1].l == 1 and reports[1].applicable
-        for rep in reports:
-            assert rep.samples == rep.satisfied > 0
-
-    def test_seven_five(self):
-        reports = verify_general_family_identity(pxr(7, 5))
-        assert reports[1].l == 1 and reports[1].samples == reports[1].satisfied
-
-    def test_sample_counts_pinned(self):
-        d3 = parse_descriptor("d=3;m0=1,r0=0;m1=2,r1=1;m2=2,r2=2")
-        for desc, samples in ((C, [120, 84]), (pxr(7, 5), [120, 108]), (d3, [168, 84, 84])):
-            assert [rep.samples for rep in verify_general_family_identity(desc)] == samples
-
-    def test_d3_map(self):
-        d3 = parse_descriptor("d=3;m0=1,r0=0;m1=2,r1=1;m2=2,r2=2")
-        reports = verify_general_family_identity(d3)
-        assert [rep.l for rep in reports] == [0, -1, -2]
-        for rep in reports:
-            assert rep.applicable and rep.samples == rep.satisfied > 0
-
-    def test_inapplicable_class(self):
-        # 5x+1 odd branch: l = 1/3 is not integral
-        reports = verify_general_family_identity(pxr(5, 1))
-        assert reports[0].applicable  # halving branch always has l = 0
-        assert not reports[1].applicable and reports[1].l is None
 
 
 class TestExports:

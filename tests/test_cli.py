@@ -327,8 +327,10 @@ class TestCriterion:
         assert doc["connection"] is None
 
     def test_invalid_pair(self, capsys):
-        code, _, _ = run(capsys, "criterion", "4", "1")
-        assert code == 1
+        for argv in (["4", "1"], ["5", "2"], ["9", "3"], ["9", "3", "--verify"]):
+            code, out, err = run(capsys, "criterion", *argv)
+            assert code == 1 and out == "", argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
 
     @pytest.mark.parametrize("p", [10**4 + 1, 10**4299 + 1])
     def test_verify_refuses_p_above_the_cap(self, capsys, p):

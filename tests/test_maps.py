@@ -14,7 +14,6 @@ from syrdyn.errors import (
 import syrdyn.maps as maps_module
 from syrdyn.maps import (
     MapDescriptor,
-    PxrDescriptor,
     collatz,
     parse_descriptor,
     preimage_levels,
@@ -66,25 +65,25 @@ class TestValidate:
         validate(parse_descriptor(D3_TEXT))
 
 
-class TestPxrDescriptor:
+class TestPxr:
     def test_collatz_equivalence(self):
-        assert PxrDescriptor(3, 1).to_map_descriptor() == collatz()
+        assert pxr(3, 1) == MapDescriptor(2, ((1, 0), (3, 1))) == collatz()
 
     def test_rejects_even_p(self):
-        with pytest.raises(InvalidDescriptor):
-            PxrDescriptor(4, 1)
+        with pytest.raises(InvalidDescriptor, match="p must be an odd integer >= 3, got 4"):
+            pxr(4, 1)
 
     def test_rejects_even_r(self):
-        with pytest.raises(InvalidDescriptor):
-            PxrDescriptor(5, 2)
+        with pytest.raises(InvalidDescriptor, match="r must be odd, got 2"):
+            pxr(5, 2)
 
     def test_rejects_large_r(self):
-        with pytest.raises(InvalidDescriptor):
-            PxrDescriptor(5, 7)
+        with pytest.raises(InvalidDescriptor, match=r"need \|r\| < p, got r=7, p=5"):
+            pxr(5, 7)
 
     def test_rejects_shared_factor(self):
-        with pytest.raises(InvalidDescriptor):
-            PxrDescriptor(9, 3)
+        with pytest.raises(InvalidDescriptor, match=r"got gcd\(3, 9\) != 1"):
+            pxr(9, 3)
 
 
 class TestApply:
