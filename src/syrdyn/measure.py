@@ -17,9 +17,12 @@ only stored masses.  A set's mass is an integer sum and the power bound an
 integer comparison.  The sets T^-n{v} of distinct v are disjoint, so
 mu(T^-n(A)) is a sum over A of the fibre masses P_n(v), pushed forward once
 per level: check_power_bound samples such sums, and power_bound_certificate
-reads their exact supremum over all A off the same tables.  MeasureValue, a
-DyadicRational times a symbolic 1/denom with odd denom, is only the canonical
-form in which a mass is reported.
+reads their exact supremum over all A off the same tables.  The sampler draws
+a trial's subset in one getrandbits call and packs P_0(v)..P_max_n(v) into
+one int per node, in fields too wide to carry into each other, so one C-level
+sum over the subset gives mu(A) and every mu(T^-n(A)) of the trial.
+MeasureValue, a DyadicRational times a symbolic 1/denom with odd denom, is
+only the canonical form in which a mass is reported.
 
 build_forest grows each tree with maps.preimage_levels, which refuses the
 level that would cross the node cap and stops at the first empty one, so a
@@ -35,7 +38,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress
 
 from .errors import InvalidParameters, OverlappingCycles, BoundViolation
 from .maps import MapDescriptor, preimage_levels
@@ -55,8 +58,8 @@ __all__ = [
     "export_json",
 ]
 
-# check_power_bound refuses more comparisons (trials * max_n) than this; each
-# one is a sum over the drawn set.
+# check_power_bound refuses more comparisons (trials * max_n) than this; one
+# packed sum over the drawn set gives a trial's max_n of them.
 _MAX_COMPARISONS = 1 << 20
 
 # the fibre-mass tables P_0..P_max_n may hold no more entries than this in
@@ -303,6 +306,21 @@ def _fibre_masses(assignment: MeasureAssignment, max_n: int) -> list[dict]:
     )
 
 
+# byte b -> its top bit, 0 or 1
+_TOP_BIT = bytes(b >> 7 for b in range(256))
+
+
+def _draw_mask(rng: random.Random, count: int) -> bytes:
+    """[rng.getrandbits(1) for _ in range(count)] as bytes, in one draw.
+
+    getrandbits(1) is the top bit of one 32-bit Mersenne Twister word, and
+    getrandbits(32 * count) lays count such words out least significant
+    first, so the top bit of byte 4i + 3 of its little-endian bytes is draw
+    i.  The generator ends in the same state as after the count calls.
+    """
+    return rng.getrandbits(32 * count).to_bytes(4 * count, "little")[3::4].translate(_TOP_BIT)
+
+
 def _check_max_n(forest: PreimageForest, max_n: int) -> None:
     if type(max_n) is not int or max_n < 1:
         raise InvalidParameters(f"max_n must be >= 1, got {max_n!r}")
@@ -318,47 +336,70 @@ def check_power_bound(
     """Sample subsets A of covered nodes; assert mu(T^-n(A)) <= 2 mu(A), n <= max_n.
 
     Subsets are drawn reproducibly from the seed, one random bit per covered
-    node in ascending order.  The sets T^-n{v} of distinct v are disjoint, so
-    mu(T^-n(A)) is the sum over v in A of the fibre mass P_n(v), the mass of
-    the covered part of T^-n{v}.  The fibre masses are computed once per call
-    (see _fibre_masses: one map preimage per covered node, not the stored tree
-    links), so each comparison is one sum over the drawn set.  Masses are
-    integer numerators over the assignment's shared denominator, so every
-    comparison is exact integer arithmetic.  The worst pair is the first with
-    the largest ratio, found by cross-multiplication; its ratio is reported
-    correctly rounded and as a reduced fraction, and only its masses are
-    rendered as MeasureValues.  power_bound_certificate reads the supremum
-    over all subsets off the same fibre masses.
+    node in ascending order; one getrandbits call per trial yields the same
+    bits as, and leaves the generator as, one getrandbits(1) per node (see
+    _draw_mask).  The seed must be a non-negative int.  The sets T^-n{v} of
+    distinct v are disjoint, so mu(T^-n(A)) is the sum over v in A of the
+    fibre mass P_n(v), the mass of the covered part of T^-n{v}.  The fibre
+    masses are computed once per call (see _fibre_masses: one map preimage
+    per covered node, not the stored tree links) and packed into one int per
+    node, P_n(v) in field n.  A field is as many whole bytes as the largest
+    table total needs, so no subset sum carries into the next field, and
+    packing and unpacking are linear byte copies.  One sum of the packed ints
+    over the drawn set then holds mu(A) and every mu(T^-n(A)) of the trial.
+    Masses are integer numerators over the assignment's shared denominator,
+    so every comparison is exact integer arithmetic.  The worst pair is the
+    first with the largest ratio, found by cross-multiplication; its ratio is
+    reported correctly rounded and as a reduced fraction, and only its masses
+    are rendered as MeasureValues.  power_bound_certificate reads the
+    supremum over all subsets off the same fibre masses.
     A violation is an internal bug: the construction guarantees the bound.
     """
     forest = assignment.forest
     if type(trials) is not int or trials < 1:
         raise InvalidParameters(f"trials must be >= 1, got {trials!r}")
+    if type(seed) is not int or seed < 0:
+        # random.Random seeds with abs(seed): -5 would draw the subsets of 5
+        raise InvalidParameters(f"seed must be a non-negative int, got {seed!r}")
     _check_max_n(forest, max_n)
     if trials * max_n > _MAX_COMPARISONS:
         raise InvalidParameters(
             f"trials * max_n = {trials * max_n} comparisons, above the cap of "
             f"{_MAX_COMPARISONS}; use fewer trials or a smaller max_n"
         )
-    rng = random.Random(seed)
     nodes = sorted(forest.covered)
-    fibres = [table.get for table in _fibre_masses(assignment, max_n)[1:]]
-    weight = assignment.numerators.__getitem__
+    tables = _fibre_masses(assignment, max_n)
+    # bytes per field: no subset sum of a table exceeds the table's total
+    width = (max(sum(table.values()) for table in tables).bit_length() + 7) // 8
+    packed = []
+    for v in nodes:
+        row = bytearray()
+        for table in tables:  # supports shrink with n: v's fields are a prefix
+            m = table.get(v)
+            if m is None:
+                break
+            row += m.to_bytes(width, "little")
+        packed.append(int.from_bytes(row, "little"))
+    del tables
+    rng = random.Random(seed)
+    span = (max_n + 1) * width
     comparisons = 0
     best = None  # (mu_n, mu_a, n, |A|) with the largest mu_n / mu_a so far
     for _ in range(trials):
-        subset = [v for v in nodes if rng.getrandbits(1)]
-        mu_a = sum(map(weight, subset))
-        for n, fibre in enumerate(fibres, start=1):
-            mu_n = sum(map(fibre, subset, repeat(0)))
+        mask = _draw_mask(rng, len(nodes))
+        drawn = mask.count(1)
+        sums = sum(compress(packed, mask)).to_bytes(span, "little")
+        mu_a = int.from_bytes(sums[:width], "little")
+        for n in range(1, max_n + 1):
+            mu_n = int.from_bytes(sums[n * width:(n + 1) * width], "little")
             comparisons += 1
             if mu_n > 2 * mu_a:
                 raise BoundViolation(
                     f"mu(T^-{n}(A)) = {assignment.value(mu_n)} > 2*mu(A) = "
-                    f"{assignment.value(2 * mu_a)} for |A| = {len(subset)}, seed {seed}"
+                    f"{assignment.value(2 * mu_a)} for |A| = {drawn}, seed {seed}"
                 )
             if mu_a and (best is None or mu_n * best[1] > best[0] * mu_a):
-                best = (mu_n, mu_a, n, len(subset))
+                best = (mu_n, mu_a, n, drawn)
     if best is None:
         return PowerBoundReport(trials, max_n, seed, comparisons, 0, None, None, None)
     mu_n, mu_a, n, size = best

@@ -265,6 +265,13 @@ class TestMeasure:
         assert code == 1 and out == ""
         assert err == f"error: --depth must be >= 1, got {depth}\n"
 
+    @pytest.mark.parametrize("seed", ["-5", "-1"])
+    def test_negative_seed_refused(self, seed, capsys):
+        # random.Random seeds with abs(seed), so -5 would draw the subsets of 5
+        code, out, err = run(capsys, "measure", "collatz", "--depth", "3", "--seed", seed)
+        assert code == 1 and out == ""
+        assert err == f"error: seed must be a non-negative int, got {seed}\n"
+
 
 class TestChainsAndTree:
     def test_chains_json(self, capsys):

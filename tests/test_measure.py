@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import random
@@ -5,6 +6,7 @@ import time
 import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -373,6 +375,21 @@ class TestPowerBound:
         assert "cap of 1048576" in err
         assert time.perf_counter() - t0 < 1
 
+    @pytest.mark.parametrize("seed", [-5, -1, 1.0, True, "5", None])
+    def test_rejects_a_negative_or_non_int_seed(self, collatz_assignment, seed, monkeypatch):
+        monkeypatch.setattr(random, "Random", None)  # refused before any draw
+        with pytest.raises(InvalidParameters, match="seed must be a non-negative int"):
+            check_power_bound(collatz_assignment, trials=1, max_n=1, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 1729, 2**31 - 1])
+    @pytest.mark.parametrize("count", [1, 31, 32, 33, 206, 1137])
+    def test_bulk_draw_is_the_per_node_draw(self, seed, count):
+        # rests on how CPython's getrandbits lays out Mersenne Twister words
+        bulk, single = random.Random(seed), random.Random(seed)
+        assert list(measure_module._draw_mask(bulk, count)) == [
+            single.getrandbits(1) for _ in range(count)]
+        assert bulk.random() == single.random()
+
     def test_rejects_deep_max_n(self, collatz_assignment):
         with pytest.raises(InvalidParameters):
             check_power_bound(collatz_assignment, trials=1, max_n=99)
@@ -531,9 +548,33 @@ def assert_matches_reference(asg, trials, max_n, seed, masses=None):
     assert rep.violations == 0
     assert rep.comparisons == comparisons == trials * max_n
     assert rep.worst == worst
-    assert rep.worst_ratio == float(ratio)
-    assert rep.worst_ratio_exact == f"{ratio.numerator}/{ratio.denominator}"
+    if ratio is None:  # every drawn set was empty
+        assert rep.worst_ratio is None and rep.worst_ratio_exact is None
+    else:
+        assert rep.worst_ratio == float(ratio)
+        assert rep.worst_ratio_exact == f"{ratio.numerator}/{ratio.denominator}"
     return rep
+
+
+@functools.cache
+def _reference_case(name, depth):
+    desc = _EXPORT_MAPS[name]
+    asg = assign_measure(build_forest(desc, find_cycles(desc, 100), depth))
+    return asg, reference_combined(asg.forest)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_EXPORT_MAPS)),
+    depth=st.integers(1, 10),
+    data=st.data(),
+    trials=st.integers(1, 30),
+    seed=st.integers(0, 2**64),
+)
+def test_power_bound_equals_the_reference(name, depth, data, trials, seed):
+    max_n = data.draw(st.integers(1, min(depth, 6)), label="max_n")
+    asg, masses = _reference_case(name, depth)
+    assert_matches_reference(asg, trials, max_n, seed, masses)
 
 
 @pytest.fixture(scope="module")
@@ -608,10 +649,17 @@ class TestIntegerMasses:
             check_power_bound(broken, trials=20, max_n=5, seed=1)
 
     def test_work_per_call(self, five_assignment, monkeypatch):
-        # one map preimage per covered node, and MeasureValues only for the worst pair
+        # one map preimage per covered node, one draw per trial, and
+        # MeasureValues only for the worst pair
         desc = five_assignment.forest.descriptor
         calls = []
         built = []
+        draws = []
+
+        class CountedRandom(random.Random):
+            def getrandbits(self, k):
+                draws.append(k)
+                return super().getrandbits(k)
         preimage, init = type(desc).preimage, MeasureValue.__init__
 
         def counted_preimage(self, y):
@@ -624,8 +672,10 @@ class TestIntegerMasses:
 
         monkeypatch.setattr(type(desc), "preimage", counted_preimage)
         monkeypatch.setattr(MeasureValue, "__init__", counted_init)
+        monkeypatch.setattr(measure_module, "random", SimpleNamespace(Random=CountedRandom))
         rep = check_power_bound(five_assignment, trials=20, max_n=5, seed=3)
         assert sorted(calls) == sorted(five_assignment.forest.covered)
+        assert draws == [32 * len(five_assignment.forest.covered)] * 20
         assert len(built) == 2 and rep.comparisons == 100
 
 
@@ -724,6 +774,12 @@ class TestFibreMasses:
      "16e60f8dcfb277853e1c5be2458148f23de2ecac8e63dd86823da30c0456d298"),
     (["measure", "pxr:p=5,r=1", "--depth", "10"],
      "7646b7b377ccc47ae16e2dbda1753cdb01f375d93344869610bbebcbf22b0a58"),
+    # as the per-node sampling loop printed them: the default 1000 trials,
+    # and wide fibre masses over a denominator with an odd part
+    (["measure", "collatz", "--depth", "20", "--cycle-bound", "1"],
+     "bd5608966cbd9a2bb5600cb39e0ea3a263a761d8fcf98bb6bd6b04692bd7be88"),
+    (["measure", "pxr:p=7,r=5", "--depth", "14", "--trials", "200", "--max-n", "8"],
+     "f7d8dac203f78188d31abb516b864228a1890f8aa447caace868c6652400e998"),
 ])
 def test_cli_measure_output_pinned(argv, digest, capsys):
     # SHA-256 of the whole stdout as the per-node MeasureValue implementation
