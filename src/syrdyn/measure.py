@@ -21,8 +21,9 @@ reads their exact supremum over all A off the same tables.  The sampler draws
 a trial's subset in one getrandbits call and packs P_0(v)..P_max_n(v) into
 one int per node, in fields too wide to carry into each other, so one C-level
 sum over the subset gives mu(A) and every mu(T^-n(A)) of the trial.
-MeasureValue, a DyadicRational times a symbolic 1/denom with odd denom, is
-only the canonical form in which a mass is reported.
+Masses are reported through numeric.dyadic_form and mass_fields: as a
+MeasureValue from measure_of and the totals, and straight from the numerator
+for each node in export_json.
 
 build_forest grows each tree with maps.preimage_levels, which refuses the
 level that would cross the node cap and stops at the first empty one, so a
@@ -42,7 +43,7 @@ from itertools import compress
 
 from .errors import InvalidParameters, OverlappingCycles, BoundViolation
 from .maps import MapDescriptor, preimage_levels
-from .numeric import RECORDS, DyadicRational, json_with_records, record_str
+from .numeric import RECORDS, DyadicRational, dyadic_form, json_with_records, mass_fields, record_str
 from .trajectory import CycleInfo
 
 __all__ = [
@@ -70,11 +71,11 @@ _MAX_TABLE_ENTRIES = 1 << 21
 
 
 class MeasureValue:
-    """Non-negative rational (dyadic) * 1/denom with odd denom, for reporting.
+    """Non-negative rational (dyadic) * 1/denom, its fields in numeric.dyadic_form.
 
-    Canonical: factors of two in the denominator move into the dyadic
-    exponent, the odd gcd is divided out, and zero is stored over denom 1.
-    Immutable by convention, like DyadicRational.
+    So the twos of denom are in the dyadic exponent, denom is odd and coprime
+    to the numerator, and zero is stored over denom 1.  The texts are
+    numeric.mass_fields.  Immutable by convention, like DyadicRational.
     """
 
     __slots__ = ("dyadic", "denom")
@@ -85,18 +86,8 @@ class MeasureValue:
             raise InvalidParameters("dyadic part must be a DyadicRational")
         if type(denom) is not int or denom < 1:
             raise InvalidParameters(f"denominator must be a positive int, got {denom!r}")
-        twos = (denom & -denom).bit_length() - 1
-        denom >>= twos
-        dyadic = dyadic.mul_pow2(-twos)
-        if dyadic.num == 0:
-            denom = 1
-        else:
-            g = math.gcd(dyadic.num, denom)
-            if g > 1:
-                dyadic = DyadicRational(dyadic.num // g, dyadic.exp)
-                denom //= g
-        self.dyadic = dyadic
-        self.denom = denom
+        num, exp, self.denom = dyadic_form(dyadic.num, dyadic.exp, denom)
+        self.dyadic = dyadic if num == dyadic.num and exp == dyadic.exp else DyadicRational(num, exp)
 
     @classmethod
     def zero(cls) -> "MeasureValue":
@@ -114,18 +105,12 @@ class MeasureValue:
         return f"MeasureValue({self.dyadic!r}, {self.denom})"
 
     def __str__(self):
-        if self.denom == 1:
-            return str(self.dyadic)
-        return f"{self.dyadic} * 1/{self.denom}"
+        dyadic, denom, _ = mass_fields(self.dyadic.num, self.dyadic.exp, self.denom)
+        return dyadic if denom == "1" else f"{dyadic} * 1/{denom}"
 
     def to_json_dict(self) -> dict:
-        return {
-            "dyadic": str(self.dyadic),
-            "denom": str(self.denom),
-            "decimal": self.dyadic.decimal_str()
-            if self.denom == 1 and self.dyadic.exp <= 64
-            else None,
-        }
+        dyadic, denom, decimal = mass_fields(self.dyadic.num, self.dyadic.exp, self.denom)
+        return {"dyadic": dyadic, "denom": denom, "decimal": decimal}
 
 
 @dataclass(frozen=True)
@@ -403,7 +388,6 @@ def check_power_bound(
     if best is None:
         return PowerBoundReport(trials, max_n, seed, comparisons, 0, None, None, None)
     mu_n, mu_a, n, size = best
-    g = math.gcd(mu_n, mu_a)
     worst = {
         "n": n,
         "set_size": size,
@@ -411,7 +395,7 @@ def check_power_bound(
         "mu_preimage": str(assignment.value(mu_n)),
     }
     return PowerBoundReport(trials, max_n, seed, comparisons, 0, mu_n / mu_a,
-                            f"{mu_n // g}/{mu_a // g}", worst)
+                            _ratio_text(mu_n, mu_a), worst)
 
 
 def power_bound_certificate(assignment: MeasureAssignment, max_n: int) -> list[tuple[str, int]]:
@@ -434,26 +418,32 @@ def power_bound_certificate(assignment: MeasureAssignment, max_n: int) -> list[t
             m = weight[v]
             if mass * q > p * m or (mass * q == p * m and v < arg):
                 p, q, arg = mass, m, v
-        g = math.gcd(p, q)
-        certificate.append((f"{p // g}/{q // g}", arg))
+        certificate.append((_ratio_text(p, q), arg))
     return certificate
 
 
-def _mass_text(mass: MeasureValue) -> str:
-    """MeasureValue.to_json_dict() as a node record's field, 6 spaces deep."""
-    d = mass.to_json_dict()
-    return (f'{{\n        "dyadic": "{d["dyadic"]}",\n        "denom": "{d["denom"]}",\n'
-            f'        "decimal": {record_str(d["decimal"])}\n      }}')
+def _ratio_text(p: int, q: int) -> str:
+    """p/q reduced, as the text "p/q"."""
+    g = math.gcd(p, q)
+    return f"{p // g}/{q // g}"
+
+
+def _mass_text(num: int, den: int) -> str:
+    """num/den's mass_fields as a node record's field, 6 spaces deep."""
+    dyadic, denom, decimal = mass_fields(num, 0, den)
+    return (f'{{\n        "dyadic": "{dyadic}",\n        "denom": "{denom}",\n'
+            f'        "decimal": {record_str(decimal)}\n      }}')
 
 
 def export_json(assignment: MeasureAssignment, report: PowerBoundReport | None = None) -> str:
     """The measure as indent-2 JSON text, one record template per node.
 
-    Cycle-local masses undo the weight 2^(-i-1) by a shift.  See
-    numeric.json_with_records for the records' escaping rule.
+    Each node's masses are rendered straight from its numerator over the
+    shared denominator; cycle-local masses undo the weight 2^(-i-1) by a
+    shift.  See numeric.json_with_records for the records' escaping rule.
     """
     forest = assignment.forest
-    numerators, value = assignment.numerators, assignment.value
+    numerators, den = assignment.numerators, assignment.denominator
     parent, node_cycle, node_level = forest.parent, forest.node_cycle, forest.node_level
     records = []
     for v in sorted(forest.covered):
@@ -464,8 +454,8 @@ def export_json(assignment: MeasureAssignment, report: PowerBoundReport | None =
             f'      "cycle": {ci + 1},\n'
             f'      "level": {node_level[v]},\n'
             f'      "parent": {record_str(parent.get(v))},\n'
-            f'      "cycle_local": {_mass_text(value(numerators[v] << (ci + 2)))},\n'
-            f'      "combined": {_mass_text(value(numerators[v]))}\n'
+            f'      "cycle_local": {_mass_text(numerators[v] << (ci + 2), den)},\n'
+            f'      "combined": {_mass_text(numerators[v], den)}\n'
             "    }"
         )
     cycles = []
@@ -475,8 +465,8 @@ def export_json(assignment: MeasureAssignment, report: PowerBoundReport | None =
             "index": ci + 1,
             "length": cyc.length,
             "members": [str(m) for m in cyc.members],
-            "weight": str(DyadicRational(1, ci + 2)),
-            "cycle_local_total": value(local).to_json_dict(),
+            "weight": mass_fields(1, ci + 2)[0],
+            "cycle_local_total": assignment.value(local).to_json_dict(),
         })
     return json_with_records({
         "map": forest.descriptor.to_text(),

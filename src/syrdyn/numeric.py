@@ -1,12 +1,12 @@
-"""Exact dyadic rationals for rendering measure values.
+"""One canonical form and one text for every measure mass.
 
 The measure keeps every mass as an integer numerator over one shared
-denominator and does all its arithmetic on those integers.  A
-DyadicRational is the canonical form num * 2**-exp in which a mass, or the
-dyadic part of one, is reported.  Python integers are arbitrary precision, so
-values stay exact at any forest depth; nothing here ever rounds.  Instances
-are treated as immutable, which makes them safe to share across threads and
-processes.
+denominator and does all its arithmetic on those integers.  dyadic_form is
+the one rule that reduces a mass to its canonical form n * 2**-e / odd q, and
+mass_fields the one that renders it; DyadicRational and MeasureValue hold
+their fields in that form.  Nothing here rounds or builds a power 2**e, so
+values stay exact and cheap at any exponent.  Instances are treated as
+immutable, which makes them safe to share across threads and processes.
 
 Every int the engines report is printed in decimal, and CPython refuses
 int -> str past sys.get_int_max_str_digits() digits.  max_str_digits and
@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 
-__all__ = ["DyadicRational"]
+__all__ = ["DyadicRational", "dyadic_form", "mass_fields"]
 
 # CPython's default int -> str digit limit, for interpreters that set none
 _DEFAULT_MAX_STR_DIGITS = 4300
@@ -81,13 +82,49 @@ def json_with_records(envelope: dict, records: list[str]) -> str:
     return ",\n    ".join(records)
 
 
-class DyadicRational:
-    """A non-negative rational num * 2**-exp in canonical form.
+def dyadic_form(num: int, exp: int = 0, den: int = 1) -> tuple[int, int, int]:
+    """num * 2**-exp / den in lowest terms, as (n, e, q): n * 2**-e / q.
 
-    Canonical means: zero is stored as (0, 0), and otherwise the numerator is
-    odd whenever exp > 0 (powers of two are shifted out of the numerator as
-    far as the non-negative exponent allows).  Canonical forms are unique per
-    value, so equality and hashing are plain field comparisons.
+    The twos of den move into e, so q is odd; n is odd whenever e > 0, and
+    zero is (0, 0, 1), so the form is unique per value.  Twos move by shifts
+    and the gcd is taken against q only.  Takes num >= 0, exp >= 0, den >= 1.
+    """
+    if num == 0:
+        return 0, 0, 1
+    twos = (den & -den).bit_length() - 1
+    den >>= twos
+    exp += twos
+    if exp:
+        drop = min((num & -num).bit_length() - 1, exp)
+        num >>= drop
+        exp -= drop
+    if den > 1:
+        g = math.gcd(num, den)
+        num //= g
+        den //= g
+    return num, exp, den
+
+
+def mass_fields(num: int, exp: int = 0, den: int = 1) -> tuple[str, str, str | None]:
+    """num * 2**-exp / den in dyadic_form as its (dyadic, denom, decimal) texts.
+
+    dyadic is "n" or "n/2^e", denom is q, and decimal is the exact decimal
+    expansion (3/2^6 -> "0.046875"), given only for q == 1 and e <= 64.
+    """
+    n, e, q = dyadic_form(num, exp, den)
+    decimal = None
+    if q == 1 and e <= 64:
+        digits = str(n * 5**e).zfill(e + 1)
+        decimal = f"{digits[:-e]}.{digits[-e:]}" if e else digits
+    return f"{n}/2^{e}" if e else str(n), str(q), decimal
+
+
+class DyadicRational:
+    """A non-negative rational num * 2**-exp, its fields in dyadic_form.
+
+    Zero is stored as (0, 0), and otherwise the numerator is odd whenever
+    exp > 0.  Canonical forms are unique per value, so equality and hashing
+    are plain field comparisons.
     """
 
     __slots__ = ("num", "exp")
@@ -99,25 +136,11 @@ class DyadicRational:
             raise ValueError(f"numerator must be non-negative, got {num}")
         if exp < 0:
             raise ValueError(f"exponent must be non-negative, got {exp}")
-        if num == 0:
-            exp = 0
-        elif exp:
-            drop = min((num & -num).bit_length() - 1, exp)
-            num >>= drop
-            exp -= drop
-        self.num = num
-        self.exp = exp
+        self.num, self.exp, _ = dyadic_form(num, exp)
 
     @classmethod
     def zero(cls) -> "DyadicRational":
         return cls(0, 0)
-
-    def mul_pow2(self, k: int) -> "DyadicRational":
-        """Exact scaling by 2**k, k of either sign."""
-        if k >= 0:
-            drop = k if k < self.exp else self.exp
-            return DyadicRational(self.num << (k - drop), self.exp - drop)
-        return DyadicRational(self.num, self.exp - k)
 
     def __eq__(self, other):
         if not isinstance(other, DyadicRational):
@@ -131,19 +154,4 @@ class DyadicRational:
         return f"DyadicRational({self.num}, {self.exp})"
 
     def __str__(self):
-        if self.exp == 0:
-            return str(self.num)
-        return f"{self.num}/2^{self.exp}"
-
-    def decimal_str(self) -> str:
-        """Exact decimal expansion, e.g. 3/2^6 -> '0.046875'.
-
-        Always terminates (denominator is a power of two).  Reports emit this
-        only for exp <= 64; the method itself works at any exponent.
-        """
-        if self.exp == 0:
-            return str(self.num)
-        digits = str(self.num * 5 ** self.exp)
-        if len(digits) <= self.exp:
-            return "0." + digits.zfill(self.exp)
-        return digits[: -self.exp] + "." + digits[-self.exp:]
+        return mass_fields(self.num, self.exp)[0]

@@ -1,7 +1,7 @@
 import pickle
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from syrdyn.errors import (
     DescriptorParseError,
@@ -228,18 +228,19 @@ def reference_levels(desc, level, depth, skip):
 
 @st.composite
 def validated_maps(draw):
-    """Validated tables with d = 2 or 3: offsets of either sign, any multiplier coprime to d."""
+    """Validated tables with d = 2 or 3: offsets of either sign, any multiplier coprime to d.
+
+    Every draw is valid, so none is filtered out: r = k*d - m*i makes branch
+    i divide exactly, and its smallest x >= 1 (i, or d for i = 0) goes to k,
+    or to m + k for i = 0, which must be at least 1.
+    """
     d = draw(st.sampled_from([2, 3]))
     branches = []
     for i in range(d):
-        m = draw(st.integers(1, 13).filter(lambda m: m % d))
-        # r = -m*i (mod d) makes branch i divide exactly
-        r = -m * i + d * draw(st.integers(-6, 6))
-        branches.append((m, r))
-    try:
-        return validate(MapDescriptor(d, tuple(branches)))
-    except InvalidDescriptor:
-        assume(False)
+        m = draw(st.sampled_from([m for m in range(1, 14) if m % d]))
+        k = draw(st.integers(max(1 - m if i == 0 else 1, -6), 6))
+        branches.append((m, k * d - m * i))
+    return validate(MapDescriptor(d, tuple(branches)))
 
 
 @settings(max_examples=200, deadline=None)

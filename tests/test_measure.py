@@ -1,10 +1,12 @@
 import functools
 import hashlib
 import json
+import math
 import random
 import time
 import tracemalloc
 from dataclasses import fields, replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -26,7 +28,7 @@ from syrdyn.measure import (
     measure_of,
     power_bound_certificate,
 )
-from syrdyn.numeric import DyadicRational
+from syrdyn.numeric import DyadicRational, dyadic_form, mass_fields
 from syrdyn.trajectory import CycleInfo, check_power_cycle, find_cycles
 
 
@@ -145,6 +147,55 @@ class TestMeasureValue:
         d = mv(1, 2).to_json_dict()
         assert d == {"dyadic": "1/2^2", "denom": "1", "decimal": "0.25"}
         assert mv(1, 2, 5).to_json_dict()["decimal"] is None
+
+    def test_huge_exponent_builds_no_power_of_two(self):
+        # a rule that built 2**exp would need 125 GB here
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            a = DyadicRational(3, 10**12)
+            b = MeasureValue(DyadicRational(1, 10**12), 3)
+            texts = (str(a), str(b), b.to_json_dict())
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (a.num, a.exp) == (3, 10**12)
+        assert (b.dyadic, b.denom) == (DyadicRational(1, 10**12), 3)
+        assert texts == ("3/2^1000000000000", "1/2^1000000000000 * 1/3",
+                         {"dyadic": "1/2^1000000000000", "denom": "3", "decimal": None})
+        assert elapsed < 1 and peak < 2**20
+
+
+@settings(max_examples=300)
+@given(
+    num=st.integers(0, 2**80),
+    exp=st.integers(0, 200),
+    odd=st.one_of(st.just(1), st.integers(0, 10**6).map(lambda k: 2 * k + 1)),
+    twos=st.integers(0, 80),
+    scale=st.integers(0, 10**3).map(lambda k: 2 * k + 1),
+)
+def test_dyadic_form_is_the_one_canonical_form(num, exp, odd, twos, scale):
+    den = odd << twos
+    value = Fraction(num, den << exp)
+    n, e, q = dyadic_form(num, exp, den)
+    # lowest terms
+    assert Fraction(n, q << e) == value
+    assert q % 2 == 1 and math.gcd(n, q) == 1 and (e == 0 or n % 2 == 1)
+    assert num or (n, e, q) == (0, 0, 1)
+    # unique per value: other spellings of it reduce to the same form
+    assert dyadic_form(value.numerator, 0, value.denominator) == (n, e, q)
+    assert dyadic_form(num * scale << 3, exp + 2, den * scale << 1) == (n, e, q)
+    # the texts are render()'s and parse back to the value
+    dyadic, denom, decimal = mass_fields(num, exp, den)
+    text = dyadic if denom == "1" else f"{dyadic} * 1/{denom}"
+    assert text == render(value) and parse(text) == value and denom == str(q)
+    if q == 1 and e <= 64:
+        with localcontext() as ctx:
+            ctx.prec = 200
+            assert decimal == format(Decimal(value.numerator) / value.denominator, "f")
+    else:
+        assert decimal is None
 
 
 class TestBuildForest:
@@ -507,6 +558,31 @@ def test_export_json_renders_both_decimal_kinds(name, depth, null_denom):
     masses = [n[k] for n in json.loads(text)["nodes"] for k in ("cycle_local", "combined")]
     assert any(m["decimal"] is None and m["denom"] == null_denom for m in masses)
     assert any(m["decimal"] is not None for m in masses)
+
+
+@pytest.mark.parametrize("name, depth", [("collatz", 6), ("collatz", 14), ("pxr5", 10), ("d3", 8)])
+def test_export_json_builds_no_value_per_node(name, depth, monkeypatch):
+    # node masses are rendered from their numerators: MeasureValues only for
+    # the cycle totals and the total, however many nodes there are
+    desc = _EXPORT_MAPS[name]
+    asg = assign_measure(build_forest(desc, find_cycles(desc, 100), depth))
+    want = export_json(asg)
+    values, dyadics = [], []
+    value_init, dyadic_init = MeasureValue.__init__, DyadicRational.__init__
+
+    def counted_value(self, *args):
+        values.append(args)
+        value_init(self, *args)
+
+    def counted_dyadic(self, *args):
+        dyadics.append(args)
+        dyadic_init(self, *args)
+
+    monkeypatch.setattr(MeasureValue, "__init__", counted_value)
+    monkeypatch.setattr(DyadicRational, "__init__", counted_dyadic)
+    assert export_json(asg) == want
+    assert len(values) == len(asg.forest.cycles) + 1 < len(asg.forest.covered)
+    assert len(dyadics) <= 2 * len(values)
 
 
 # -- the integer path against Fraction arithmetic ------------------------------

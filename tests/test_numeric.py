@@ -1,9 +1,7 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
-from syrdyn.numeric import DyadicRational
+from syrdyn.numeric import DyadicRational, mass_fields
 
 
 def dr(num, exp=0):
@@ -44,30 +42,24 @@ class TestCompare:
 
 
 class TestScalingAndStrings:
-    def test_mul_pow2_round_trip(self):
-        x = dr(13, 3)
-        assert x.mul_pow2(-5) == dr(13, 8)
-        assert x.mul_pow2(-5).mul_pow2(5) == x
-        assert x.mul_pow2(5) == dr(13 * 4, 0)
-
     def test_str_form(self):
         assert str(dr(3, 6)) == "3/2^6"
         assert str(dr(5, 0)) == "5"
         assert str(DyadicRational.zero()) == "0"
 
     def test_decimal_str(self):
-        assert dr(1, 2).decimal_str() == "0.25"
-        assert dr(5, 6).decimal_str() == "0.078125"
-        assert dr(7, 0).decimal_str() == "7"
+        assert mass_fields(1, 2) == ("1/2^2", "1", "0.25")
+        assert mass_fields(5, 6)[2] == "0.078125"
+        assert mass_fields(7, 0) == ("7", "1", "7")
+        # no decimal past 2^-64, nor with an odd part in the denominator
+        assert mass_fields(2, 65)[:2] == ("1/2^64", "1") and mass_fields(2, 65)[2] is not None
+        assert mass_fields(1, 65)[2] is None
+        assert mass_fields(3, 2, 10) == ("3/2^3", "5", None)
 
 
 small = st.integers(min_value=0, max_value=2**40)
 exps = st.integers(min_value=0, max_value=60)
 dyadics = st.builds(DyadicRational, small, exps)
-
-
-def value(a):
-    return Fraction(a.num, 1 << a.exp)
 
 
 @given(dyadics)
@@ -76,14 +68,6 @@ def test_canonical_unique(a):
     again = DyadicRational(a.num * 8, a.exp + 3)
     assert (again.num, again.exp) == (a.num, a.exp)
     assert a.num == 0 or a.num % 2 == 1 or a.exp == 0
-
-
-@given(dyadics, st.integers(min_value=0, max_value=12))
-def test_scale_then_sum_restores(a, k):
-    # 2^k copies of a * 2^-k add up to a, exactly
-    scaled = a.mul_pow2(-k)
-    assert value(scaled) * 2**k == value(a)
-    assert scaled.mul_pow2(k) == a
 
 
 @given(dyadics, dyadics)
