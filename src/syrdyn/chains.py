@@ -36,7 +36,7 @@ from .errors import (
     VerificationFailure,
 )
 from .maps import MapDescriptor, collatz, preimage_levels, pxr
-from .numeric import RECORDS, json_with_records, max_str_digits, record_str, str_ceiling
+from .numeric import RECORDS, json_with_records, max_str_digits, str_ceiling
 
 __all__ = [
     "NodeClass",
@@ -304,9 +304,9 @@ def build_preimage_tree(desc: MapDescriptor, root: int, depth: int) -> PreimageT
 
     Unlike the measure forest, nothing is excluded: if the root sits on a
     cycle its members re-occur at deeper levels, flagged as repeats.  The
-    levels are maps.preimage_levels below the root, which solves the
-    preimage equations inline, so the forest's node cap, repeats counted,
-    and its stop at the first empty level hold here.
+    levels are maps.preimage_levels below the root, which reads the map's
+    residue table as preimage does, so the forest's node cap, repeats
+    counted, and its stop at the first empty level hold here.
     """
     if type(root) is not int or root < 1:
         raise DomainError(f"root must be a positive integer, got {root!r}")
@@ -339,9 +339,11 @@ def chain_criterion(p: int, r: int) -> bool:
 
 
 def two_preimage_class(p: int, r: int) -> int:
-    """The residue class mod p whose members have two preimages: r/(2-p) mod p."""
-    _validate_pr(p, r)
-    return r * pow(2 - p, -1, p) % p
+    """The residue class mod p whose members have two preimages: r/(2-p) = r/2 mod p.
+
+    It is the odd branch's t in the map's MapDescriptor.preimage_table.
+    """
+    return _validate_pr(p, r).preimage_table[1][2]
 
 
 def two_preimage_floor(p: int, r: int) -> int:
@@ -587,26 +589,32 @@ def chain_to_dot(chain: Chain) -> str:
 
 
 def tree_to_json(tree: PreimageTree) -> str:
-    """The tree as indent-2 JSON text, one record template per node.
+    """The tree as indent-2 JSON text, one f-string per node.
 
-    An annotated (halved 3x+1) record adds the node's class and, in N2, its
-    3^a*2^b*h-1 form; see numeric.json_with_records for the escaping rule.
+    A record has one of three shapes: plain, or annotated (halved 3x+1) with
+    the node's class and, in N2, its 3^a*2^b*h-1 form, else a null form.  The
+    root is the one node without a parent: it is written with "None" and that
+    one text is mended to null.  See numeric.json_with_records for the
+    escaping rule.
     """
-    records = []
-    annotated = tree.annotated
-    for v, level, parent, repeat in tree.nodes:
-        extra = ""
-        if annotated:
-            form = f'"{_form_text(*_head_factors(v))}"' if v % 3 == 2 else "null"
-            extra = f',\n      "class": "{_CLASS_NAMES[v % 3]}",\n      "form": {form}'
-        records.append(
-            "{\n"
-            f'      "value": "{v}",\n'
-            f'      "level": {level},\n'
-            f'      "parent": {record_str(parent)},\n'
-            f'      "repeat": {"true" if repeat else "false"}{extra}\n'
-            "    }"
-        )
+    if tree.annotated:
+        records = [
+            f'{{\n      "value": "{v}",\n      "level": {level},\n      "parent": "{parent}",\n'
+            f'      "repeat": {"true" if repeat else "false"},\n      "class": "N2",\n'
+            f'      "form": "{_form_text(*_head_factors(v))}"\n    }}'
+            if v % 3 == 2 else
+            f'{{\n      "value": "{v}",\n      "level": {level},\n      "parent": "{parent}",\n'
+            f'      "repeat": {"true" if repeat else "false"},\n'
+            f'      "class": "{"N1" if v % 3 else "N0"}",\n      "form": null\n    }}'
+            for v, level, parent, repeat in tree.nodes
+        ]
+    else:
+        records = [
+            f'{{\n      "value": "{v}",\n      "level": {level},\n      "parent": "{parent}",\n'
+            f'      "repeat": {"true" if repeat else "false"}\n    }}'
+            for v, level, parent, repeat in tree.nodes
+        ]
+    records[0] = records[0].replace('"parent": "None"', '"parent": null')
     return json_with_records({
         "map": tree.descriptor.to_text(),
         "root": str(tree.root),

@@ -13,6 +13,12 @@ Validation enforces what keeps such a table a self-map of {1, 2, 3, ...}:
 * no x >= 1 maps below 1.  Checking the smallest x >= 1 in each residue
   class suffices because multipliers are positive.
 
+Those rules make the inverse a congruence.  y has a branch-i preimage x,
+the solution of m_i*x + r_i = d*y, exactly when d*y = r_i (mod m_i), that
+is when y = t_i = r_i * d^-1 (mod m_i), well defined since gcd(m_i, d) = 1;
+it then counts when x >= 1.  MapDescriptor.preimage_table holds
+(m_i, r_i, t_i) per branch, and it is the one preimage rule here.
+
 Descriptor text grammar (no whitespace, '-' allowed on r values only):
 
     collatz | pxr:p=<int>,r=<int> | d=<int>(;m<i>=<int>,r<i>=<int>){d}
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     DescriptorParseError,
@@ -67,30 +74,38 @@ class MapDescriptor:
         m, r = self.branches[x % self.d]
         return (m * x + r) // self.d
 
+    @cached_property
+    def preimage_table(self) -> tuple[tuple[int, int, int], ...]:
+        """(m_i, r_i, t_i) per branch, with t_i = r_i * d^-1 (mod m_i).
+
+        y has a branch-i preimage exactly when y = t_i (mod m_i).  Computed
+        once per descriptor: the cache goes in the instance __dict__ and
+        leaves the fields, equality and hash alone.
+        """
+        return tuple((m, r, r * pow(self.d, -1, m) % m) for m, r in self.branches)
+
     def preimage(self, y: int) -> list[int]:
         """All x >= 1 with apply(x) == y, ascending.
 
-        Solves m_i*x + r_i = d*y per branch; a candidate counts when the
-        division is exact and x >= 1.  At most one preimage per branch, so at
-        most d in total.
+        Branch i applies when y = t_i (mod m_i) (preimage_table), and its
+        preimage x = (d*y - r_i) / m_i counts when x >= 1.  At most one
+        preimage per branch, so at most d in total.
 
         This is the definition of the inverse, and the tests hold the closure
-        to it.  preimage_levels inlines the same solve and checks for every
-        node of a level, without the codomain check: its nodes are positive
-        ints by construction.
+        to it.  preimage_levels reads the same table, without the codomain
+        check: its nodes are positive ints by construction.
         """
         if type(y) is not int or y < 1:
             raise DomainError(f"map codomain is the positive integers, got {y!r}")
+        d = self.d
+        # an exact x of branch i lies in class i untested: m_i*x = -r_i = m_i*i (mod d)
+        # by validate's integrality rule, and gcd(m_i, d) = 1 cancels m_i
         out = []
-        for m, r in self.branches:
-            num = self.d * y - r
-            if num <= 0:
-                continue
-            # an exact x of branch i lies in class i untested: m_i*x = -r_i = m_i*i (mod d)
-            # by validate's integrality rule, and gcd(m_i, d) = 1 cancels m_i
-            x, rem = divmod(num, m)
-            if rem == 0:
-                out.append(x)
+        for m, r, t in self.preimage_table:
+            if y % m == t:
+                x = (d * y - r) // m
+                if x >= 1:
+                    out.append(x)
         out.sort()
         return out
 
@@ -109,7 +124,7 @@ class MapDescriptor:
 # preimage closures (measure forests, and preimage trees with their repeats)
 # of more nodes than this are refused.  The deepest Collatz forest under it,
 # depth 36 with 112,658 nodes, takes `measure --trials 1` about 135 MB peak
-# RSS and 2.3-2.7 s, of which the forest and assignment hold 37 MB and the node
+# RSS and 1.5-2.0 s, of which the forest and assignment hold 37 MB and the node
 # records and the document text about 36 MB each, and the default 1000
 # trials 10-12 s (Python 3.11, 2 CPUs); depth 20 has 1137 nodes.
 _MAX_FOREST_NODES = 1 << 17
@@ -124,16 +139,20 @@ def preimage_levels(desc: MapDescriptor, level, depth: int, nodes: int, noun: st
     the first level that takes `nodes`, the count so far, above
     _MAX_FOREST_NODES, or that holds a value too long to print
     (numeric.max_str_digits); `noun` names the closure in the message.
+
+    Every level reads MapDescriptor.preimage_table, as preimage does: a
+    branch divides only the nodes in its class.
     """
     ceiling = str_ceiling()
     d = desc.d
-    branches = desc.branches
+    table = desc.preimage_table
     for lvl in range(1, depth + 1):
-        # MapDescriptor.preimage's solve and checks; a d*v - r <= 0 gives a q <= 0
-        staged = [
-            (q, v) for v in level for m, r in branches for q, rem in [divmod(d * v - r, m)]
-            if not rem and q >= 1 and q not in skip
-        ]
+        staged = []
+        for m, r, t in table:
+            staged += [
+                (q, v) for v in level if v % m == t for q in [(d * v - r) // m]
+                if q >= 1 and q not in skip
+            ]
         if not staged:
             return  # no level below an empty one
         nodes += len(staged)

@@ -1,3 +1,4 @@
+import math
 import pickle
 
 import pytest
@@ -227,17 +228,18 @@ def reference_levels(desc, level, depth, skip):
 
 
 @st.composite
-def validated_maps(draw):
-    """Validated tables with d = 2 or 3: offsets of either sign, any multiplier coprime to d.
+def validated_maps(draw, max_d=3):
+    """Validated tables with 2 <= d <= max_d: offsets of either sign, any multiplier coprime to d.
 
     Every draw is valid, so none is filtered out: r = k*d - m*i makes branch
     i divide exactly, and its smallest x >= 1 (i, or d for i = 0) goes to k,
-    or to m + k for i = 0, which must be at least 1.
+    or to m + k for i = 0, which must be at least 1.  Multipliers stay below
+    14, so |r| <= 13*4 + 6*5 = 82 up to max_d = 5.
     """
-    d = draw(st.sampled_from([2, 3]))
+    d = draw(st.sampled_from(range(2, max_d + 1)))
     branches = []
     for i in range(d):
-        m = draw(st.sampled_from([m for m in range(1, 14) if m % d]))
+        m = draw(st.sampled_from([m for m in range(1, 14) if math.gcd(m, d) == 1]))
         k = draw(st.integers(max(1 - m if i == 0 else 1, -6), 6))
         branches.append((m, k * d - m * i))
     return validate(MapDescriptor(d, tuple(branches)))
@@ -260,6 +262,43 @@ def test_preimage_levels_equals_the_preimage_closure(desc, root, depth, grow, da
         if grow:
             skip.update(q for q, _v in staged)
             ref_skip.update(q for q, _v in ref)
+
+
+@given(desc=validated_maps(max_d=5), y=st.integers(1, 10**6))
+def test_preimage_table_is_the_division_rule(desc, y):
+    # y = t (mod m) is exactly the exact division of d*y - r by m
+    assert len(desc.preimage_table) == desc.d
+    for (m, r), (tm, tr, t) in zip(desc.branches, desc.preimage_table, strict=True):
+        assert (tm, tr) == (m, r) and 0 <= t < m
+        assert (y % m == t) == ((desc.d * y - r) % m == 0)
+
+
+@given(desc=validated_maps(max_d=5), y=st.integers(1, 300))
+def test_preimage_equals_brute_force_on_drawn_maps(desc, y):
+    # a preimage is (d*y - r)/m <= d*y + 82, so d*y + 100 bounds the search
+    assert desc.preimage(y) == brute_preimage(desc, y, desc.d * y + 100)
+
+
+def test_preimage_table_is_cached_outside_the_fields():
+    fresh, used = pxr(5, -3), pxr(5, -3)
+    assert used.preimage_table == ((1, 0, 0), (5, -3, 1))
+    assert used.preimage_table is used.preimage_table
+    assert fresh == used and hash(fresh) == hash(used) and repr(fresh) == repr(used)
+    again = pickle.loads(pickle.dumps(used))
+    assert again == fresh and again.preimage(1) == fresh.preimage(1) == [1, 2]  # 1 is a fixed point
+
+
+@pytest.mark.parametrize("desc, root, depth, size", [
+    (collatz(), 1, 30, 34_450),
+    (parse_descriptor(D3_TEXT), 2, 14, 32_766),
+    (pxr(5, 1), 4, 24, 814),
+    (pxr(7, -5), 1, 24, 1154),
+])
+def test_preimage_levels_equals_the_preimage_closure_deep(desc, root, depth, size):
+    # far past the property's depth of 8, where every branch's class recurs
+    got = list(preimage_levels(desc, [root], depth, 1, "tree"))
+    assert got == list(reference_levels(desc, [root], depth, ()))
+    assert sum(map(len, got)) == size
 
 
 class TestPreimageLevels:
