@@ -259,16 +259,18 @@ def _cmd_criterion(args) -> int:
     return 0
 
 
+# a status's CSV text, looked up in a plain dict rather than read through the Enum per row
+_STATUS_TEXT = {status: status.value for status in TrajectoryStatus}
+
+
 def _cmd_scan(args) -> int:
     desc = parse_descriptor(args.map)
     result = partition(desc, args.end, _limits(args), args.start)
-    lines = ["x,status,steps_to_cycle,max_excursion,cycle_min"]
-    for x, status, steps, excursion, cycle in result.records():
-        if cycle is None:
-            lines.append(f"{x},{status.value},,{excursion},")
-        else:
-            lines.append(f"{x},{status.value},{steps},{excursion},{cycle.min_member}")
-    _emit("\n".join(lines) + "\n", args.out)
+    text = _STATUS_TEXT
+    _emit("x,status,steps_to_cycle,max_excursion,cycle_min\n" + "".join(
+        f"{x},{text[status]},,{excursion},\n" if cycle is None
+        else f"{x},{text[status]},{steps},{excursion},{cycle.members[0]}\n"
+        for x, status, steps, excursion, cycle in result.records()), args.out)
     return 0
 
 

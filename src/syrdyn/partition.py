@@ -9,9 +9,12 @@ This is the one range engine: find_cycles and the CLI's cycles and scan
 subcommands read their answers off a PartitionResult.  Its starts share an
 orbit memo of exact verdict depths, kept past the step budget at checkpoint
 depths only, and a step-limited start reads its excursion off cached orbit
-segments, so orbits shared by many starts are walked about once.  The engine
-steps the map inline, with the formula of MapDescriptor.apply, and reports
-the steps it took as PartitionResult.applications.
+segments, so orbits shared by many starts are walked about once.  One loop,
+_classify, runs the whole window: a start found in the memo is classified
+where it is found, and any other is walked right there, stepping the map
+inline with the formula of MapDescriptor.apply.  A walk finds a cycle by
+Brent's test against one moving mark, not by indexing every point it
+passes.  The steps taken are reported as PartitionResult.applications.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ class PartitionResult:
     limits: Limits
     cycles: tuple[CycleInfo, ...]
     start: int
-    applications: int                           # map steps the call took
+    applications: int                           # map steps, Brent's overshoot included
     _codes: bytearray = field(repr=False)       # one of the per-point codes above
     _steps: list = field(repr=False)            # steps_to_cycle, None for D2?
     _excursions: list = field(repr=False)
@@ -205,110 +208,187 @@ def _peak(desc, v, depth, count, segments, k):
     return best, steps
 
 
-def _walk(desc, x, limits, k, memo, segments, cycles, cycle_ids):
-    """Classify x, which is not in the memo, growing the memo with exact verdict depths.
+def _classify(desc, start, limits, memo, segments, codes, steps, excs, cids):
+    """Classify start, start + 1, ... into codes, steps, excs and cids, one loop for the window.
 
     memo maps a value to (depth, cycle_id, excursion).  A cycle_id of None is
     a ceiling verdict, and depth then counts the applications up to the first
     value above max_value; otherwise depth is the index of the first orbit
-    point on cycles[cycle_id].  A value is classified from its entry (by
-    partition, for a start already in the memo) as a fresh iterate with the
-    full budget would classify it: a ceiling verdict with depth <= max_steps
-    is a value-limit hit, a cycle verdict with depth <= max_steps less the
-    cycle length is C or D1, and anything else is a step-limit hit.  Every
-    verdict within the budget is stored with its
-    excursion.  Past the budget only checkpoint depths, multiples of k, are
-    stored, so a later walk overruns a stored value by fewer than k steps;
-    their excursion is stored as 0, since any start that reaches them is
-    step-limited, and so a lookup tells the two kinds apart.
+    point on cycles[cycle_id].  A value is classified from its entry as a
+    fresh iterate with the full budget would classify it: a ceiling verdict
+    with depth <= max_steps is a value-limit hit, a cycle verdict with depth
+    <= max_steps less the cycle length is C or D1, and anything else is a
+    step-limit hit.  A start found in the memo is classified there; any other
+    is walked in the same loop until its orbit reaches a memo entry, passes
+    max_value or comes round to a cycle, and the walk grows the memo.  Every
+    verdict within the budget is stored with its excursion.  Past the budget
+    only checkpoint depths, multiples of the gap k, are stored, so a later
+    walk overruns a stored value by fewer than k steps; their excursion is
+    stored as 0, since any start that reaches them is step-limited, and so a
+    lookup tells the two kinds apart.
 
-    The walk may go past max_steps to find x's verdict, up to
+    A walk finds a cycle by Brent's test: it compares each new point with a
+    mark, which moves to the current point whenever the step count reaches a
+    power of two, so a walk keeps no per-point index.  The mark comes round
+    fewer than 2 * max(tail, cycle length) steps after the first repeat, and
+    only then is that repeat located, with one dict over the path, once per
+    cycle a walk finds.
+
+    A walk may go past max_steps to find its start's verdict, up to
     2 * (max_steps + 1) points, unless k is _NO_CHECKPOINTS and nothing past
-    the budget is kept.  If it still has none, x is step-limited, and so is
-    any start that reaches a path point with max_steps clean, distinct
-    points ahead of it: those points get open entries, depth _OPEN + points
-    ahead, at their checkpoints.  The excursion of a step-limited start is
-    the maximum of its first max_steps + 1 orbit points, read off the path
-    and, beyond it, from _peak.
+    the budget is kept.  If it still has none, and its points are distinct
+    (Brent's mark may not have come round to a repeat before the cap), the
+    start is step-limited, and so is any start that reaches a path point
+    with max_steps clean, distinct points ahead of it: those points get open
+    entries, depth _OPEN + points ahead, at their checkpoints.  The excursion
+    of a step-limited start is the maximum of its first max_steps + 1 orbit
+    points, read off the path and, beyond it, from _peak.
 
-    The walk steps the map inline, with MapDescriptor.apply's formula but
-    without its domain check: check_window has checked x, and maps.validate
-    guarantees that every branch sends a positive int to a positive int, so
-    every orbit point is in the domain.
+    The kernel also holds the memo and segment cache to partition's byte
+    budget, as partition describes.
 
-    Returns (code, steps_to_cycle, max_excursion, cycle_id, applications)
-    for x; the second and fourth are None for the two limit codes, and the
-    last is the number of map steps the walk and its _peak took.
+    The walks step the map inline, with MapDescriptor.apply's formula but
+    without its domain check: check_window has checked the window, and
+    maps.validate guarantees that every branch sends a positive int to a
+    positive int, so every orbit point is in the domain.
+
+    Returns (cycles, applications): the cycles found, indexed by the cycle
+    ids in cids, and the map steps the walks and _peak took.
     """
-    branches, d, max_value = desc.branches, desc.d, limits.max_value
-    max_steps = limits.max_steps
-    # a gap of _NO_CHECKPOINTS exceeds every budget, and the walk stops at the budget
-    cap = 2 * (max_steps + 1) if k <= max_steps else max_steps + 1
-    path = [x]
-    pos = {x: 0}
-    nxt = x
-    for n in range(1, cap):  # n = len(path), the steps taken so far
-        m, r = branches[nxt % d]
-        nxt = (m * nxt + r) // d
-        hit = memo.get(nxt)
+    branches, d = desc.branches, desc.d
+    max_steps, max_value = limits.max_steps, limits.max_value
+    count = max_steps + 1  # the orbit points a step-limited excursion spans
+    memo_get = memo.get
+    k = _checkpoint_gap(max_steps)
+    # a gap of _NO_CHECKPOINTS exceeds every budget, and a walk stops at the budget
+    cap = 2 * count if k <= max_steps else count
+    max_entries = (_MAX_BYTES - len(codes) * _POINT_BYTES) // (
+        _ENTRY_BYTES + sys.getsizeof(max_value))
+    room = max_entries  # for the memo, beside the segment cache
+    cycles: list[CycleInfo] = []
+    lengths: list[int] = []  # lengths[cid] is cycles[cid].length
+    cycle_ids: dict[tuple[int, ...], int] = {}
+    applications = 0
+    for w, x in enumerate(range(start, start + len(codes))):
+        hit = memo_get(x)
         if hit is not None:
             depth, cid, exc = hit
-            end = n
-            break
-        entry = pos.get(nxt)
-        if entry is not None:
-            cycle = CycleInfo.from_orbit(tuple(path[entry:]))
-            cid = cycle_ids.get(cycle.members)
-            if cid is None:
-                cid = len(cycles)
-                cycles.append(cycle)
-                cycle_ids[cycle.members] = cid
-            # members of a cycle longer than the budget lie past it
-            exc = max(cycle.members) if cycle.length <= max_steps else 0
-            for v in cycle.members:
-                memo[v] = (0, cid, exc)
-            depth, end = 0, entry
-            break
-        if nxt > max_value:
-            # nxt is dropped from the orbit, so it adds nothing to the excursion
-            depth, cid, exc, end = 0, None, 0, n
-            break
-        pos[nxt] = n
-        path.append(nxt)
-    else:
-        # no verdict after cap - 1 applications; path[j] has cap - 1 - j points ahead
-        if cap == max_steps + 1:  # nothing past the budget is kept
-            return _STEP_LIMIT, None, max(path), None, cap - 1
-        for j in range((_OPEN + cap - 1) % k, max_steps + 2, k):
-            memo[path[j]] = (_OPEN + cap - 1 - j, None, 0)
-        return _STEP_LIMIT, None, max(path[:max_steps + 1]), None, cap - 1
-    # path[:end] takes the verdict of path[end] (nxt): path[i] lies end - i
-    # steps before it.  Verdicts within budget, depth <= keep, are a suffix.
-    keep = max_steps - (0 if cid is None else cycles[cid].length)
-    for i in range(end - 1, -1, -1):
-        if depth >= keep:
-            break
-        depth += 1
-        v = path[i]
-        if v > exc:
-            exc = v
-        memo[v] = (depth, cid, exc)
-    else:
-        if exc:  # x's verdict is within budget
-            if cid is None:
-                return _VALUE_LIMIT, None, exc, None, n
-            return (_C if depth == 0 else _D1), depth, exc, cid, n
-        i = -1  # x is on a cycle longer than the budget
-    # path[:i + 1] lies past the budget: store its checkpoint depths
-    top = depth + i + 1  # x's depth; path[j] lies at top - j
-    for j in range(top % k, i + 1, k):
-        memo[path[j]] = (top - j, cid, 0)
-    # x is step-limited; nxt follows path[-1] on its orbit, at depth top - end
-    count = max_steps + 1
-    if len(path) >= count:
-        return _STEP_LIMIT, None, max(path[:count]), None, n
-    peak, steps = _peak(desc, nxt, top - end, count - len(path), segments, k)
-    return _STEP_LIMIT, None, max(peak, max(path)), None, n + steps
+            if not exc:  # past the budget
+                code, st, cid = _STEP_LIMIT, None, None
+                exc, n = _peak(desc, x, depth, count, segments, k)
+                applications += n
+            elif cid is None:
+                code, st = _VALUE_LIMIT, None
+            else:
+                code, st = (_C if depth == 0 else _D1), depth
+        else:
+            path = [x]
+            nxt = mark = x
+            due = 1  # the mark moves to path[n] when n reaches due, a power of two
+            for n in range(1, cap):  # n = len(path), the steps taken so far
+                m, r = branches[nxt % d]
+                nxt = (m * nxt + r) // d
+                hit = memo_get(nxt)
+                if hit is not None:
+                    depth, cid, exc = hit
+                    end = n
+                    break
+                if nxt > max_value:
+                    # nxt is dropped from the orbit, so it adds nothing to the excursion
+                    depth, cid, exc, end = 0, None, 0, n
+                    break
+                path.append(nxt)
+                if nxt == mark:
+                    end = -1  # path holds a cycle
+                    break
+                if n == due:
+                    mark = nxt
+                    due <<= 1
+            else:
+                end = -1 if len(set(path)) < cap else None
+            applications += n
+            if end is None:
+                # no verdict after cap - 1 applications; path[j] has cap - 1 - j points ahead
+                if cap > count:
+                    for j in range((_OPEN + cap - 1) % k, count + 1, k):
+                        memo[path[j]] = (_OPEN + cap - 1 - j, None, 0)
+                code, st, exc, cid = _STEP_LIMIT, None, max(path[:count]), None
+            else:
+                if end < 0:
+                    # the first repeat: path[j] == path[entry], one cycle length on
+                    first = {}
+                    for j, v in enumerate(path):
+                        entry = first.setdefault(v, j)
+                        if entry != j:
+                            break
+                    del path[j:]
+                    nxt = path[entry]
+                    cycle = CycleInfo.from_orbit(tuple(path[entry:]))
+                    cid = cycle_ids.get(cycle.members)
+                    if cid is None:
+                        cid = len(cycles)
+                        cycles.append(cycle)
+                        lengths.append(j - entry)
+                        cycle_ids[cycle.members] = cid
+                    # members of a cycle longer than the budget lie past it
+                    exc = max(cycle.members) if j - entry <= max_steps else 0
+                    for v in cycle.members:
+                        memo[v] = (0, cid, exc)
+                    depth, end = 0, entry
+                # path[:end] takes the verdict of path[end] (nxt): path[j] lies
+                # end - j steps before it.  Verdicts within budget, depth <= keep,
+                # are a suffix; path[j:] holds them when the loop ends.
+                keep = max_steps - (0 if cid is None else lengths[cid])
+                j = end
+                while j and depth < keep:
+                    j -= 1
+                    depth += 1
+                    v = path[j]
+                    if v > exc:
+                        exc = v
+                    memo[v] = (depth, cid, exc)
+                if not j and exc:  # x's verdict is within budget
+                    if cid is None:
+                        code, st = _VALUE_LIMIT, None
+                    else:
+                        code, st = (_C if depth == 0 else _D1), depth
+                else:
+                    # path[:j] lies past the budget (all of it, if x is on a cycle
+                    # longer than the budget): store its checkpoint depths
+                    top = depth + j  # x's depth; path[i] lies at top - i
+                    for i in range(top % k, j, k):
+                        memo[path[i]] = (top - i, cid, 0)
+                    code, st, cid = _STEP_LIMIT, None, None
+                    if len(path) >= count:
+                        exc = max(path[:count])
+                    else:
+                        # nxt follows path[-1] on its orbit, at depth top - end
+                        exc, n = _peak(desc, nxt, top - end, count - len(path), segments, k)
+                        exc = max(exc, max(path))
+                        applications += n
+        if code == _STEP_LIMIT:  # only step-limited starts fill the segment cache
+            room = max_entries - len(segments)
+        if len(memo) > room:
+            if k != _NO_CHECKPOINTS:
+                # what lies past the budget only saves work: drop it, and keep
+                # nothing past the budget for the rest of the window
+                segments.clear()
+                room = max_entries
+                for v in [v for v, entry in memo.items() if not entry[2]]:
+                    del memo[v]
+                k, cap = _NO_CHECKPOINTS, count
+            if len(memo) > max_entries:
+                raise InvalidParameters(
+                    f"partition of {start}..{start + len(codes) - 1} outgrows its budget "
+                    f"of {_MAX_BYTES >> 20} MiB: the orbit memo passed {max_entries} "
+                    f"entries after {w + 1} starts; use a smaller bound, or lower "
+                    f"max_value or max_steps"
+                )
+        codes[w] = code
+        steps[w] = st
+        excs[w] = exc
+        cids[w] = cid
+    return cycles, applications
 
 
 def check_window(start: int, end: int, limits: Limits) -> None:
@@ -338,7 +418,7 @@ def partition(
     """Classify every x in start..domain_bound exactly as iterate would.
 
     All starts share one orbit memo, value -> (depth, cycle_id, excursion),
-    of exact cycle and ceiling verdicts (see _walk), each start is classified
+    of exact cycle and ceiling verdicts (see _classify), each start is classified
     by comparing its depth with the budget, and no start is walked twice, so
     a window costs about as much as the orbits it touches; only the window is
     stored per point.  The cycles listed are those some start enters within
@@ -352,56 +432,13 @@ def partition(
     check_window(start, domain_bound, limits)
     memo: dict[int, tuple[int, int | None, int]] = {}
     segments: dict[int, tuple[int, int]] = {}
-    k = _checkpoint_gap(limits.max_steps)
-    cycles: list[CycleInfo] = []
-    cycle_ids: dict[tuple[int, ...], int] = {}
     size = domain_bound - start + 1
-    max_entries = (_MAX_BYTES - size * _POINT_BYTES) // (
-        _ENTRY_BYTES + sys.getsizeof(limits.max_value))
     codes = bytearray(size)
     steps_arr: list = [None] * size
     exc_arr: list = [0] * size
     cid_arr: list = [None] * size
-    room = max_entries  # for the memo, beside the segment cache
-    applications = 0
-    for i, x in enumerate(range(start, domain_bound + 1)):
-        rec = memo.get(x)
-        if rec is None:
-            code, st, exc, cid, steps = _walk(desc, x, limits, k, memo, segments,
-                                              cycles, cycle_ids)
-            applications += steps
-        else:  # classified on lookup, as _walk describes
-            depth, cid, exc = rec
-            if not exc:  # past the budget
-                code, st, cid = _STEP_LIMIT, None, None
-                exc, steps = _peak(desc, x, depth, limits.max_steps + 1, segments, k)
-                applications += steps
-            elif cid is None:
-                code, st = _VALUE_LIMIT, None
-            else:
-                code, st = (_C if depth == 0 else _D1), depth
-        if code == _STEP_LIMIT:  # only step-limited starts fill the segment cache
-            room = max_entries - len(segments)
-        if len(memo) > room:
-            if k != _NO_CHECKPOINTS:
-                # what lies past the budget only saves work: drop it, and keep
-                # nothing past the budget for the rest of the window
-                segments.clear()
-                room = max_entries
-                for v in [v for v, entry in memo.items() if not entry[2]]:
-                    del memo[v]
-                k = _NO_CHECKPOINTS
-            if len(memo) > max_entries:
-                raise InvalidParameters(
-                    f"partition of {start}..{domain_bound} outgrows its budget of "
-                    f"{_MAX_BYTES >> 20} MiB: the orbit memo passed {max_entries} entries "
-                    f"after {i + 1} starts; use a smaller bound, or lower max_value or "
-                    f"max_steps"
-                )
-        codes[i] = code
-        steps_arr[i] = st
-        exc_arr[i] = exc
-        cid_arr[i] = cid
+    cycles, applications = _classify(desc, start, limits, memo, segments,
+                                     codes, steps_arr, exc_arr, cid_arr)
     # a walk may find a cycle past its start's budget; list only those entered
     cycle_of = {cid: cycles[cid] for cid in set(cid_arr) if cid is not None}
     ordered = tuple(sorted(cycle_of.values(), key=lambda c: c.members[0]))

@@ -8,7 +8,7 @@ import pytest
 from syrdyn.cli import main
 from syrdyn.errors import DomainError, InvalidParameters
 from syrdyn.maps import collatz, parse_descriptor, pxr
-from syrdyn.partition import (_OPEN, _checkpoint_gap, _walk, export_csv, partition,
+from syrdyn.partition import (_OPEN, _checkpoint_gap, _classify, export_csv, partition,
                               summary_dict)
 from syrdyn.trajectory import Limits, TrajectoryStatus, iterate
 from test_range_engine import reference_cycles, reference_scan_rows
@@ -147,7 +147,7 @@ def test_memoized_equals_naive(capsys, monkeypatch, desc, bound, limits):
 
 
 class SpyDict(dict):
-    """A memo or segment cache that records every value a walk finds in it."""
+    """A memo or segment cache that records every value the kernel finds in it."""
 
     def __init__(self):
         super().__init__()
@@ -160,16 +160,14 @@ class SpyDict(dict):
         return value
 
 
-def walk_window(desc, bound, limits, memo=None, segments=None):
-    """The walks partition(desc, bound, limits) makes; it classifies memo hits itself."""
-    k = _checkpoint_gap(limits.max_steps)
+def classify_window(desc, bound, limits, memo=None, segments=None, start=1):
+    """partition(desc, bound, limits, start)'s kernel run on the memo and segment cache given."""
     memo = {} if memo is None else memo
     segments = {} if segments is None else segments
-    cycles, cycle_ids = [], {}
-    for x in range(1, bound + 1):
-        if memo.get(x) is None:
-            _walk(desc, x, limits, k, memo, segments, cycles, cycle_ids)
-    return k, memo, segments, cycles
+    size = bound - start + 1
+    cycles, _applications = _classify(desc, start, limits, memo, segments, bytearray(size),
+                                      [None] * size, [0] * size, [None] * size)
+    return _checkpoint_gap(limits.max_steps), memo, segments, cycles
 
 
 def entry_budget(limits, cycles, cid):
@@ -177,13 +175,13 @@ def entry_budget(limits, cycles, cid):
 
 
 def test_grid_has_memo_hits_past_the_budget():
-    # without walks that find a past-budget checkpoint, an open entry and a
+    # without lookups that find a past-budget checkpoint, an open entry and a
     # cached segment, the grid would not exercise the code that reads them
     past = opened = hops = 0
     for desc, bound in DOMAIN_GRID:
         for limits in LIMITS_GRID:
             memo, segments = SpyDict(), SpyDict()
-            _k, _memo, _segments, cycles = walk_window(desc, bound, limits, memo, segments)
+            _k, _memo, _segments, cycles = classify_window(desc, bound, limits, memo, segments)
             for depth, cid, _exc in memo.found:
                 opened += depth >= _OPEN
                 past += entry_budget(limits, cycles, cid) < depth < _OPEN
@@ -199,8 +197,12 @@ def test_every_memo_entry_is_a_fresh_iterate(desc, bound, limits):
     # that value reaches with an unbounded budget, each open entry must have
     # the clean points ahead that it claims, and each cached segment must be
     # k real steps
-    k, memo, segments, cycles = walk_window(desc, bound, limits)
+    k, memo, segments, cycles = classify_window(desc, bound, limits)
     assert desc is D3 or any(v > bound for v in memo)  # D3 never climbs above x
+    check_memo(desc, limits, k, memo, segments, cycles)
+
+
+def check_memo(desc, limits, k, memo, segments, cycles):
     unbounded = Limits(max_steps=10**6, max_value=limits.max_value)
     for v, (depth, cid, exc) in memo.items():
         if depth >= _OPEN:
@@ -227,6 +229,23 @@ def test_every_memo_entry_is_a_fresh_iterate(desc, bound, limits):
             points.append(desc.apply(points[-1]))
         assert (after, top) == (points[k], max(points[:k])), v
         assert top <= limits.max_value, v
+
+
+@pytest.mark.parametrize("max_steps", range(15, 41))
+def test_cycle_repeating_just_before_the_cap_is_found(max_steps):
+    # the walk from 27 runs round the 31-cycle of pxr:p=7,r=5 through 27 and
+    # first repeats at step 31, but Brent's mark comes round only at step 63,
+    # past the cap of 2 * (max_steps + 1) points up to max_steps 30: there
+    # only the cap's check for a repeated point finds the cycle, and without
+    # it the walk would store open entries that claim more distinct points
+    # ahead than the cycle has
+    desc, limits = pxr(7, 5), Limits(max_steps, 10**12)
+    res = partition(desc, 40, limits, start=27)
+    assert list(res.records()) == [
+        (x, rep.status, rep.entry_index, rep.max_excursion, rep.cycle)
+        for x in range(27, 41) for rep in [iterate(desc, x, limits)]]
+    assert list(res.cycles) == reference_cycles(desc, 27, 40, limits)
+    check_memo(desc, limits, *classify_window(desc, 40, limits, start=27))
 
 
 @TIGHT_LIMITS
@@ -270,16 +289,19 @@ def test_csv_golden():
 
 
 @pytest.mark.parametrize("desc,start,bound,limits,count", [
-    (collatz(), 1, 5000, Limits(max_steps=10**5, max_value=10**40), 7958),
-    (pxr(5, 1), 1, 2000, Limits(max_steps=200, max_value=10**12), 34559),
-    (pxr(5, 1), 1300, 1899, Limits(max_steps=200, max_value=10**12), 26624),
+    (collatz(), 1, 5000, Limits(max_steps=10**5, max_value=10**40), 7960),
+    (pxr(5, 1), 1, 2000, Limits(max_steps=200, max_value=10**12), 34582),
+    (pxr(5, 1), 1300, 1899, Limits(max_steps=200, max_value=10**12), 26689),
     # checkpoints past the budget, open entries and _peak's segment hops
-    (pxr(5, 1), 1, 20000, Limits(max_steps=50, max_value=10**40), 360565),
+    (pxr(5, 1), 1, 20000, Limits(max_steps=50, max_value=10**40), 360588),
     (D3, 1, 120, Limits(max_steps=21, max_value=10**12), 120),
 ])
 def test_applications_count_every_map_step(desc, start, bound, limits, count):
-    # the MapDescriptor.apply calls the engine made when it stepped through
-    # apply: the inline step does the same work, step for step
+    # every map step the kernel takes, exactly: the steps up to each verdict,
+    # _peak's steps, and Brent's overshoot, the steps a walk that finds a cycle
+    # takes past its first repeat before the mark comes round (2 for Collatz's
+    # (1 2); for pxr:p=5,r=1, 23 from 1 and 65 from 1300 over its three cycles;
+    # none for D3's two fixed points)
     assert partition(desc, bound, limits, start).applications == count
 
 
@@ -317,6 +339,8 @@ def test_cli_partition_output_pinned(map_text, bound, digests, capsys, tmp_path)
      "aa34156b3c8b50e78fbb7055b3e7d5cc419a904725959d0cf7b86ac1e1803ad2"),
     (["scan", "pxr:p=5,r=1", "--start", "1300", "--end", "1899"],
      "3dabb5f7492d413af6cbc337d79675876305eba99788bd19b8d6d26674e6a6d8"),
+    (["scan", "pxr:p=5,r=1", "--start", "1200", "--end", "1799"],
+     "fc03b96091433bdecef435800e42b228837dda42aab103c08a369f5daefeba88"),
 ])
 def test_cli_cycles_and_scan_output_pinned(argv, digest, capsys):
     # SHA-256 of the whole stdout, at the sizes and limits of the range benchmarks

@@ -9,6 +9,7 @@ import concurrent.futures
 import importlib
 import io
 import json
+import math
 import time
 import tracemalloc
 from unittest import mock
@@ -137,6 +138,8 @@ def windows(draw):
 @given(st.sampled_from(GRID_MAPS), st.integers(1, 60), windows())
 @example("pxr:p=5,r=1", 1, (10**12, 279, 383))
 @example("collatz", 60, (400, 1, 120))
+# a cycle whose first repeat lies before the walk's cap and Brent's next match past it
+@example("pxr:p=7,r=5", 15, (10**12, 27, 40))
 def test_records_cycles_and_scan_match_iterate(text, max_steps, window):
     max_value, lo, hi = window
     desc, limits = parse_descriptor(text), Limits(max_steps, max_value)
@@ -240,6 +243,18 @@ class TestPointCap:
             assert out == "" and "exceeds max_value 50" in err
 
 
+class StoreLog(dict):
+    """A memo that records every entry stored in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def __setitem__(self, key, entry):
+        self.stored.append(entry)
+        super().__setitem__(key, entry)
+
+
 class TestMemoBudget:
     # pxr:p=5,r=1 under the default limits keeps about 51 memo entries a start
     BUDGET = 4 << 20
@@ -268,19 +283,20 @@ class TestMemoBudget:
         # pxr:p=5,r=1 with max_steps 50 keeps about 1.5 entries a start, nearly
         # all past the budget, and about 0.05 within it; a budget too small
         # for the former drops them and finishes the window without them
-        limits = Limits(max_steps=50)
-        want = list(partition(pxr(5, 1), 20000, limits).records())
-        gaps = []
-        walk = partition_module._walk
-
-        def spy(desc, x, limits, k, *rest):
-            gaps.append(k)
-            return walk(desc, x, limits, k, *rest)
-
-        monkeypatch.setattr(partition_module, "_walk", spy)
+        limits, size = Limits(max_steps=50), 20000
+        want = list(partition(pxr(5, 1), size, limits).records())
         monkeypatch.setattr(partition_module, "_MAX_BYTES", 3 << 20)
-        assert list(partition(pxr(5, 1), 20000, limits).records()) == want
-        assert gaps[0] == 7 and gaps[-1] == partition_module._NO_CHECKPOINTS
+        assert list(partition(pxr(5, 1), size, limits).records()) == want
+        memo, segments = StoreLog(), {}
+        steps, excs = [None] * size, [0] * size
+        partition_module._classify(pxr(5, 1), 1, limits, memo, segments, bytearray(size),
+                                   steps, excs, [None] * size)
+        assert list(zip(steps, excs)) == [(n, top) for _x, _status, n, top, _c in want]
+        # the walks started with gap 7: what they stored past the budget lies
+        # at multiples of 7, and the window ended keeping none of it
+        past = [depth for depth, _cid, exc in memo.stored if not exc and depth < partition_module._OPEN]
+        assert math.gcd(*past) == 7
+        assert all(exc for _depth, _cid, exc in memo.values()) and not segments
 
     @pytest.mark.parametrize("argv", [
         ["scan", "collatz", "--start", "1", "--end", "20000"],
