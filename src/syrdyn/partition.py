@@ -7,13 +7,14 @@ candidates, and results always carry the limits used.
 
 This is the one range engine: find_cycles and the CLI's cycles and scan
 subcommands read their answers off a PartitionResult.  Its starts share an
-orbit memo of exact verdict depths, kept past the step budget at checkpoint
-depths only, and a step-limited start reads its excursion off cached orbit
-segments, so orbits shared by many starts are walked about once.  One loop,
-_classify, runs the whole window: a start found in the memo is classified
-where it is found, and any other is walked right there, stepping the map
-inline with the formula of MapDescriptor.apply.  A walk finds a cycle by
-Brent's test against one moving mark, not by indexing every point it
+orbit memo of exact verdict depths, kept for every value up to the window's
+end and every cycle member, and above the window or past the step budget at
+checkpoint depths only; a step-limited start reads its excursion off cached
+orbit segments, so orbits shared by many starts are walked about once.  One
+loop, _classify, runs the whole window: a start found in the memo is
+classified where it is found, and any other is walked right there, stepping
+the map inline with the formula of MapDescriptor.apply.  A walk finds a cycle
+by Brent's test against one moving mark, not by indexing every point it
 passes.  The steps taken are reported as PartitionResult.applications.
 """
 
@@ -56,11 +57,13 @@ _MAX_POINTS = 3_500_000
 # list slots) and _ENTRY_BYTES a memo entry or cached segment (a 3-tuple, a
 # depth and a dict slot at its worst, 90 B while a growing table is copied)
 # plus one int of max_value's size, since no stored value exceeds max_value.
-# The memo is the cost that varies: under the default limits Collatz keeps
-# about 1.6 entries a start, so a window of about 2.7 M starts fits, while
-# pxr:p=5,r=1 keeps about 51 (8.4 KB a start under tracemalloc) and stops
-# after about 87,000.  With max_steps 200 and max_value 1e12 it keeps about
-# 10.8 entries and segments a start, 0.4 of them past the budget.
+# The memo is the cost that varies.  Above the window it keeps checkpoint
+# depths only, so under the default limits Collatz keeps 1.0 entries a start
+# and pxr:p=5,r=1 about 1.12 (windows 1..10^6).  A window of _MAX_POINTS leaves
+# room for about 4.36 M entries, so at those rates both fit up to the point
+# cap.  With max_steps 200 and max_value 1e12, pxr:p=5,r=1 keeps about 1.8
+# entries and segments a start (1..2000): 1.56 memo entries, 0.09 of them past
+# the budget, and 0.23 segments.
 _MAX_BYTES = 1 << 30
 _POINT_BYTES = 25
 _ENTRY_BYTES = 182
@@ -68,6 +71,7 @@ _ENTRY_BYTES = 182
 # pseudo-depth of an open memo entry: a value with at least max_steps clean,
 # distinct orbit points ahead, whose verdict no walk has reached.  It is above
 # every step budget, so any start that reaches such a value is step-limited.
+# The entry is (_OPEN + points ahead, the last of those points, 0).
 _OPEN = 1 << 62
 # a checkpoint gap that no depth reaches (depth % gap is the depth itself), so
 # no checkpoint is stored and no segment hop is taken: nothing past the budget
@@ -220,12 +224,15 @@ def _classify(desc, start, limits, memo, segments, codes, steps, excs, cids):
     <= max_steps less the cycle length is C or D1, and anything else is a
     step-limit hit.  A start found in the memo is classified there; any other
     is walked in the same loop until its orbit reaches a memo entry, passes
-    max_value or comes round to a cycle, and the walk grows the memo.  Every
-    verdict within the budget is stored with its excursion.  Past the budget
-    only checkpoint depths, multiples of the gap k, are stored, so a later
-    walk overruns a stored value by fewer than k steps; their excursion is
-    stored as 0, since any start that reaches them is step-limited, and so a
-    lookup tells the two kinds apart.
+    max_value or comes round to a cycle, and the walk grows the memo.  A
+    verdict within the budget is stored with its excursion for every value
+    up to the window's end, last, and for cycle members.  Above last, and for
+    every value past the budget, only checkpoint depths, multiples of the gap
+    k, are stored, so a later walk overruns a stored value by fewer than k
+    steps.  Most lookups that find an entry find it at or below last, and
+    values far above the window are seldom met again.  Past the budget the
+    excursion is stored as 0, since any start that reaches such a value is
+    step-limited, and so a lookup tells the two kinds apart.
 
     A walk finds a cycle by Brent's test: it compares each new point with a
     mark, which moves to the current point whenever the step count reaches a
@@ -240,8 +247,13 @@ def _classify(desc, start, limits, memo, segments, codes, steps, excs, cids):
     (Brent's mark may not have come round to a repeat before the cap), the
     start is step-limited, and so is any start that reaches a path point
     with max_steps clean, distinct points ahead of it: those points get open
-    entries, depth _OPEN + points ahead, at their checkpoints.  The excursion
-    of a step-limited start is the maximum of its first max_steps + 1 orbit
+    entries, (_OPEN + points ahead, the last of those points, 0), at their
+    checkpoints.  A walk that ends on an open entry gives its own checkpoints
+    open entries that count on through that entry's points ahead and name
+    the same last point.  If that last point is on the walk's path, the
+    entry lies on a cycle through the path, the sum would count cycle points
+    twice, and the walk goes on past the entry instead.  The excursion of a
+    step-limited start is the maximum of its first max_steps + 1 orbit
     points, read off the path and, beyond it, from _peak.
 
     The kernel also holds the memo and segment cache to partition's byte
@@ -259,6 +271,7 @@ def _classify(desc, start, limits, memo, segments, codes, steps, excs, cids):
     max_steps, max_value = limits.max_steps, limits.max_value
     count = max_steps + 1  # the orbit points a step-limited excursion spans
     memo_get = memo.get
+    last = start + len(codes) - 1
     k = _checkpoint_gap(max_steps)
     # a gap of _NO_CHECKPOINTS exceeds every budget, and a walk stops at the budget
     cap = 2 * count if k <= max_steps else count
@@ -289,7 +302,9 @@ def _classify(desc, start, limits, memo, segments, codes, steps, excs, cids):
                 m, r = branches[nxt % d]
                 nxt = (m * nxt + r) // d
                 hit = memo_get(nxt)
-                if hit is not None:
+                # an open entry whose last point ahead is on the path lies on a
+                # cycle through the path: its points ahead are not all new
+                if hit is not None and (hit[0] < _OPEN or hit[1] not in path):
                     depth, cid, exc = hit
                     end = n
                     break
@@ -311,7 +326,7 @@ def _classify(desc, start, limits, memo, segments, codes, steps, excs, cids):
                 # no verdict after cap - 1 applications; path[j] has cap - 1 - j points ahead
                 if cap > count:
                     for j in range((_OPEN + cap - 1) % k, count + 1, k):
-                        memo[path[j]] = (_OPEN + cap - 1 - j, None, 0)
+                        memo[path[j]] = (_OPEN + cap - 1 - j, path[-1], 0)
                 code, st, exc, cid = _STEP_LIMIT, None, max(path[:count]), None
             else:
                 if end < 0:
@@ -338,7 +353,7 @@ def _classify(desc, start, limits, memo, segments, codes, steps, excs, cids):
                 # path[:end] takes the verdict of path[end] (nxt): path[j] lies
                 # end - j steps before it.  Verdicts within budget, depth <= keep,
                 # are a suffix; path[j:] holds them when the loop ends.
-                keep = max_steps - (0 if cid is None else lengths[cid])
+                keep = max_steps - (0 if cid is None or depth >= _OPEN else lengths[cid])
                 j = end
                 while j and depth < keep:
                     j -= 1
@@ -346,7 +361,8 @@ def _classify(desc, start, limits, memo, segments, codes, steps, excs, cids):
                     v = path[j]
                     if v > exc:
                         exc = v
-                    memo[v] = (depth, cid, exc)
+                    if v <= last or not depth % k:  # above the window, checkpoints only
+                        memo[v] = (depth, cid, exc)
                 if not j and exc:  # x's verdict is within budget
                     if cid is None:
                         code, st = _VALUE_LIMIT, None
@@ -379,7 +395,7 @@ def _classify(desc, start, limits, memo, segments, codes, steps, excs, cids):
                 k, cap = _NO_CHECKPOINTS, count
             if len(memo) > max_entries:
                 raise InvalidParameters(
-                    f"partition of {start}..{start + len(codes) - 1} outgrows its budget "
+                    f"partition of {start}..{last} outgrows its budget "
                     f"of {_MAX_BYTES >> 20} MiB: the orbit memo passed {max_entries} "
                     f"entries after {w + 1} starts; use a smaller bound, or lower "
                     f"max_value or max_steps"

@@ -2,8 +2,10 @@ import hashlib
 import importlib
 import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from syrdyn.cli import main
 from syrdyn.errors import DomainError, InvalidParameters
@@ -147,7 +149,7 @@ def test_memoized_equals_naive(capsys, monkeypatch, desc, bound, limits):
 
 
 class SpyDict(dict):
-    """A memo or segment cache that records every value the kernel finds in it."""
+    """A memo or segment cache that records every (key, value) the kernel finds in it."""
 
     def __init__(self):
         super().__init__()
@@ -156,7 +158,7 @@ class SpyDict(dict):
     def get(self, key, default=None):
         value = super().get(key, default)
         if value is not None:
-            self.found.append(value)
+            self.found.append((key, value))
         return value
 
 
@@ -175,18 +177,24 @@ def entry_budget(limits, cycles, cid):
 
 
 def test_grid_has_memo_hits_past_the_budget():
-    # without lookups that find a past-budget checkpoint, an open entry and a
-    # cached segment, the grid would not exercise the code that reads them
-    past = opened = hops = 0
+    # without lookups that find a past-budget checkpoint, an open entry, a
+    # verdict within the budget keyed above the window (kept at checkpoint
+    # depths only) and a cached segment, the grid would not exercise the code
+    # that stores and reads them
+    past = opened = above = hops = 0
     for desc, bound in DOMAIN_GRID:
         for limits in LIMITS_GRID:
             memo, segments = SpyDict(), SpyDict()
             _k, _memo, _segments, cycles = classify_window(desc, bound, limits, memo, segments)
-            for depth, cid, _exc in memo.found:
-                opened += depth >= _OPEN
-                past += entry_budget(limits, cycles, cid) < depth < _OPEN
+            for v, (depth, cid, _exc) in memo.found:
+                if depth >= _OPEN:
+                    opened += 1
+                elif depth > entry_budget(limits, cycles, cid):
+                    past += 1
+                else:
+                    above += v > bound and depth > 0
             hops += len(segments.found)
-    assert past > 0 and opened > 0 and hops > 0
+    assert past > 0 and opened > 0 and above > 0 and hops > 0
 
 
 @TIGHT_LIMITS
@@ -197,19 +205,20 @@ def test_every_memo_entry_is_a_fresh_iterate(desc, bound, limits):
     # that value reaches with an unbounded budget, each open entry must have
     # the clean points ahead that it claims, and each cached segment must be
     # k real steps
-    k, memo, segments, cycles = classify_window(desc, bound, limits)
-    assert desc is D3 or any(v > bound for v in memo)  # D3 never climbs above x
-    check_memo(desc, limits, k, memo, segments, cycles)
+    check_memo(desc, limits, bound, *classify_window(desc, bound, limits))
 
 
-def check_memo(desc, limits, k, memo, segments, cycles):
+def check_memo(desc, limits, last, k, memo, segments, cycles):
+    """Check every memo entry and cached segment of a window ending at last."""
     unbounded = Limits(max_steps=10**6, max_value=limits.max_value)
     for v, (depth, cid, exc) in memo.items():
         if depth >= _OPEN:
+            # an open entry names the last of the distinct points ahead it claims
             ahead = depth - _OPEN
-            assert ahead >= limits.max_steps and depth % k == 0 and cid is None, v
+            assert ahead >= limits.max_steps and depth % k == 0 and exc == 0, v
             rep = iterate(desc, v, Limits(max_steps=ahead, max_value=limits.max_value))
             assert rep.status is TrajectoryStatus.HIT_STEP_LIMIT, v
+            assert rep.steps[-1] == cid, v
             continue
         rep = iterate(desc, v, unbounded)
         if cid is None:
@@ -221,6 +230,8 @@ def check_memo(desc, limits, k, memo, segments, cycles):
             assert rep.cycle == cycles[cid], v
         if depth <= entry_budget(limits, cycles, cid):
             assert exc == rep.max_excursion == iterate(desc, v, limits).max_excursion, v
+            # above the window, only checkpoint depths and cycle members (depth 0)
+            assert v <= last or depth % k == 0, v
         else:
             assert depth % k == 0 and exc == 0, v  # a checkpoint past the budget
     for v, (after, top) in segments.items():
@@ -245,7 +256,38 @@ def test_cycle_repeating_just_before_the_cap_is_found(max_steps):
         (x, rep.status, rep.entry_index, rep.max_excursion, rep.cycle)
         for x in range(27, 41) for rep in [iterate(desc, x, limits)]]
     assert list(res.cycles) == reference_cycles(desc, 27, 40, limits)
-    check_memo(desc, limits, *classify_window(desc, 40, limits, start=27))
+    check_memo(desc, limits, 40, *classify_window(desc, 40, limits, start=27))
+
+
+@pytest.mark.parametrize("max_steps", range(15, 41))
+@pytest.mark.parametrize("bound", [40, 200])
+def test_open_entries_on_a_long_cycle_claim_only_distinct_points(bound, max_steps):
+    # walks from below 27 enter the 31-cycle of pxr:p=7,r=5 and can run along
+    # it to an open entry without repeating a point; at max_steps 15 the walk
+    # that reaches 342 that way would give 244 36 points ahead, more than the
+    # cycle has, unless it sees that 342's last point ahead is on its path
+    desc, limits = pxr(7, 5), Limits(max_steps, 10**12)
+    check_memo(desc, limits, bound, *classify_window(desc, bound, limits))
+
+
+PX_MAPS = [(p, r) for p in (3, 5, 7, 9, 11) for r in range(2 - p, p, 2) if math.gcd(p, r) == 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PX_MAPS), st.integers(15, 60), st.integers(1, 250),
+       st.sampled_from([10**6, 10**12]))
+def test_memo_holds_on_small_px_maps(pr, max_steps, bound, max_value):
+    desc, limits = pxr(*pr), Limits(max_steps, max_value)
+    check_memo(desc, limits, bound, *classify_window(desc, bound, limits))
+
+
+def test_memo_keeps_checkpoints_above_the_window():
+    # pxr:p=5,r=1 climbs to the ceiling from most starts; a verdict within the
+    # budget is kept above the window only at checkpoint depths (gap 14 here),
+    # where the rule that kept every one held 21,049 entries
+    limits = Limits(max_steps=200, max_value=10**12)
+    k, memo, _segments, _cycles = classify_window(pxr(5, 1), 2000, limits)
+    assert k == 14 and len(memo) == 3114
 
 
 @TIGHT_LIMITS
@@ -289,11 +331,11 @@ def test_csv_golden():
 
 
 @pytest.mark.parametrize("desc,start,bound,limits,count", [
-    (collatz(), 1, 5000, Limits(max_steps=10**5, max_value=10**40), 7960),
-    (pxr(5, 1), 1, 2000, Limits(max_steps=200, max_value=10**12), 34582),
-    (pxr(5, 1), 1300, 1899, Limits(max_steps=200, max_value=10**12), 26689),
+    (collatz(), 1, 5000, Limits(max_steps=10**5, max_value=10**40), 8388),
+    (pxr(5, 1), 1, 2000, Limits(max_steps=200, max_value=10**12), 34743),
+    (pxr(5, 1), 1300, 1899, Limits(max_steps=200, max_value=10**12), 26784),
     # checkpoints past the budget, open entries and _peak's segment hops
-    (pxr(5, 1), 1, 20000, Limits(max_steps=50, max_value=10**40), 360588),
+    (pxr(5, 1), 1, 20000, Limits(max_steps=50, max_value=10**40), 360597),
     (D3, 1, 120, Limits(max_steps=21, max_value=10**12), 120),
 ])
 def test_applications_count_every_map_step(desc, start, bound, limits, count):
@@ -301,7 +343,8 @@ def test_applications_count_every_map_step(desc, start, bound, limits, count):
     # _peak's steps, and Brent's overshoot, the steps a walk that finds a cycle
     # takes past its first repeat before the mark comes round (2 for Collatz's
     # (1 2); for pxr:p=5,r=1, 23 from 1 and 65 from 1300 over its three cycles;
-    # none for D3's two fixed points)
+    # none for D3's two fixed points), and the steps a walk that merges into a
+    # stored orbit above the window takes on to the next value kept there
     assert partition(desc, bound, limits, start).applications == count
 
 

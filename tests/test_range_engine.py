@@ -256,15 +256,18 @@ class StoreLog(dict):
 
 
 class TestMemoBudget:
-    # pxr:p=5,r=1 under the default limits keeps about 51 memo entries a start
+    # pxr:p=5,r=1 under the default limits keeps about 1.3 memo entries a start,
+    # and more for the first starts, whose orbits the later ones merge into
     BUDGET = 4 << 20
 
     def test_divergent_map_refused_within_the_budget(self, monkeypatch):
+        # the window's arrays take most of the budget, so the memo outgrows
+        # the rest within a few hundred starts
         monkeypatch.setattr(partition_module, "_MAX_BYTES", self.BUDGET)
         tracemalloc.start()
         try:
             with pytest.raises(InvalidParameters, match="outgrows its budget of 4 MiB"):
-                partition(pxr(5, 1), 5000)
+                partition(pxr(5, 1), 150_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -273,11 +276,18 @@ class TestMemoBudget:
     def test_lower_ceiling_admits_more_starts(self, monkeypatch):
         # a lower max_value means smaller memo entries and shorter walks;
         # output under the budget is what an unlimited run gives
-        want = partition(pxr(5, 1), 1000, Limits(max_value=10**12)).counts()
+        want = partition(pxr(5, 1), 16_000, Limits(max_value=10**12)).counts()
         monkeypatch.setattr(partition_module, "_MAX_BYTES", self.BUDGET)
         with pytest.raises(InvalidParameters, match="budget"):
-            partition(pxr(5, 1), 1000)
-        assert partition(pxr(5, 1), 1000, Limits(max_value=10**12)).counts() == want
+            partition(pxr(5, 1), 16_000)
+        assert partition(pxr(5, 1), 16_000, Limits(max_value=10**12)).counts() == want
+
+    def test_window_fits_when_only_checkpoints_above_it_are_kept(self, monkeypatch):
+        # keeping every verdict within the budget, the memo passed 4 MiB after
+        # about 345 of these starts
+        want = list(partition(pxr(5, 1), 5000).records())
+        monkeypatch.setattr(partition_module, "_MAX_BYTES", self.BUDGET)
+        assert list(partition(pxr(5, 1), 5000).records()) == want
 
     def test_verdicts_past_the_budget_are_dropped_first(self, monkeypatch):
         # pxr:p=5,r=1 with max_steps 50 keeps about 1.5 entries a start, nearly
