@@ -123,10 +123,10 @@ class MapDescriptor:
 
 # preimage closures (measure forests, and preimage trees with their repeats)
 # of more nodes than this are refused.  The deepest Collatz forest under it,
-# depth 36 with 112,658 nodes, takes `measure --trials 1` about 135 MB peak
-# RSS and 1.5-2.0 s, of which the forest and assignment hold 37 MB and the node
+# depth 36 with 112,658 nodes, takes `measure --trials 1` about 125 MB peak
+# RSS and 1.6-2.3 s, of which the forest and assignment hold 22 MB and the node
 # records and the document text about 36 MB each, and the default 1000
-# trials 10-12 s (Python 3.11, 2 CPUs); depth 20 has 1137 nodes.
+# trials 9-11 s (Python 3.11, 2 CPUs, fresh processes); depth 20 has 1137 nodes.
 _MAX_FOREST_NODES = 1 << 17
 
 

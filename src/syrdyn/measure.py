@@ -1,4 +1,4 @@
-"""A finite measure on a truncated preimage forest, power-bounded with M = 2.
+"""A finite measure on a truncated preimage forest, and its power bound M = 2.
 
 Construction, per cycle i of length N (cycle trees are disjoint):
 
@@ -16,22 +16,20 @@ the largest exponent: MeasureAssignment.numerators and .denominator are the
 only stored masses.  A set's mass is an integer sum and the power bound an
 integer comparison.  The sets T^-n{v} of distinct v are disjoint, so
 mu(T^-n(A)) is a sum over A of the fibre masses P_n(v), pushed forward once
-per level: check_power_bound samples such sums, and power_bound_certificate
-reads their exact supremum over all A off the same tables.  The sampler draws
-a trial's subset in one getrandbits call and packs P_0(v)..P_max_n(v) into
-one int per node, in fields too wide to carry into each other, so one C-level
-sum over the subset gives mu(A) and every mu(T^-n(A)) of the trial.
-Masses are reported through numeric.dyadic_form and mass_fields: as a
-MeasureValue from measure_of and the totals, and straight from the numerator
-for each node in export_json.
+per level: check_power_bound samples such sums, one packed sum per trial,
+and power_bound_certificate reads their exact supremum over all A off the
+same tables.  Masses are reported through numeric.dyadic_form and
+mass_fields: as a MeasureValue from measure_of and the totals, and straight
+from the numerator for each node in export_json.
 
 build_forest grows each tree with maps.preimage_levels, which refuses the
 level that would cross the node cap and stops at the first empty one, so a
-huge depth costs no more than the nodes it finds.
-
-export_json writes the measure as JSON text without a dict per node: each
-node is one record template, spliced into json.dumps of the small envelope
-by numeric.json_with_records.
+huge depth costs no more than the nodes it finds.  The forest keeps its
+levels and the parent map only: assign_measure ranks each node among its
+parent's children as it walks a level in ascending order, and export_json
+reads each node's cycle and level off the levels.  It writes the measure as
+JSON text with one record template per node, spliced into json.dumps of
+the small envelope by numeric.json_with_records.
 """
 
 from __future__ import annotations
@@ -120,9 +118,11 @@ class PreimageForest:
     levels[i][l] lists level-l nodes of cycle i ascending; level 0 holds the
     cycle members.  A tree that dies out before depth ends at its last
     non-empty level, so levels[i] may hold fewer than depth + 1 tuples.
-    parent maps every non-cycle node to its image under the map; children
-    is the inverse, each tuple ascending.  The enumeration order is part of
-    the contract: the measure depends on it.
+    parent maps every non-cycle node to its image under the map, and covered
+    is the set of all nodes.  These are the only node data: a node's cycle
+    and level are its place in levels, and its children are the next level's
+    nodes whose parent it is, in ascending order.  The enumeration order is
+    part of the contract: the measure depends on it.
     """
 
     descriptor: MapDescriptor
@@ -130,9 +130,6 @@ class PreimageForest:
     depth: int
     levels: tuple[tuple[tuple[int, ...], ...], ...]
     parent: dict
-    children: dict
-    node_cycle: dict
-    node_level: dict
     covered: frozenset
 
 
@@ -157,29 +154,16 @@ def build_forest(
             raise OverlappingCycles(f"cycles share members {sorted(overlap)}")
         seen.update(cyc.members)
     parent: dict[int, int] = {}
-    children: dict[int, tuple[int, ...]] = {}
-    node_cycle: dict[int, int] = {}
-    node_level: dict[int, int] = {}
     all_levels = []
-    for ci, cyc in enumerate(cycles):
+    for cyc in cycles:
         levels = [tuple(sorted(cyc.members))]
-        for v in levels[0]:
-            node_cycle[v] = ci
-            node_level[v] = 0
-        closure = preimage_levels(desc, levels[0], depth, len(seen), "forest", seen)
-        for lvl, staged in enumerate(closure, start=1):
-            for q, v in staged:
-                seen.add(q)
-                parent[q] = v
-                children[v] = children.get(v, ()) + (q,)
-                node_cycle[q] = ci
-                node_level[q] = lvl
-            levels.append(tuple(q for q, _v in staged))
+        for staged in preimage_levels(desc, levels[0], depth, len(seen), "forest", seen):
+            parent.update(staged)
+            level = tuple(q for q, _v in staged)
+            seen.update(level)
+            levels.append(level)
         all_levels.append(tuple(levels))
-    return PreimageForest(
-        desc, cycles, depth, tuple(all_levels), parent, children,
-        node_cycle, node_level, frozenset(seen),
-    )
+    return PreimageForest(desc, cycles, depth, tuple(all_levels), parent, frozenset(seen))
 
 
 @dataclass(frozen=True)
@@ -204,6 +188,7 @@ def assign_measure(forest: PreimageForest) -> MeasureAssignment:
     Node v of cycle i (1-based) weighs 2^-exps[v], divided by odd(N) on a
     member of a cycle of length N; the cycle weight 2^(-i-1) is in exps.
     """
+    parent = forest.parent
     exps: dict[int, int] = {}
     odds: dict[int, int] = {}  # cycle member -> odd part of its cycle's length
     for ci, cyc in enumerate(forest.cycles):
@@ -215,10 +200,12 @@ def assign_measure(forest: PreimageForest) -> MeasureAssignment:
             odds[v] = cyc.length >> twos
         for j, v in enumerate(levels[1] if len(levels) > 1 else (), start=1):
             exps[v] = j + 3 + weight_exp
-        for level in levels[1:]:
-            for v in level:
-                for t, child in enumerate(forest.children.get(v, ()), start=1):
-                    exps[child] = exps[v] + t + 1
+        for level in levels[2:]:
+            rank: dict[int, int] = {}  # parent -> children ranked so far
+            for q in level:  # ascending, so the t-th child of p is ranked t
+                p = parent[q]
+                t = rank[p] = rank.get(p, 0) + 1
+                exps[q] = exps[p] + t + 1
     odd = math.lcm(*odds.values())
     top = max(exps.values())
     numerators = {v: (odd // odds.get(v, 1)) << (top - e) for v, e in exps.items()}
@@ -337,8 +324,8 @@ def check_power_bound(
     first with the largest ratio, found by cross-multiplication; its ratio is
     reported correctly rounded and as a reduced fraction, and only its masses
     are rendered as MeasureValues.  power_bound_certificate reads the
-    supremum over all subsets off the same fibre masses.
-    A violation is an internal bug: the construction guarantees the bound.
+    supremum over all subsets off the same fibre masses; it can exceed 2 on
+    a long cycle, where a random subset almost never isolates the member.
     """
     forest = assignment.forest
     if type(trials) is not int or trials < 1:
@@ -408,6 +395,15 @@ def power_bound_certificate(assignment: MeasureAssignment, max_n: int) -> list[t
     the supremum over all subsets of the covered nodes: every sampled ratio at
     power n is at most entry n - 1.  The power bound holds iff no ratio
     exceeds 2.
+
+    Lemma: a node v at level >= 1 has P_n(v)/mu(v) <= (sum_{t=1..d} 2^-(t+1))^n,
+    (3/8)^n for d = 2, below 2^-n: its t-th child weighs 2^-(t+1) of it, and
+    by induction over its at most d children.  A member's ratio is at least
+    1, its cycle predecessor weighing as much, so the supremum sits on cycle
+    members, whose n-step fibres lie in levels <= n: a depth-max_n forest
+    gives the exact certificate.  A member of a cycle of length N whose
+    preimage is the first level-1 node (1/16 against its 1/(2N)) has ratio
+    at least 1 + N/8 at n = 1, above 2 once N > 8: 39/8 on the 31-cycle of pxr(7,5).
     """
     _check_max_n(assignment.forest, max_n)
     weight = assignment.numerators
@@ -444,15 +440,16 @@ def export_json(assignment: MeasureAssignment, report: PowerBoundReport | None =
     """
     forest = assignment.forest
     numerators, den = assignment.numerators, assignment.denominator
-    parent, node_cycle, node_level = forest.parent, forest.node_cycle, forest.node_level
+    parent = forest.parent
+    places = sorted((v, ci, lvl) for ci, levels in enumerate(forest.levels)
+                    for lvl, level in enumerate(levels) for v in level)
     records = []
-    for v in sorted(forest.covered):
-        ci = node_cycle[v]
+    for v, ci, lvl in places:
         records.append(
             "{\n"
             f'      "value": "{v}",\n'
             f'      "cycle": {ci + 1},\n'
-            f'      "level": {node_level[v]},\n'
+            f'      "level": {lvl},\n'
             f'      "parent": {record_str(parent.get(v))},\n'
             f'      "cycle_local": {_mass_text(numerators[v] << (ci + 2), den)},\n'
             f'      "combined": {_mass_text(numerators[v], den)}\n'

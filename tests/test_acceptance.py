@@ -121,8 +121,20 @@ def test_criterion_06_two_preimage_class():
                 assert len(desc.preimage(y)) == expect, (p, r, y)
 
 
-def reference_local(forest):
-    """Cycle-local masses as Fractions, from the forest and the construction rules."""
+def reference_children(forest):
+    """node -> its children ascending: its map preimages on the next level of its tree."""
+    desc = forest.descriptor
+    kids = {}
+    for levels in forest.levels:
+        for level, below in zip(levels, levels[1:]):
+            below = set(below)
+            for v in level:
+                kids[v] = sorted(q for q in desc.preimage(v) if q in below)
+    return kids
+
+
+def reference_local(forest, kids):
+    """Cycle-local masses as Fractions, from the forest's levels and the construction rules."""
     local = {}
     for cyc, levels in zip(forest.cycles, forest.levels):
         for v in levels[0]:
@@ -131,7 +143,7 @@ def reference_local(forest):
             local[v] = Fraction(1, 2 ** (j + 3))
         for level in levels[1:]:
             for v in level:
-                for t, q in enumerate(forest.children.get(v, ()), start=1):
+                for t, q in enumerate(kids.get(v, ()), start=1):
                     local[q] = local[v] / 2 ** (t + 1)
     return local
 
@@ -139,20 +151,20 @@ def reference_local(forest):
 def assert_measure_matches_reference(asg):
     """Every node's numerator against the reference, and the measure's properties on it."""
     forest = asg.forest
-    ref = reference_local(forest)
+    kids = reference_children(forest)
+    ref = reference_local(forest, kids)
     assert set(asg.numerators) == set(ref) == forest.covered
     local = {}
-    for v, mass in ref.items():
-        local[v] = Fraction(asg.numerators[v], asg.denominator) * 2 ** (forest.node_cycle[v] + 2)
-        assert local[v] == mass, v
-    for levels in forest.levels:
+    for ci, levels in enumerate(forest.levels):
+        for v in (v for level in levels for v in level):
+            local[v] = Fraction(asg.numerators[v], asg.denominator) * 2 ** (ci + 2)
+            assert local[v] == ref[v], v
         sums = [sum(local[v] for v in level) for level in levels]
         assert sums[0] == Fraction(1, 2)
         assert len(sums) < 2 or sums[1] <= Fraction(1, 4)
         assert all(nxt <= prev / 2 for prev, nxt in zip(sums[1:], sums[2:]))
-    for v, kids in forest.children.items():
-        if forest.node_level[v]:
-            assert sum(local[q] for q in kids) <= local[v] / 2
+        for v in (v for level in levels[1:] for v in level):
+            assert sum(local[q] for q in kids.get(v, ())) <= local[v] / 2
     assert sum(asg.numerators.values()) <= asg.denominator
 
 

@@ -21,6 +21,7 @@ from syrdyn.maps import collatz, parse_descriptor, pxr
 from syrdyn.measure import (
     MeasureAssignment,
     MeasureValue,
+    PreimageForest,
     assign_measure,
     build_forest,
     check_power_bound,
@@ -29,6 +30,7 @@ from syrdyn.measure import (
     power_bound_certificate,
 )
 from syrdyn.numeric import DyadicRational, dyadic_form, mass_fields
+from syrdyn.partition import partition
 from syrdyn.trajectory import CycleInfo, check_power_cycle, find_cycles
 
 
@@ -36,13 +38,40 @@ def mv(num, exp, denom=1):
     return MeasureValue(DyadicRational(num, exp), denom)
 
 
+def places(forest):
+    """node -> (cycle index, level), read off forest.levels."""
+    return {
+        v: (ci, lvl)
+        for ci, levels in enumerate(forest.levels)
+        for lvl, level in enumerate(levels)
+        for v in level
+    }
+
+
+def reference_children(forest):
+    """node -> its children ascending: its map preimages on the next level.
+
+    Read off desc.preimage and forest.levels, not off forest.parent, so the
+    reference does not trust the links it checks.
+    """
+    desc = forest.descriptor
+    kids = {}
+    for levels in forest.levels:
+        for level, below in zip(levels, levels[1:]):
+            below = set(below)
+            for v in level:
+                kids[v] = sorted(q for q in desc.preimage(v) if q in below)
+    return kids
+
+
 def reference_local(forest):
     """Each covered node's cycle-local mass as a Fraction, from the construction rules.
 
-    Built from the forest alone: 1/(2N) on the members of a cycle of length N,
-    2^(-j-3) on the j-th level-1 node, and m * 2^(-t-1) on the t-th child of a
-    node of mass m below level 1.
+    Built from the forest's levels and map preimages alone: 1/(2N) on the
+    members of a cycle of length N, 2^(-j-3) on the j-th level-1 node, and
+    m * 2^(-t-1) on the t-th child of a node of mass m below level 1.
     """
+    kids = reference_children(forest)
     local = {}
     for cyc, levels in zip(forest.cycles, forest.levels):
         for v in levels[0]:
@@ -51,14 +80,15 @@ def reference_local(forest):
             local[v] = Fraction(1, 2 ** (j + 3))
         for level in levels[1:]:
             for v in level:
-                for t, q in enumerate(forest.children.get(v, ()), start=1):
+                for t, q in enumerate(kids.get(v, ()), start=1):
                     local[q] = local[v] / 2 ** (t + 1)
     return local
 
 
 def reference_combined(forest):
     """Cycle-local masses times the cycle weight 2^(-i-1), i 1-based."""
-    return {v: m / 2 ** (forest.node_cycle[v] + 2) for v, m in reference_local(forest).items()}
+    where = places(forest)
+    return {v: m / 2 ** (where[v][0] + 2) for v, m in reference_local(forest).items()}
 
 
 def combined(asg, v):
@@ -67,7 +97,7 @@ def combined(asg, v):
 
 
 def local(asg, v):
-    return combined(asg, v) * 2 ** (asg.forest.node_cycle[v] + 2)
+    return combined(asg, v) * 2 ** (places(asg.forest)[v][0] + 2)
 
 
 def as_fraction(value):
@@ -216,15 +246,15 @@ class TestBuildForest:
             assert c.apply(q) == p
 
     def test_children_are_covered_preimages(self, collatz_forest):
-        # the stored links and a fresh preimage computation must agree
+        # parent is exactly the inverse of a fresh preimage computation on the
+        # covered nodes off the cycle
         c = collatz()
         cycle_members = set(collatz_forest.cycles[0].members)
-        for v in collatz_forest.covered:
-            expect = tuple(sorted(
-                q for q in c.preimage(v)
-                if q in collatz_forest.covered and q not in cycle_members
-            ))
-            assert collatz_forest.children.get(v, ()) == expect
+        expect = {
+            q: v for v in collatz_forest.covered for q in c.preimage(v)
+            if q in collatz_forest.covered and q not in cycle_members
+        }
+        assert collatz_forest.parent == expect
 
     def test_depth_zero(self):
         forest = build_forest(collatz(), [CycleInfo((1, 2))], 0)
@@ -255,10 +285,10 @@ class TestBuildForest:
 
     def test_multi_cycle_trees_disjoint(self, five_assignment):
         forest = five_assignment.forest
-        for v in forest.covered:
-            assert v in forest.node_cycle
-        totals = sum(len(lvl) for levels in forest.levels for lvl in levels)
-        assert totals == len(forest.covered)
+        assert len(forest.levels) == len(forest.cycles) > 1
+        nodes = [v for levels in forest.levels for level in levels for v in level]
+        assert len(nodes) == len(set(nodes))
+        assert set(nodes) == forest.covered
 
 
 class TestAssignMeasure:
@@ -298,9 +328,9 @@ class TestAssignMeasure:
         # per-parent halving holds from level 1 down; level-1 nodes under the
         # cycle follow the global j-rule instead and are bounded per level
         for asg in (collatz_assignment, five_assignment):
-            forest = asg.forest
-            for v, kids in forest.children.items():
-                if forest.node_level[v] == 0:
+            where = places(asg.forest)
+            for v, kids in reference_children(asg.forest).items():
+                if where[v][1] == 0:
                     continue
                 assert sum(local(asg, q) for q in kids) <= local(asg, v) / 2
 
@@ -349,6 +379,11 @@ class TestAssignMeasure:
         asg = assign_measure(collatz_forest)
         assert built == []
         assert all(type(n) is int for n in asg.numerators.values())
+
+    def test_forest_node_data_is_its_levels_and_parent(self):
+        # a node's cycle, level and children are its place in levels
+        assert [f.name for f in fields(PreimageForest)] == [
+            "descriptor", "cycles", "depth", "levels", "parent", "covered"]
 
 
 class TestMeasureOf:
@@ -488,14 +523,15 @@ def reference_export_dict(assignment, report=None):
     """The measure document as a dict, the way it was built before the record templates."""
     forest = assignment.forest
     numerators, value = assignment.numerators, assignment.value
+    where = places(forest)
     nodes = []
     for v in sorted(forest.covered):
         parent = forest.parent.get(v)
-        ci = forest.node_cycle[v]
+        ci, level = where[v]
         nodes.append({
             "value": str(v),
             "cycle": ci + 1,
-            "level": forest.node_level[v],
+            "level": level,
             "parent": None if parent is None else str(parent),
             "cycle_local": value(numerators[v] << (ci + 2)).to_json_dict(),
             "combined": value(numerators[v]).to_json_dict(),
@@ -806,10 +842,30 @@ class TestFibreMasses:
         (collatz(), 1, 20, "5/4@2, 5/4@1, 163/128@2, 163/128@1, 5225/4096@2"),
         (pxr(5, 1), 1000, 12,
          "15/8@13, 127/64@33, 1023/512@83, 8191/4096@208, 8191/4096@104"),
+        # a depth-max_n forest already holds every member's fibres
+        (pxr(7, 5), 1000, 5,
+         "39/8@27, 2527/512@97, 161759/32768@342, 161759/32768@171, 41410397/8388608@601"),
+        (pxr(7, 5), 1000, 14,
+         "39/8@27, 2527/512@97, 161759/32768@342, 161759/32768@171, 41410397/8388608@601"),
     ])
     def test_certificate_pinned(self, desc, cycle_bound, depth, want):
         asg = assign_measure(build_forest(desc, find_cycles(desc, cycle_bound), depth))
         assert ", ".join(f"{r}@{v}" for r, v in power_bound_certificate(asg, 5)) == want
+
+    @pytest.mark.parametrize("desc, cycle_bound", [(collatz(), 1), (pxr(5, 1), 1000), (pxr(7, 5), 1000)])
+    def test_level_one_and_below_contract(self, desc, cycle_bound):
+        # the lemma in power_bound_certificate: off the cycles P_n(v)/mu(v) is
+        # at most (sum_{t=1..d} 2^-(t+1))^n, (3/8)^n here, so every arg-max is
+        # a cycle member and a depth-5 forest gives the depth-14 certificate
+        cycles = find_cycles(desc, cycle_bound)
+        asg = assign_measure(build_forest(desc, cycles, 14))
+        members = {m for cyc in cycles for m in cyc.members}
+        for n, table in enumerate(measure_module._fibre_masses(asg, 5)[1:], start=1):
+            ratios = [Fraction(mass, asg.numerators[v]) for v, mass in table.items() if v not in members]
+            assert 0 < max(ratios) <= Fraction(3, 8) ** n
+        certificate = power_bound_certificate(asg, 5)
+        assert all(v in members and Fraction(r) >= 1 for r, v in certificate)
+        assert power_bound_certificate(assign_measure(build_forest(desc, cycles, 5)), 5) == certificate
 
     def test_certificate_rejects_bad_max_n(self, collatz_assignment):
         for max_n in (0, 16, 2.0):
@@ -878,6 +934,50 @@ def test_cli_power_bound_block_pinned(capsys):
         "worst_ratio_exact": "133760/105213",
         "worst": {"n": 5, "set_size": 14, "mu_set": "526065/2^23", "mu_preimage": "5225/2^16"},
     }
+
+
+# -- forward basin = backward forest --------------------------------------------
+
+
+def basin_starts(desc, bound, depth):
+    """The starts x <= bound that partition sees enter a cycle within depth steps.
+
+    Asserts they are exactly the forest's nodes <= bound, over partition's
+    cycles, each on the level of its own cycle's tree that its entry step names.
+    """
+    result = partition(desc, bound)
+    entered = {x: (cycle, steps) for x, _status, steps, _exc, cycle in result.records()
+               if steps is not None and steps <= depth}
+    if not result.cycles:
+        assert entered == {}
+        return 0
+    forest = build_forest(desc, result.cycles, depth)
+    where = places(forest)
+    assert set(entered) == {v for v in forest.covered if v <= bound}
+    for x, (cycle, steps) in entered.items():
+        ci, level = where[x]
+        assert (forest.cycles[ci], level) == (cycle, steps), x
+    return len(entered)
+
+
+@pytest.mark.parametrize("desc, depth, bound, count", [
+    (collatz(), 20, 3000, 506),
+    (pxr(5, 1), 16, 2000, 148),
+    (pxr(7, 5), 14, 3000, 253),
+])
+def test_basin_is_the_forest_pinned(desc, depth, bound, count):
+    assert basin_starts(desc, bound, depth) == count
+
+
+SMALL_PX_MAPS = [(p, r) for p in (3, 5, 7) for r in range(2 - p, p, 2) if math.gcd(p, r) == 1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SMALL_PX_MAPS), st.integers(1, 600), st.integers(0, 16))
+def test_basin_is_the_forest(pr, bound, depth):
+    # a forest node's level is its forward entry step: the forward range
+    # engine and the backward closure see the same finite basin
+    basin_starts(pxr(*pr), bound, depth)
 
 
 class TestForestGuards:
