@@ -67,7 +67,6 @@ from .chains import (
     family_of,
     family_tails,
     search_family_witness,
-    structured_preimage,
     two_preimage_class,
     two_preimage_floor,
     verify_family_connection,
@@ -99,7 +98,7 @@ __all__ = [
     "power_bound_certificate",
     # chains
     "NodeClass", "ChainHeadForm", "Family", "Chain", "PreimageTree",
-    "classify", "decompose", "structured_preimage", "family_of", "chain_of",
+    "classify", "decompose", "family_of", "chain_of",
     "build_preimage_tree", "chain_criterion", "two_preimage_class",
     "two_preimage_floor", "search_family_witness", "verify_family_identity",
     "family_tails", "verify_family_connection",

