@@ -10,6 +10,16 @@ Every JSON payload is json.dumps(payload, indent=2) plus a newline;
 chains.tree_to_json and measure.export_json return their documents as text,
 the node arrays written record by record in those same bytes.
 
+The range engine (maps, trajectory, partition) is imported with this
+module.  The measure and chains engines load on first use: each process
+runs one subcommand, and traj, partition, cycles and scan need neither, so
+importing them would only lengthen every start.  Their names are still
+attributes of this module: reading one imports its engine.  chains, tree
+and criterion bind the chains engine's names here before they start;
+measure binds its engine's once its arguments and seed cycles pass their
+checks, so a refused command imports no engine.  A name bound here first,
+by a test's monkeypatch or a tracer's wrapper, is kept.
+
 Exit codes: 0 success, 1 usage or validation error, 2 trajectory hit a
 limit without entering a cycle, 3 an internal verification tripped.
 """
@@ -18,30 +28,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import io
 import json
 import sys
 
-from .chains import (
-    WITNESS_ALPHA_MAX,
-    WITNESS_BETA_MAX,
-    WITNESS_K_MAX,
-    build_preimage_tree,
-    chain_criterion,
-    chain_of,
-    chain_to_dot,
-    chain_to_json_dict,
-    search_family_witness,
-    tree_to_dot,
-    tree_to_json,
-    two_preimage_class,
-    two_preimage_floor,
-    verify_family_connection,
-    verify_family_identity,
-)
 from .errors import InternalCheckError, InvalidParameters, NotApplicable, ValidationError
 from .maps import parse_descriptor
-from .measure import assign_measure, build_forest, check_power_bound, export_json
 from .numeric import max_str_digits, str_ceiling
 from .partition import export_csv, partition, summary_dict
 from .trajectory import (
@@ -56,6 +49,41 @@ from .trajectory import (
 __all__ = ["main"]
 
 DEFAULT_SEED = 1729
+
+# name -> the engine module that defines it, for the engines loaded on first use
+_LAZY = {
+    **dict.fromkeys(("assign_measure", "build_forest", "check_power_bound", "export_json"),
+                    "measure"),
+    **dict.fromkeys((
+        "WITNESS_ALPHA_MAX", "WITNESS_BETA_MAX", "WITNESS_K_MAX",
+        "build_preimage_tree", "chain_criterion", "chain_of", "chain_to_dot",
+        "chain_to_json_dict", "search_family_witness", "tree_to_dot", "tree_to_json",
+        "two_preimage_class", "two_preimage_floor", "verify_family_connection",
+        "verify_family_identity",
+    ), "chains"),
+}
+
+_loaded = set()  # engines whose names are bound here
+
+
+def _load(engine: str) -> None:
+    """Import an engine and bind its names here, keeping any name already bound."""
+    if engine in _loaded:
+        return
+    module = importlib.import_module(f"{__package__}.{engine}")
+    names = globals()
+    for name, owner in _LAZY.items():
+        if owner == engine:
+            names.setdefault(name, getattr(module, name))
+    _loaded.add(engine)
+
+
+def __getattr__(name):
+    engine = _LAZY.get(name)
+    if engine is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(engine)
+    return globals()[name]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -186,6 +214,7 @@ def _cmd_measure(args) -> int:
         raise InvalidParameters(
             f"no cycles found from starts 1..{args.cycle_bound}; cannot seed the forest"
         )
+    _load("measure")
     forest = build_forest(desc, cycles, args.depth)
     assignment = assign_measure(forest)
     max_n = args.max_n if args.max_n is not None else max(1, min(5, args.depth))
@@ -195,6 +224,7 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_chains(args) -> int:
+    _load("chains")
     chain = chain_of(args.n, args.links)
     if args.format == "dot":
         _emit(chain_to_dot(chain), args.out)
@@ -204,6 +234,7 @@ def _cmd_chains(args) -> int:
 
 
 def _cmd_tree(args) -> int:
+    _load("chains")
     desc = parse_descriptor(args.map)
     tree = build_preimage_tree(desc, args.root, args.depth)
     if args.format == "dot":
@@ -214,6 +245,7 @@ def _cmd_tree(args) -> int:
 
 
 def _cmd_criterion(args) -> int:
+    _load("chains")
     p, r = args.p, args.r
     has_chains = chain_criterion(p, r)
     if has_chains:

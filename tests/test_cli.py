@@ -410,6 +410,96 @@ def test_import_leaves_the_pool_machinery_out():
     assert out == "[]\n"
 
 
+# -- engines loaded on first use -----------------------------------------------
+
+
+def _fresh_probe(code):
+    """Stdout of `python -c code` in a new interpreter that imports syrdyn from this checkout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def _engines_after(*argvs):
+    """The lazy engines in sys.modules after import syrdyn.cli and main(argv) for each argv."""
+    return _fresh_probe(
+        "import contextlib, io, sys, syrdyn.cli as cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(list(argv)) == 0, argv\n"
+        "print(sorted(m for m in ('syrdyn.measure', 'syrdyn.chains') if m in sys.modules))")
+
+
+@pytest.mark.parametrize("argvs, loaded", [
+    ((), []),
+    ((["traj", "collatz", "27"], ["partition", "collatz", "--bound", "10"],
+      ["cycles", "collatz", "--bound", "10"], ["scan", "collatz", "--start", "1", "--end", "10"]),
+     []),
+    ((["measure", "collatz", "--depth", "4", "--cycle-bound", "1", "--trials", "5"],),
+     ["syrdyn.measure"]),
+    ((["chains", "7"],), ["syrdyn.chains"]),
+    ((["tree", "collatz", "--root", "1", "--depth", "4"],), ["syrdyn.chains"]),
+    ((["criterion", "5", "3"],), ["syrdyn.chains"]),
+    (tuple([name, "--help"] for name in ("traj", "cycles", "partition", "measure", "chains",
+                                         "tree", "criterion", "scan")), []),
+])
+def test_each_subcommand_imports_only_its_engine(argvs, loaded):
+    assert _engines_after(*argvs) == f"{loaded}\n"
+
+
+def test_a_refused_measure_imports_no_engine():
+    probe = ("import contextlib, io, sys, syrdyn.cli as cli\n"
+             "with contextlib.redirect_stderr(io.StringIO()):\n"
+             "    code = cli.main(['measure', 'collatz', '--depth', '3', '--max-steps', '1e12'])\n"
+             "print(code, 'syrdyn.measure' in sys.modules)")
+    assert _fresh_probe(probe) == "1 False\n"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("chain_of", ["chains", "7"]),
+    ("build_preimage_tree", ["tree", "collatz", "--root", "1", "--depth", "4"]),
+    ("check_power_bound", ["measure", "collatz", "--depth", "4", "--cycle-bound", "1"]),
+])
+def test_a_lazy_name_patched_before_its_engine_loads_is_called(name, argv):
+    # set straight on the module, so the patch goes in while the engine is still unread
+    probe = ("import contextlib, io, sys, syrdyn.cli as cli\n"
+             "from syrdyn.errors import InvalidParameters\n"
+             "def patched(*args, **kwargs):\n"
+             "    raise InvalidParameters('patched')\n"
+             f"cli.{name} = patched\n"
+             "assert not {'syrdyn.measure', 'syrdyn.chains'} & set(sys.modules)\n"
+             "err = io.StringIO()\n"
+             "with contextlib.redirect_stderr(err):\n"
+             f"    code = cli.main({argv!r})\n"
+             f"print(code, repr(err.getvalue()), cli.{name} is patched)")
+    assert _fresh_probe(probe) == "1 'error: patched\\n' True\n"
+
+
+def test_a_monkeypatched_lazy_name_is_called(capsys, monkeypatch):
+    calls = []
+
+    def patched(n, links):
+        calls.append((n, links))
+        return chains_module.chain_of(n, links)
+
+    monkeypatch.setattr(cli, "chain_of", patched)
+    code, out, _ = run(capsys, "chains", "7", "--links", "2")
+    assert code == 0 and calls == [(7, 2)]
+    assert json.loads(out) == chains_module.chain_to_json_dict(chains_module.chain_of(7, 2))
+
+
+def test_lazy_names_are_the_engines_and_unknown_names_raise():
+    assert cli.chain_of is chains_module.chain_of
+    assert cli.WITNESS_K_MAX == chains_module.WITNESS_K_MAX
+    from syrdyn.cli import export_json
+    from syrdyn.measure import export_json as defined
+    assert export_json is defined
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name
+    assert not hasattr(cli, "measure")
+
+
 # -- one parser per process ----------------------------------------------------
 
 
