@@ -21,6 +21,8 @@ preimages {5, 16}, and 5 is in N2); only for a = 1 does it fall in N0 or N1.
 
 from __future__ import annotations
 
+import itertools
+import json
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -36,7 +38,7 @@ from .errors import (
     VerificationFailure,
 )
 from .maps import MapDescriptor, collatz, preimage_levels, pxr
-from .numeric import RECORDS, json_with_records, max_str_digits, str_ceiling
+from .numeric import RECORDS, batched, max_str_digits, str_ceiling, write_batches, write_json
 
 __all__ = [
     "NodeClass",
@@ -57,7 +59,7 @@ __all__ = [
     "verify_family_identity",
     "family_tails",
     "verify_family_connection",
-    "chain_to_json_dict",
+    "chain_to_json",
     "chain_to_dot",
     "tree_to_json",
     "tree_to_dot",
@@ -524,19 +526,14 @@ def verify_family_connection(
 # -- serialization ------------------------------------------------------------
 
 
-# NodeClass names by n % 3, for the renderers: no NodeClass is built per node
-_CLASS_NAMES = tuple(cls.name for cls in NodeClass)
+def _dot_nodes(values, indent: str = "  ") -> list[str]:
+    """Annotated DOT node lines, one f-string per shape: no NodeClass is built per value."""
+    return [f'{indent}"{v}" [label="{v} (N2, {_form_text(*_head_factors(v))})"];\n' if v % 3 == 2
+            else f'{indent}"{v}" [label="{v} ({"N1" if v % 3 else "N0"})"];\n' for v in values]
 
 
-def _collatz_label(v: int) -> str:
-    name = _CLASS_NAMES[v % 3]
-    if v % 3 == 2:
-        return f"{v} ({name}, {_form_text(*_head_factors(v))})"
-    return f"{v} ({name})"
-
-
-def chain_to_json_dict(chain: Chain) -> dict:
-    return {
+def chain_to_json(chain: Chain, stream) -> None:
+    write_json({
         "origin": str(chain.origin),
         "origin_family_index": chain.origin_family_index,
         "origin_member_index": chain.origin_member_index,
@@ -553,44 +550,40 @@ def chain_to_json_dict(chain: Chain) -> dict:
             for fam in chain.families
         ],
         "links": [str(v) for v in chain.links],
-    }
+    }, stream)
 
 
-def chain_to_dot(chain: Chain) -> str:
-    """Graphviz rendering: families as clusters, orbit edges, one node per value."""
-    lines = ["digraph chain {", "  rankdir=LR;", '  node [shape=box];']
+def chain_to_dot(chain: Chain, stream) -> None:
+    """Write the Graphviz rendering to stream: families as clusters, one node per value."""
+    lines = ["digraph chain {\n  rankdir=LR;\n  node [shape=box];\n"]
     in_family = set()
     for idx, fam in enumerate(chain.families):
-        lines.append(f"  subgraph cluster_{idx} {{")
-        lines.append(f'    label="family a={fam.a} h={fam.h}";')
-        for v in fam.members:
-            if v not in in_family:
-                lines.append(f'    "{v}" [label="{_collatz_label(v)}"];')
-                in_family.add(v)
-        lines.append("  }")
+        lines.append(f'  subgraph cluster_{idx} {{\n    label="family a={fam.a} h={fam.h}";\n')
+        lines += _dot_nodes([v for v in fam.members if v not in in_family], "    ")
+        in_family.update(fam.members)
+        lines.append("  }\n")
+    lines += _dot_nodes([v for v in dict.fromkeys(chain.links) if v not in in_family])
     edges = [pair for fam in chain.families for pair in zip(fam.members, fam.members[1:])]
     for t, link in enumerate(chain.links):
-        if link not in in_family:
-            lines.append(f'  "{link}" [label="{_collatz_label(link)}"];')
-            in_family.add(link)
         edges += [(chain.families[t].tail, link), (link, _COLLATZ.apply(link))]
-    for u, v in dict.fromkeys(edges):
-        lines.append(f'  "{u}" -> "{v}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += [f'  "{u}" -> "{v}";\n' for u, v in dict.fromkeys(edges)] + ["}\n"]
+    stream.write("".join(lines))
 
 
-def tree_to_json(tree: PreimageTree) -> str:
-    """The tree as indent-2 JSON text, one f-string per node.
+def tree_to_json(tree: PreimageTree, stream) -> None:
+    """Write the tree to stream as indent-2 JSON, one f-string per node.
 
     A record has one of three shapes: plain, or annotated (halved 3x+1) with
     the node's class and, in N2, its 3^a*2^b*h-1 form, else a null form.  The
-    root is the one node without a parent: it is written with "None" and that
-    one text is mended to null.  See numeric.json_with_records for the
-    escaping rule.
+    root, the one node without a parent, is json.dumps of its fields.
+    numeric.write_json draws the records and states their escaping rule.
     """
+    root = tree.root
+    fields = {"value": str(root), "level": 0, "parent": None, "repeat": False}
     if tree.annotated:
-        records = [
+        fields |= {"class": NodeClass(root % 3).name,
+                   "form": _form_text(*_head_factors(root)) if root % 3 == 2 else None}
+        records = ([
             f'{{\n      "value": "{v}",\n      "level": {level},\n      "parent": "{parent}",\n'
             f'      "repeat": {"true" if repeat else "false"},\n      "class": "N2",\n'
             f'      "form": "{_form_text(*_head_factors(v))}"\n    }}'
@@ -598,36 +591,30 @@ def tree_to_json(tree: PreimageTree) -> str:
             f'{{\n      "value": "{v}",\n      "level": {level},\n      "parent": "{parent}",\n'
             f'      "repeat": {"true" if repeat else "false"},\n'
             f'      "class": "{"N1" if v % 3 else "N0"}",\n      "form": null\n    }}'
-            for v, level, parent, repeat in tree.nodes
-        ]
+            for v, level, parent, repeat in part
+        ] for part in batched(itertools.islice(tree.nodes, 1, None)))
     else:
-        records = [
+        records = ([
             f'{{\n      "value": "{v}",\n      "level": {level},\n      "parent": "{parent}",\n'
             f'      "repeat": {"true" if repeat else "false"}\n    }}'
-            for v, level, parent, repeat in tree.nodes
-        ]
-    records[0] = records[0].replace('"parent": "None"', '"parent": null')
-    return json_with_records({
+            for v, level, parent, repeat in part
+        ] for part in batched(itertools.islice(tree.nodes, 1, None)))
+    write_json({
         "map": tree.descriptor.to_text(),
-        "root": str(tree.root),
+        "root": str(root),
         "depth": tree.depth,
         "nodes": RECORDS,
-    }, records)
+    }, stream, itertools.chain([[json.dumps(fields, indent=2).replace("\n", "\n    ")]], records))
 
 
-def tree_to_dot(tree: PreimageTree) -> str:
-    """Graphviz rendering, deduplicated to one node per integer."""
-    lines = ["digraph preimage_tree {"]
-    declared = set()
-    for node in tree.nodes:
-        if node.value not in declared:
-            declared.add(node.value)
-            if tree.annotated:
-                lines.append(f'  "{node.value}" [label="{_collatz_label(node.value)}"];')
-            else:
-                lines.append(f'  "{node.value}";')
-    edges = [(n.parent, n.value) for n in tree.nodes if n.parent is not None]
-    for u, v in dict.fromkeys(edges):
-        lines.append(f'  "{u}" -> "{v}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def tree_to_dot(tree: PreimageTree, stream) -> None:
+    """Write the Graphviz rendering to stream: one line per integer and per edge, by node shape."""
+    firsts = ([node.value for node in part if not node.repeat] for part in batched(tree.nodes))
+    declared = (_dot_nodes(vs) if tree.annotated else [f'  "{v}";\n' for v in vs] for vs in firsts)
+    # a value's nodes below the root share a parent, so the one repeat with a new edge is the root's
+    # first return, the first repeat: a value met at levels l' < l returns the root by level l - l'
+    first_return = next((node for node in tree.nodes if node.repeat), None)
+    edges = ([f'  "{node.parent}" -> "{node.value}";\n' for node in part if not node.repeat
+              or node is first_return] for part in batched(itertools.islice(tree.nodes, 1, None)))
+    write_batches(itertools.chain(declared, edges, [["}\n"]]), "", "digraph preimage_tree {\n",
+                  stream)

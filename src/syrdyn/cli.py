@@ -6,9 +6,9 @@ that live in the map's domain are serialized as decimal strings since scans
 routinely leave the 64-bit range; counts and indices stay plain ints.
 cycles and scan classify their whole window with one partition call in this
 process, under one memo budget; their --threads flag is accepted and ignored.
-Every JSON payload is json.dumps(payload, indent=2) plus a newline;
-chains.tree_to_json and measure.export_json return their documents as text,
-the node arrays written record by record in those same bytes.
+Each subcommand hands _emit a renderer, which writes to stdout or to the
+--out file, opened only after every check.  Every JSON payload is written
+by numeric.write_json as json.dumps(payload, indent=2) plus a newline.
 
 The range engine (maps, trajectory, partition) is imported with this
 module.  The measure and chains engines load on first use: each process
@@ -16,9 +16,9 @@ runs one subcommand, and traj, partition, cycles and scan need neither, so
 importing them would only lengthen every start.  Their names are still
 attributes of this module: reading one imports its engine.  chains, tree
 and criterion bind the chains engine's names here before they start;
-measure binds its engine's once its arguments and seed cycles pass their
-checks, so a refused command imports no engine.  A name bound here first,
-by a test's monkeypatch or a tracer's wrapper, is kept.
+measure binds its engine's after its depth and seed-cycle checks, then
+refuses bad sampler arguments before it builds the forest.  A name bound
+here first, by a test's monkeypatch or a tracer's wrapper, is kept.
 
 Exit codes: 0 success, 1 usage or validation error, 2 trajectory hit a
 limit without entering a cycle, 3 an internal verification tripped.
@@ -29,13 +29,11 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib
-import io
-import json
 import sys
 
 from .errors import InternalCheckError, InvalidParameters, NotApplicable, ValidationError
 from .maps import parse_descriptor
-from .numeric import max_str_digits, str_ceiling
+from .numeric import batched, max_str_digits, str_ceiling, write_batches, write_json
 from .partition import export_csv, partition, summary_dict
 from .trajectory import (
     DEFAULT_MAX_STEPS,
@@ -52,12 +50,12 @@ DEFAULT_SEED = 1729
 
 # name -> the engine module that defines it, for the engines loaded on first use
 _LAZY = {
-    **dict.fromkeys(("assign_measure", "build_forest", "check_power_bound", "export_json"),
-                    "measure"),
+    **dict.fromkeys(("assign_measure", "build_forest", "check_power_bound", "check_sampling",
+                     "export_json"), "measure"),
     **dict.fromkeys((
         "WITNESS_ALPHA_MAX", "WITNESS_BETA_MAX", "WITNESS_K_MAX",
         "build_preimage_tree", "chain_criterion", "chain_of", "chain_to_dot",
-        "chain_to_json_dict", "search_family_witness", "tree_to_dot", "tree_to_json",
+        "chain_to_json", "search_family_witness", "tree_to_dot", "tree_to_json",
         "two_preimage_class", "two_preimage_floor", "verify_family_connection",
         "verify_family_identity",
     ), "chains"),
@@ -154,16 +152,13 @@ def _limits(args) -> Limits:
     return Limits(max_steps=args.max_steps, max_value=args.max_value)
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(path: str | None, render, *args) -> None:
+    """render(*args, stream) on stdout, or on the file at path."""
     if path is None:
-        sys.stdout.write(text)
+        render(*args, sys.stdout)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+            render(*args, fh)
 
 
 # -- subcommand bodies ---------------------------------------------------------
@@ -173,7 +168,7 @@ def _cmd_traj(args) -> int:
     desc = parse_descriptor(args.map)
     report = iterate(desc, args.n, _limits(args))
     payload = {"map": desc.to_text(), **report.to_json_dict()}
-    _emit(_json_text(payload), args.out)
+    _emit(args.out, write_json, payload)
     return 0 if report.status is TrajectoryStatus.ENTERED_CYCLE else 2
 
 
@@ -188,7 +183,7 @@ def _cmd_cycles(args) -> int:
         "count": len(cycles),
         "cycles": [[str(v) for v in c.members] for c in cycles],
     }
-    _emit(_json_text(payload), args.out)
+    _emit(args.out, write_json, payload)
     return 0
 
 
@@ -196,10 +191,8 @@ def _cmd_partition(args) -> int:
     desc = parse_descriptor(args.map)
     result = partition(desc, args.bound, _limits(args))
     if args.csv is not None:
-        buf = io.StringIO()
-        export_csv(result, buf)
-        _emit(buf.getvalue(), args.csv)
-    _emit(_json_text(summary_dict(result)), args.out)
+        _emit(args.csv, export_csv, result)
+    _emit(args.out, write_json, summary_dict(result))
     return 0
 
 
@@ -215,21 +208,19 @@ def _cmd_measure(args) -> int:
             f"no cycles found from starts 1..{args.cycle_bound}; cannot seed the forest"
         )
     _load("measure")
+    max_n = args.max_n if args.max_n is not None else max(1, min(5, args.depth))
+    check_sampling(args.depth, args.trials, max_n, args.seed)
     forest = build_forest(desc, cycles, args.depth)
     assignment = assign_measure(forest)
-    max_n = args.max_n if args.max_n is not None else max(1, min(5, args.depth))
     report = check_power_bound(assignment, trials=args.trials, max_n=max_n, seed=args.seed)
-    _emit(export_json(assignment, report), args.out)
+    _emit(args.out, export_json, assignment, report)
     return 0
 
 
 def _cmd_chains(args) -> int:
     _load("chains")
     chain = chain_of(args.n, args.links)
-    if args.format == "dot":
-        _emit(chain_to_dot(chain), args.out)
-    else:
-        _emit(_json_text(chain_to_json_dict(chain)), args.out)
+    _emit(args.out, chain_to_dot if args.format == "dot" else chain_to_json, chain)
     return 0
 
 
@@ -237,10 +228,7 @@ def _cmd_tree(args) -> int:
     _load("chains")
     desc = parse_descriptor(args.map)
     tree = build_preimage_tree(desc, args.root, args.depth)
-    if args.format == "dot":
-        _emit(tree_to_dot(tree), args.out)
-    else:
-        _emit(tree_to_json(tree), args.out)
+    _emit(args.out, tree_to_dot if args.format == "dot" else tree_to_json, tree)
     return 0
 
 
@@ -287,7 +275,7 @@ def _cmd_criterion(args) -> int:
             }
         else:
             payload["connection"] = None
-    _emit(_json_text(payload), args.out)
+    _emit(args.out, write_json, payload)
     return 0
 
 
@@ -299,10 +287,11 @@ def _cmd_scan(args) -> int:
     desc = parse_descriptor(args.map)
     result = partition(desc, args.end, _limits(args), args.start)
     text = _STATUS_TEXT
-    _emit("x,status,steps_to_cycle,max_excursion,cycle_min\n" + "".join(
+    rows = ([
         f"{x},{text[status]},,{excursion},\n" if cycle is None
         else f"{x},{text[status]},{steps},{excursion},{cycle.members[0]}\n"
-        for x, status, steps, excursion, cycle in result.records()), args.out)
+        for x, status, steps, excursion, cycle in part] for part in batched(result.records()))
+    _emit(args.out, write_batches, rows, "", "x,status,steps_to_cycle,max_excursion,cycle_min\n")
     return 0
 
 

@@ -28,9 +28,9 @@ level that would cross the node cap and stops at the first empty one, so a
 huge depth costs no more than the nodes it finds.  The forest keeps its
 levels and the parent map only: assign_measure ranks each node among its
 parent's children as it walks a level in ascending order, and export_json
-reads each node's cycle and level off the levels.  It writes the measure as
-JSON text with one record template per node, spliced into json.dumps of
-the small envelope by numeric.json_with_records.
+reads each node's cycle and level off the levels.  It writes the measure
+to a stream, one record template per node, spliced into json.dumps of the
+small envelope by numeric.write_json a batch of records at a time.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ from itertools import compress
 
 from .errors import InvalidParameters, OverlappingCycles, BoundViolation
 from .maps import MapDescriptor, preimage_levels
-from .numeric import RECORDS, DyadicRational, dyadic_form, json_with_records, mass_fields, record_str
+from .numeric import (RECORDS, DyadicRational, batched, dyadic_form, mass_fields, record_str,
+                      write_json)
 from .trajectory import CycleInfo
 
 __all__ = [
@@ -53,6 +54,7 @@ __all__ = [
     "build_forest",
     "assign_measure",
     "measure_of",
+    "check_sampling",
     "check_power_bound",
     "power_bound_certificate",
     "export_json",
@@ -296,12 +298,27 @@ def _draw_mask(rng: random.Random, count: int) -> bytes:
     return rng.getrandbits(32 * count).to_bytes(4 * count, "little")[3::4].translate(_TOP_BIT)
 
 
-def _check_max_n(forest: PreimageForest, max_n: int) -> None:
+def _check_max_n(depth: int, max_n: int) -> None:
     if type(max_n) is not int or max_n < 1:
         raise InvalidParameters(f"max_n must be >= 1, got {max_n!r}")
-    if max_n > forest.depth:
+    if max_n > depth:
         raise InvalidParameters(
-            f"max_n {max_n} exceeds forest depth {forest.depth}; deeper preimages are unknowable"
+            f"max_n {max_n} exceeds forest depth {depth}; deeper preimages are unknowable"
+        )
+
+
+def check_sampling(depth: int, trials: int, max_n: int, seed: int) -> None:
+    """check_power_bound's refusals of trials, max_n and seed, for a forest of this depth."""
+    if type(trials) is not int or trials < 1:
+        raise InvalidParameters(f"trials must be >= 1, got {trials!r}")
+    if type(seed) is not int or seed < 0:
+        # random.Random seeds with abs(seed): -5 would draw the subsets of 5
+        raise InvalidParameters(f"seed must be a non-negative int, got {seed!r}")
+    _check_max_n(depth, max_n)
+    if trials * max_n > _MAX_COMPARISONS:
+        raise InvalidParameters(
+            f"trials * max_n = {trials * max_n} comparisons, above the cap of "
+            f"{_MAX_COMPARISONS}; use fewer trials or a smaller max_n"
         )
 
 
@@ -313,7 +330,7 @@ def check_power_bound(
     Subsets are drawn reproducibly from the seed, one random bit per covered
     node in ascending order; one getrandbits call per trial yields the same
     bits as, and leaves the generator as, one getrandbits(1) per node (see
-    _draw_mask).  The seed must be a non-negative int.  The sets T^-n{v} of
+    _draw_mask).  check_sampling refuses bad arguments.  The sets T^-n{v} of
     distinct v are disjoint, so mu(T^-n(A)) is the sum over v in A of the
     fibre mass P_n(v), the mass of the covered part of T^-n{v}.  The fibre
     masses are computed once per call (see _fibre_masses: one map preimage
@@ -330,17 +347,7 @@ def check_power_bound(
     supremum over all subsets off the same fibre masses.
     """
     forest = assignment.forest
-    if type(trials) is not int or trials < 1:
-        raise InvalidParameters(f"trials must be >= 1, got {trials!r}")
-    if type(seed) is not int or seed < 0:
-        # random.Random seeds with abs(seed): -5 would draw the subsets of 5
-        raise InvalidParameters(f"seed must be a non-negative int, got {seed!r}")
-    _check_max_n(forest, max_n)
-    if trials * max_n > _MAX_COMPARISONS:
-        raise InvalidParameters(
-            f"trials * max_n = {trials * max_n} comparisons, above the cap of "
-            f"{_MAX_COMPARISONS}; use fewer trials or a smaller max_n"
-        )
+    check_sampling(forest.depth, trials, max_n, seed)
     nodes = sorted(forest.covered)
     tables = _fibre_masses(assignment, max_n)
     # bytes per field: no subset sum of a table exceeds the table's total
@@ -412,7 +419,7 @@ def power_bound_certificate(assignment: MeasureAssignment, max_n: int) -> list[t
     P_n(c)/mu(c) <= 1 + sigma/(1 - rho) < 2 on a cycle of any length: 7/5
     for d = 2 and 5/3 for d = 3.
     """
-    _check_max_n(assignment.forest, max_n)
+    _check_max_n(assignment.forest.depth, max_n)
     weight = assignment.numerators
     certificate = []
     for fibre in _fibre_masses(assignment, max_n)[1:]:
@@ -438,30 +445,29 @@ def _mass_text(num: int, den: int) -> str:
             f'        "decimal": {record_str(decimal)}\n      }}')
 
 
-def export_json(assignment: MeasureAssignment, report: PowerBoundReport | None = None) -> str:
-    """The measure as indent-2 JSON text, one record template per node.
+def export_json(assignment: MeasureAssignment, report: PowerBoundReport | None, stream) -> None:
+    """Write the measure to stream as indent-2 JSON, one record template per node.
 
     Each node's masses are rendered straight from its numerator over the
     shared denominator; cycle-local masses undo the weight 2^(-i-1) by a
-    shift.  See numeric.json_with_records for the records' escaping rule.
+    shift.  numeric.write_json draws the records and states their escaping rule.
     """
     forest = assignment.forest
     numerators, den = assignment.numerators, assignment.denominator
     parent = forest.parent
     places = sorted((v, ci, lvl) for ci, levels in enumerate(forest.levels)
                     for lvl, level in enumerate(levels) for v in level)
-    records = []
-    for v, ci, lvl in places:
-        records.append(
-            "{\n"
-            f'      "value": "{v}",\n'
-            f'      "cycle": {ci + 1},\n'
-            f'      "level": {lvl},\n'
-            f'      "parent": {record_str(parent.get(v))},\n'
-            f'      "cycle_local": {_mass_text(numerators[v] << (ci + 2), den)},\n'
-            f'      "combined": {_mass_text(numerators[v], den)}\n'
-            "    }"
-        )
+    records = ([
+        "{\n"
+        f'      "value": "{v}",\n'
+        f'      "cycle": {ci + 1},\n'
+        f'      "level": {lvl},\n'
+        f'      "parent": {record_str(parent.get(v))},\n'
+        f'      "cycle_local": {_mass_text(numerators[v] << (ci + 2), den)},\n'
+        f'      "combined": {_mass_text(numerators[v], den)}\n'
+        "    }"
+        for v, ci, lvl in part
+    ] for part in batched(places))
     cycles = []
     for ci, cyc in enumerate(forest.cycles):
         local = sum(numerators[v] for level in forest.levels[ci] for v in level) << (ci + 2)
@@ -472,7 +478,7 @@ def export_json(assignment: MeasureAssignment, report: PowerBoundReport | None =
             "weight": mass_fields(1, ci + 2)[0],
             "cycle_local_total": assignment.value(local).to_json_dict(),
         })
-    return json_with_records({
+    write_json({
         "map": forest.descriptor.to_text(),
         "depth": forest.depth,
         "covered_nodes": len(forest.covered),
@@ -480,4 +486,4 @@ def export_json(assignment: MeasureAssignment, report: PowerBoundReport | None =
         "nodes": RECORDS,
         "total": assignment.total.to_json_dict(),
         "power_bound": report.to_json_dict() if report else None,
-    }, records)
+    }, stream, records)

@@ -13,9 +13,9 @@ int -> str past sys.get_int_max_str_digits() digits.  max_str_digits and
 str_ceiling state that limit once, for the CLI's bound parser and for the
 builders that refuse a value before it could reach the printer.
 
-json_with_records writes the `tree` and `measure` documents: json.dumps
-renders the small envelope, and the node array, pre-rendered one record per
-node, is spliced in where the envelope holds RECORDS.
+write_json writes every JSON document to a stream: json.dumps renders it,
+and the `tree` and `measure` node arrays, pre-rendered one record per node
+and a batch of records at a time, are spliced in where it holds RECORDS.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import functools
 import json
 import math
 import sys
+from itertools import islice
 
 __all__ = ["DyadicRational", "dyadic_form", "mass_fields"]
 
@@ -52,9 +53,12 @@ def _pow10(digits: int) -> int:
     return 10**digits
 
 
-# json.dumps writes this NUL as '"\u0000"'; an envelope's other strings are
+# json.dumps writes this NUL as '"\u0000"'; a document's other strings are
 # map descriptors, numerals and n/2^k forms, so that text marks only the splice
 RECORDS = "\x00"
+
+# texts per batch: into a StringIO, a write per text would cost as much as rendering it
+_BATCH = 2048
 
 
 def record_str(value) -> str:
@@ -62,24 +66,38 @@ def record_str(value) -> str:
     return "null" if value is None else f'"{value}"'
 
 
-def json_with_records(envelope: dict, records: list[str]) -> str:
-    """json.dumps(document, indent=2) plus a newline, built around pre-rendered records.
+def batched(items):
+    """items in lists of _BATCH, for a renderer to render one batch at a time."""
+    items = iter(items)
+    return iter(lambda: list(islice(items, _BATCH)), [])
 
-    The document is `envelope` with its one top-level value RECORDS replaced
-    by the array of `records`.  Each record is one array item as indent-2
+
+def write_batches(batches, sep: str, lead: str, stream) -> bool:
+    """Write lead + sep.join of the texts in batches, lists of texts; True if any was written."""
+    # a batch is one join and one write, a separator a write apart: no joined batch is copied
+    wrote = False
+    for batch in filter(None, batches):
+        stream.write(sep if wrote else lead)
+        stream.write(sep.join(batch))
+        wrote = True
+    return wrote
+
+
+def write_json(document, stream, batches=()) -> None:
+    """Write json.dumps(document, indent=2) plus a newline to stream.
+
+    A top-level value RECORDS stands for the array of the records in
+    `batches`, lists of records.  Each record is one array item as indent-2
     json.dumps writes it there: its first line unindented and every later
     line with its full indentation, 4 spaces for the closing brace.  Records
     go in unescaped, so every string in them must need no escaping: decimal
     digits, class names, 3^a*2^b*h-1 forms, n/2^k dyadics and decimals do.
     """
-    head, _, tail = json.dumps(envelope, indent=2).partition(json.dumps(RECORDS))
-    if not records:
-        return f"{head}[]{tail}\n"
-    # the first and last records are widened in place, so one join builds
-    # the whole text and nothing copies it again; the caller's list is used up
-    records[0] = f"{head}[\n    {records[0]}"
-    records[-1] = f"{records[-1]}\n  ]{tail}\n"
-    return ",\n    ".join(records)
+    head, spliced, tail = json.dumps(document, indent=2).partition(json.dumps(RECORDS))
+    if spliced and write_batches(batches, ",\n    ", head + "[\n    ", stream):
+        stream.write(f"\n  ]{tail}\n")
+    else:  # no array to splice, or an empty one
+        stream.write(f"{head}{'[]' if spliced else ''}{tail}\n")
 
 
 def dyadic_form(num: int, exp: int = 0, den: int = 1) -> tuple[int, int, int]:

@@ -14,7 +14,7 @@ from syrdyn.chains import (
     chain_criterion,
     chain_of,
     chain_to_dot,
-    chain_to_json_dict,
+    chain_to_json,
     classify,
     decompose,
     family_of,
@@ -37,6 +37,7 @@ from syrdyn.errors import (
 )
 from syrdyn.cli import main
 from syrdyn.maps import collatz, parse_descriptor, pxr
+from test_numeric import rendered
 
 C = collatz()
 chains_module = importlib.import_module("syrdyn.chains")
@@ -506,7 +507,7 @@ class TestFamilyConnection:
 
 class TestExports:
     def test_chain_dot(self):
-        dot = chain_to_dot(chain_of(7, 1))
+        dot = rendered(chain_to_dot, chain_of(7, 1))
         assert dot.startswith("digraph chain {")
         assert 'label="family a=3 h=1"' in dot
         assert '"26" [label="26 (N2, 3^3*2^0*1-1)"];' in dot
@@ -519,42 +520,42 @@ class TestExports:
         def edges(dot):
             return [line.strip() for line in dot.splitlines() if "->" in line]
 
-        assert edges(chain_to_dot(chain_of(7, 1))) == [
+        assert edges(rendered(chain_to_dot, chain_of(7, 1))) == [
             '"9" -> "14";', '"7" -> "11";', '"11" -> "17";', '"17" -> "26";',
             '"13" -> "20";', '"14" -> "7";', '"26" -> "13";',
         ]
-        assert edges(tree_to_dot(build_preimage_tree(C, 1, 4))) == [
+        assert edges(rendered(tree_to_dot, build_preimage_tree(C, 1, 4))) == [
             '"1" -> "2";', '"2" -> "1";', '"2" -> "4";', '"4" -> "8";',
             '"8" -> "5";', '"8" -> "16";',
         ]
 
     def test_chain_dot_standalone_link(self):
         # family [3,5,8] links through 4, which is no family member
-        dot = chain_to_dot(chain_of(3, 1))
+        dot = rendered(chain_to_dot, chain_of(3, 1))
         assert '"4" [label="4 (N1)"];' in dot
         assert '"8" -> "4";' in dot and '"4" -> "2";' in dot
 
     def test_chain_json(self):
-        doc = chain_to_json_dict(chain_of(7, 1))
+        doc = json.loads(rendered(chain_to_json, chain_of(7, 1)))
         assert doc["origin"] == "7"
         assert doc["families"][1]["members"] == ["7", "11", "17", "26"]
         assert doc["links"] == ["7", "13"]
         assert doc["cyclic"] is False
 
     def test_tree_dot(self):
-        dot = tree_to_dot(build_preimage_tree(C, 8, 2))
+        dot = rendered(tree_to_dot, build_preimage_tree(C, 8, 2))
         assert '"8" [label="8 (N2, 3^2*2^0*1-1)"];' in dot
         assert '"8" -> "5";' in dot and '"8" -> "16";' in dot
 
     def test_tree_json(self):
-        doc = json.loads(tree_to_json(build_preimage_tree(C, 8, 1)))
+        doc = json.loads(rendered(tree_to_json, build_preimage_tree(C, 8, 1)))
         assert doc["root"] == "8"
         assert [n["value"] for n in doc["nodes"]] == ["8", "5", "16"]
         assert doc["nodes"][1]["class"] == "N2"
         assert doc["nodes"][0]["form"] == "3^2*2^0*1-1"
 
     def test_tree_json_unannotated(self):
-        doc = json.loads(tree_to_json(build_preimage_tree(pxr(5, 1), 4, 1)))
+        doc = json.loads(rendered(tree_to_json, build_preimage_tree(pxr(5, 1), 4, 1)))
         assert "class" not in doc["nodes"][0]
 
 
@@ -606,7 +607,44 @@ def reference_tree_dict(tree):
 @example(name="d3", root=2, depth=8)
 def test_tree_json_is_json_dumps_of_the_reference(name, root, depth):
     tree = build_preimage_tree(_TREE_MAPS[name], root, depth)
-    assert tree_to_json(tree) == json.dumps(reference_tree_dict(tree), indent=2) + "\n"
+    assert rendered(tree_to_json, tree) == json.dumps(reference_tree_dict(tree), indent=2) + "\n"
+
+
+def reference_tree_dot(tree):
+    """The tree's DOT text the way it was built node by node, before the per-shape lines."""
+    lines = ["digraph preimage_tree {"]
+    declared = set()
+    for node in tree.nodes:
+        if node.value not in declared:
+            declared.add(node.value)
+            if tree.annotated:
+                cls = classify(node.value)
+                label = f"{node.value} ({cls.name}"
+                if cls is NodeClass.N2:
+                    label += f", {decompose(node.value).form_str()}"
+                lines.append(f'  "{node.value}" [label="{label})"];')
+            else:
+                lines.append(f'  "{node.value}";')
+    edges = [(n.parent, n.value) for n in tree.nodes if n.parent is not None]
+    lines += [f'  "{u}" -> "{v}";' for u, v in dict.fromkeys(edges)]
+    return "\n".join(lines) + "\n}\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_TREE_MAPS)),
+    root=st.one_of(st.integers(1, 500), st.integers(1, 2**100)),
+    depth=st.integers(0, 8),
+)
+# roots on a cycle, whose returns repeat their edges
+@example(name="collatz", root=1, depth=8)
+@example(name="collatz", root=2, depth=9)
+@example(name="pxr5", root=8, depth=8)
+@example(name="pxr7", root=5, depth=8)
+@example(name="d3", root=2, depth=8)
+def test_tree_dot_is_the_reference_rendering(name, root, depth):
+    tree = build_preimage_tree(_TREE_MAPS[name], root, depth)
+    assert rendered(tree_to_dot, tree) == reference_tree_dot(tree)
 
 
 def test_tree_json_examples_hold_repeats():

@@ -13,6 +13,7 @@ import syrdyn.cli as cli
 from syrdyn.chains import search_family_witness
 from syrdyn.cli import _parse_bound, main
 from syrdyn.numeric import max_str_digits
+from test_numeric import rendered
 
 
 def run(capsys, *args):
@@ -272,6 +273,23 @@ class TestMeasure:
         assert code == 1 and out == ""
         assert err == f"error: seed must be a non-negative int, got {seed}\n"
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--seed", "-3"], "seed must be a non-negative int, got -3"),
+        (["--max-n", "40"], "max_n 40 exceeds forest depth 36; deeper preimages are unknowable"),
+        (["--trials", "100000000"], "trials * max_n = 500000000 comparisons, above the cap of "
+                                    "1048576; use fewer trials or a smaller max_n"),
+    ])
+    def test_sampler_arguments_refused_before_the_forest(self, flags, message, capsys, monkeypatch):
+        # depth 36 is the largest forest under the node cap; none of it may be built
+        def no_forest(*args, **kwargs):
+            raise AssertionError("a forest was built")
+
+        monkeypatch.setattr(cli, "build_forest", no_forest)
+        code, out, err = run(capsys, "measure", "collatz", "--depth", "36", "--cycle-bound", "1",
+                             *flags)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestChainsAndTree:
     def test_chains_json(self, capsys):
@@ -486,7 +504,7 @@ def test_a_monkeypatched_lazy_name_is_called(capsys, monkeypatch):
     monkeypatch.setattr(cli, "chain_of", patched)
     code, out, _ = run(capsys, "chains", "7", "--links", "2")
     assert code == 0 and calls == [(7, 2)]
-    assert json.loads(out) == chains_module.chain_to_json_dict(chains_module.chain_of(7, 2))
+    assert out == rendered(chains_module.chain_to_json, chains_module.chain_of(7, 2))
 
 
 def test_lazy_names_are_the_engines_and_unknown_names_raise():
@@ -498,6 +516,53 @@ def test_lazy_names_are_the_engines_and_unknown_names_raise():
     with pytest.raises(AttributeError, match="no_such_name"):
         cli.no_such_name
     assert not hasattr(cli, "measure")
+
+
+# -- one output path -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["tree", "collatz", "--root", "3", "--depth", "20000"],  # a value too long to print
+    ["measure", "collatz", "--depth", "40"],                 # above the node cap
+    ["measure", "collatz", "--depth", "8", "--seed", "-3"],  # a refused sampler argument
+])
+def test_a_refused_command_opens_no_out_file(argv, capsys, tmp_path):
+    path = tmp_path / "out.json"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 1 and out == "" and err.startswith("error: ")
+    assert not path.exists()
+
+
+class _Discard:
+    """A stream that keeps only the length of what it is given."""
+
+    def __init__(self):
+        self.length = 0
+
+    def write(self, text):
+        self.length += len(text)
+
+
+@pytest.mark.parametrize("engine, render", [("chains", "tree_to_json"), ("measure", "export_json")])
+def test_rendering_does_not_hold_the_document(engine, render):
+    # the collatz depth-28 documents: 19,385 tree nodes (2.85 MB), 11,301 forest nodes (4.29 MB)
+    from syrdyn.maps import collatz
+    from syrdyn.measure import assign_measure, build_forest
+    from syrdyn.trajectory import CycleInfo
+
+    if engine == "chains":
+        args = (chains_module.build_preimage_tree(collatz(), 1, 28),)
+    else:
+        args = (assign_measure(build_forest(collatz(), [CycleInfo((1, 2))], 28)), None)
+    stream = _Discard()
+    tracemalloc.start()
+    try:
+        getattr(cli, render)(*args, stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stream.length > 2_000_000
+    assert peak < stream.length
 
 
 # -- one parser per process ----------------------------------------------------

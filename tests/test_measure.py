@@ -33,6 +33,7 @@ from syrdyn.numeric import DyadicRational, dyadic_form, mass_fields
 from syrdyn.partition import partition
 from syrdyn.trajectory import CycleInfo, Limits, check_power_cycle, find_cycles
 from test_maps import validated_maps
+from test_numeric import rendered
 
 
 def mv(num, exp, denom=1):
@@ -480,7 +481,7 @@ class TestPowerBound:
 
 def test_export_shape(collatz_assignment):
     rep = check_power_bound(collatz_assignment, trials=10, max_n=2, seed=1)
-    doc = json.loads(export_json(collatz_assignment, rep))
+    doc = json.loads(rendered(export_json, collatz_assignment, rep))
     assert doc["map"] == "d=2;m0=1,r0=0;m1=3,r1=1"
     assert doc["depth"] == 15
     assert doc["covered_nodes"] == len(collatz_assignment.forest.covered)
@@ -493,12 +494,12 @@ def test_export_shape(collatz_assignment):
     assert by_value["1"]["parent"] is None
     values = [int(n["value"]) for n in doc["nodes"]]
     assert values == sorted(values)
-    no_rep = json.loads(export_json(collatz_assignment))
+    no_rep = json.loads(rendered(export_json, collatz_assignment, None))
     assert no_rep["power_bound"] is None
 
 
 def test_export_masses_match_reference(five_assignment):
-    doc = json.loads(export_json(five_assignment))
+    doc = json.loads(rendered(export_json, five_assignment, None))
     forest = five_assignment.forest
     local_ref, combined_ref = reference_local(forest), reference_combined(forest)
     for node in doc["nodes"]:
@@ -565,7 +566,7 @@ def _export_case(name, depth, with_report, seed=1):
     desc = _EXPORT_MAPS[name]
     asg = assign_measure(build_forest(desc, find_cycles(desc, 100), depth))
     rep = check_power_bound(asg, trials=3, max_n=min(depth, 3), seed=seed) if with_report else None
-    return export_json(asg, rep), json.dumps(reference_export_dict(asg, rep), indent=2) + "\n"
+    return rendered(export_json, asg, rep), json.dumps(reference_export_dict(asg, rep), indent=2) + "\n"
 
 
 @settings(max_examples=60, deadline=None)
@@ -598,7 +599,7 @@ def test_export_json_builds_no_value_per_node(name, depth, monkeypatch):
     # the cycle totals and the total, however many nodes there are
     desc = _EXPORT_MAPS[name]
     asg = assign_measure(build_forest(desc, find_cycles(desc, 100), depth))
-    want = export_json(asg)
+    want = rendered(export_json, asg, None)
     values, dyadics = [], []
     value_init, dyadic_init = MeasureValue.__init__, DyadicRational.__init__
 
@@ -612,7 +613,7 @@ def test_export_json_builds_no_value_per_node(name, depth, monkeypatch):
 
     monkeypatch.setattr(MeasureValue, "__init__", counted_value)
     monkeypatch.setattr(DyadicRational, "__init__", counted_dyadic)
-    assert export_json(asg) == want
+    assert rendered(export_json, asg, None) == want
     assert len(values) == len(asg.forest.cycles) + 1 < len(asg.forest.covered)
     assert len(dyadics) <= 2 * len(values)
 

@@ -1,11 +1,21 @@
+import io
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
-from syrdyn.numeric import DyadicRational, mass_fields
+from syrdyn.numeric import RECORDS, DyadicRational, batched, mass_fields, write_json
 
 
 def dr(num, exp=0):
     return DyadicRational(num, exp)
+
+
+def rendered(render, *args) -> str:
+    """What render(*args, stream) writes, as one text."""
+    stream = io.StringIO()
+    assert render(*args, stream) is None
+    return stream.getvalue()
 
 
 class TestCanonicalForm:
@@ -77,3 +87,40 @@ def test_cmp_matches_cross_multiplication(a, b):
     rhs = b.num << max(0, a.exp - b.exp)
     assert (a == b) == (lhs == rhs)
     assert lhs != rhs or hash(a) == hash(b)
+
+
+# -- the one JSON writer -------------------------------------------------------
+
+
+def _item(n):
+    """Record n as json.dumps(indent=2) writes it as an item of a top-level value's array."""
+    return f'{{\n      "n": "{n}"\n    }}'
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 2047, 2048, 2049, 5000])
+def test_write_json_splices_records_as_json_dumps_would(count):
+    # record counts on both sides of a batch boundary, and an empty array
+    envelope = {"map": "collatz", "nodes": RECORDS, "total": {"n": "1"}}
+    want = json.dumps({**envelope, "nodes": [{"n": str(n)} for n in range(count)]}, indent=2)
+    stream = io.StringIO()
+    write_json(envelope, stream, batched(_item(n) for n in range(count)))
+    assert stream.getvalue() == want + "\n"
+
+
+def test_write_json_without_records_is_json_dumps():
+    payload = {"map": "collatz", "cycles": [["1", "2"]], "count": 1, "empty": [], "none": None}
+    assert rendered(write_json, payload) == json.dumps(payload, indent=2) + "\n"
+
+
+def test_write_json_writes_a_batch_at_a_time():
+    # each batch of records is one write, never the whole document at once
+    class Writes(list):
+        write = list.append
+
+    stream = Writes()
+    records = [_item(n) for n in range(5000)]
+    write_json({"nodes": RECORDS}, stream, batched(records))
+    # the head, then three batches of at most 2048 records with a separator between, then the tail
+    assert len(stream) == 7
+    assert stream[1] == ",\n    ".join(records[:2048]) and stream[2] == ",\n    "
+    assert "".join(stream) == json.dumps({"nodes": [{"n": str(n)} for n in range(5000)]}, indent=2) + "\n"
