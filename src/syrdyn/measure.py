@@ -14,14 +14,19 @@ length N_i with its factors of two removed.  assign_measure computes those
 straight from the rules in plain ints and puts them over one shared
 denominator L * 2^E, with L the lcm of the odd(N_i) and E the largest
 exponent: MeasureAssignment.numerators and .denominator are the only stored
-masses.  A set's mass is an integer sum and the power bound an
-integer comparison.  The sets T^-n{v} of distinct v are disjoint, so
-mu(T^-n(A)) is a sum over A of the fibre masses P_n(v), pushed forward once
-per level: check_power_bound samples such sums, one packed sum per trial,
-and power_bound_certificate reads their exact supremum over all A off the
-same tables.  Masses are reported through numeric.dyadic_form and
-mass_fields: as a MeasureValue from measure_of and the totals, and straight
-from the numerator for each node in export_json.
+masses.  A mass depends only on its cycle and exponent, so the forest holds
+far fewer distinct masses than nodes (depth-36 Collatz: 87 for 112,658
+nodes), and the work that depends only on a mass is done once per distinct
+mass: every node of one mass shares one numerator int, and export_json
+renders each distinct numerator's text once.  A set's mass is an integer
+sum and the power bound an integer comparison.  The sets T^-n{v} of
+distinct v are disjoint, so mu(T^-n(A)) is a sum over A of the fibre
+masses P_n(v), pushed forward once per level: check_power_bound samples
+such sums, one packed sum per trial, and power_bound_certificate reads
+their exact supremum over all A off the same tables.  Masses are reported
+through numeric.dyadic_form and mass_fields: as a MeasureValue from
+measure_of and the totals, and as one text per distinct numerator in
+export_json.
 
 build_forest grows each tree with maps.preimage_levels, which refuses the
 level that would cross the node cap and stops at the first empty one, so a
@@ -192,7 +197,7 @@ def assign_measure(forest: PreimageForest) -> MeasureAssignment:
     every other node weighs its parent's mass times 2^-(t+1), t its 1-based
     ascending rank among the parent's children.  So node v of cycle i's tree
     weighs 2^-exps[v] / odd(N): one odd part and one exponent dict per
-    cycle, each cycle's numerators scaled once.
+    cycle, and one numerator int per distinct mass, shared by its nodes.
     """
     parent = forest.parent
     per_cycle = []  # (odd part of the cycle's length, node -> exponent)
@@ -211,9 +216,14 @@ def assign_measure(forest: PreimageForest) -> MeasureAssignment:
     odd = math.lcm(*(o for o, _exps in per_cycle))
     top = max(max(exps.values()) for _o, exps in per_cycle)
     numerators: dict[int, int] = {}
+    shared: dict[int, int] = {}  # one int object per distinct mass, for every node of that mass
     for o, exps in per_cycle:
         scale = odd // o
-        numerators.update({v: scale << (top - e) for v, e in exps.items()})
+        mass = {}  # exponent -> its mass's int, built once per (cycle, exponent)
+        for e in set(exps.values()):
+            m = scale << (top - e)
+            mass[e] = shared.setdefault(m, m)
+        numerators.update(zip(exps, map(mass.__getitem__, exps.values())))
     return MeasureAssignment(forest, numerators, odd << top)
 
 
@@ -335,52 +345,60 @@ def check_power_bound(
     fibre mass P_n(v), the mass of the covered part of T^-n{v}.  The fibre
     masses are computed once per call (see _fibre_masses: one map preimage
     per covered node, not the stored tree links) and packed into one int per
-    node, P_n(v) in field n.  A field is as many whole bytes as the largest
-    table total needs, so no subset sum carries into the next field, and
-    packing and unpacking are linear byte copies.  One sum of the packed ints
-    over the drawn set then holds mu(A) and every mu(T^-n(A)) of the trial.
-    Masses are integer numerators over the assignment's shared denominator,
-    so every comparison is exact integer arithmetic.  The worst pair is the
-    first with the largest ratio, found by cross-multiplication; its ratio is
-    reported correctly rounded and as a reduced fraction, and only its masses
-    are rendered as MeasureValues.  power_bound_certificate reads the
-    supremum over all subsets off the same fibre masses.
+    node, P_n(v) in field n.  A field is as many bits as the largest table
+    total needs, so no subset sum carries into the next field.  Packing
+    shifts each nonzero table entry into its field, once per distinct row of
+    fields: nodes whose rows agree share one packed int (1,229 for the
+    112,658 nodes of depth-36 Collatz).  One sum of the packed ints over the
+    drawn set then holds mu(A) and every mu(T^-n(A)) of the trial, unpacked
+    once per trial.  Masses are integer numerators over the assignment's
+    shared denominator, so every comparison is exact integer arithmetic; a
+    trial counts max_n comparisons, and a violation names the first power
+    that breaks the bound.  Within a trial mu(A) is fixed, so only the first
+    largest mu(T^-n(A)) can beat the worst pair so far: the worst pair is
+    the first with the largest ratio, found by cross-multiplication.  Its
+    ratio is reported correctly rounded and as a reduced fraction, and only
+    its masses are rendered as MeasureValues.  power_bound_certificate reads
+    the supremum over all subsets off the same fibre masses.
     """
     forest = assignment.forest
     check_sampling(forest.depth, trials, max_n, seed)
     nodes = sorted(forest.covered)
     tables = _fibre_masses(assignment, max_n)
-    # bytes per field: no subset sum of a table exceeds the table's total
-    width = (max(sum(table.values()) for table in tables).bit_length() + 7) // 8
-    packed = []
-    for v in nodes:
-        row = bytearray()
-        for table in tables:  # supports shrink with n: v's fields are a prefix
-            m = table.get(v)
-            if m is None:
-                break
-            row += m.to_bytes(width, "little")
-        packed.append(int.from_bytes(row, "little"))
+    # bits per field: no subset sum of a table exceeds the table's total
+    width = max(sum(table.values()) for table in tables).bit_length()
+    # P_n(v) shifted into field n; rows keeps one int per distinct (fields
+    # so far, P_n(v)), so nodes whose fields agree share it
+    packed = dict(tables[0])
+    for n in range(1, len(tables)):
+        shift, rows = n * width, {}
+        for v, m in tables[n].items():
+            key = (packed[v], m)
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = key[0] | m << shift
+            packed[v] = row
     del tables
+    packed = list(map(packed.__getitem__, nodes))
     rng = random.Random(seed)
-    span = (max_n + 1) * width
-    comparisons = 0
+    low = (1 << width) - 1
+    shifts = range(width, (max_n + 1) * width, width)
     best = None  # (mu_n, mu_a, n, |A|) with the largest mu_n / mu_a so far
     for _ in range(trials):
         mask = _draw_mask(rng, len(nodes))
-        drawn = mask.count(1)
-        sums = sum(compress(packed, mask)).to_bytes(span, "little")
-        mu_a = int.from_bytes(sums[:width], "little")
-        for n in range(1, max_n + 1):
-            mu_n = int.from_bytes(sums[n * width:(n + 1) * width], "little")
-            comparisons += 1
-            if mu_n > 2 * mu_a:
-                raise BoundViolation(
-                    f"mu(T^-{n}(A)) = {assignment.value(mu_n)} > 2*mu(A) = "
-                    f"{assignment.value(2 * mu_a)} for |A| = {drawn}, seed {seed}"
-                )
-            if mu_a and (best is None or mu_n * best[1] > best[0] * mu_a):
-                best = (mu_n, mu_a, n, drawn)
+        sums = sum(compress(packed, mask))
+        mu_a = sums & low
+        fibres = [(sums >> k) & low for k in shifts]
+        mu_n = max(fibres)  # mu_a is fixed in a trial: its largest ratio
+        if mu_n > 2 * mu_a:
+            n, mu_n = next((n, mu) for n, mu in enumerate(fibres, 1) if mu > 2 * mu_a)
+            raise BoundViolation(
+                f"mu(T^-{n}(A)) = {assignment.value(mu_n)} > 2*mu(A) = "
+                f"{assignment.value(2 * mu_a)} for |A| = {mask.count(1)}, seed {seed}"
+            )
+        if mu_a and (best is None or mu_n * best[1] > best[0] * mu_a):
+            best = (mu_n, mu_a, fibres.index(mu_n) + 1, mask.count(1))
+    comparisons = trials * max_n  # every trial compares its max_n powers
     if best is None:
         return PowerBoundReport(trials, max_n, seed, comparisons, 0, None, None, None)
     mu_n, mu_a, n, size = best
@@ -445,15 +463,29 @@ def _mass_text(num: int, den: int) -> str:
             f'        "decimal": {record_str(decimal)}\n      }}')
 
 
+class _MassTexts(dict):
+    """numerator -> _mass_text(numerator, den), each rendered on its first lookup."""
+
+    def __init__(self, den: int):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, num: int) -> str:
+        text = self[num] = _mass_text(num, self.den)
+        return text
+
+
 def export_json(assignment: MeasureAssignment, report: PowerBoundReport | None, stream) -> None:
     """Write the measure to stream as indent-2 JSON, one record template per node.
 
-    Each node's masses are rendered straight from its numerator over the
-    shared denominator; cycle-local masses undo the weight 2^(-i-1) by a
-    shift.  numeric.write_json draws the records and states their escaping rule.
+    A mass's text depends only on its numerator over the shared denominator,
+    so each distinct numerator is rendered once and every node of that mass
+    reuses it; cycle-local masses undo the weight 2^(-i-1) by a shift of the
+    numerator.  numeric.write_json draws the records and states their
+    escaping rule.
     """
     forest = assignment.forest
-    numerators, den = assignment.numerators, assignment.denominator
+    numerators, texts = assignment.numerators, _MassTexts(assignment.denominator)
     parent = forest.parent
     places = sorted((v, ci, lvl) for ci, levels in enumerate(forest.levels)
                     for lvl, level in enumerate(levels) for v in level)
@@ -463,8 +495,8 @@ def export_json(assignment: MeasureAssignment, report: PowerBoundReport | None, 
         f'      "cycle": {ci + 1},\n'
         f'      "level": {lvl},\n'
         f'      "parent": {record_str(parent.get(v))},\n'
-        f'      "cycle_local": {_mass_text(numerators[v] << (ci + 2), den)},\n'
-        f'      "combined": {_mass_text(numerators[v], den)}\n'
+        f'      "cycle_local": {texts[numerators[v] << (ci + 2)]},\n'
+        f'      "combined": {texts[numerators[v]]}\n'
         "    }"
         for v, ci, lvl in part
     ] for part in batched(places))

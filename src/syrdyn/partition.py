@@ -26,6 +26,7 @@ from math import isqrt
 
 from .errors import DomainError, InvalidParameters
 from .maps import MapDescriptor
+from .numeric import batched, write_batches
 # iterate is not called here; benchmarks/tracing.py patches syrdyn.partition.iterate
 from .trajectory import CycleInfo, Limits, TrajectoryStatus, iterate  # noqa: F401
 
@@ -464,11 +465,11 @@ def partition(
 
 
 def export_csv(result: PartitionResult, stream) -> None:
-    """Columns x, class, steps_to_cycle (empty for D2?), max_excursion."""
+    """Columns x, class, steps_to_cycle (empty for D2?), max_excursion; a batch of rows a write."""
     rows = zip(range(result.start, result.domain_bound + 1),
                map(_CODE_NAMES.__getitem__, result._codes), result._steps, result._excursions)
-    stream.write("x,class,steps_to_cycle,max_excursion\n" + "".join(
-        f"{x},{name},{'' if st is None else st},{exc}\n" for x, name, st, exc in rows))
+    write_batches(batched(f"{x},{name},{'' if st is None else st},{exc}\n" for x, name, st, exc in rows),
+                  "", "x,class,steps_to_cycle,max_excursion\n", stream)
 
 
 def summary_dict(result: PartitionResult) -> dict:

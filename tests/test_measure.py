@@ -618,6 +618,46 @@ def test_export_json_builds_no_value_per_node(name, depth, monkeypatch):
     assert len(dyadics) <= 2 * len(values)
 
 
+def mass_keys(asg):
+    """The numerators of every node's combined and cycle-local mass."""
+    return {m << shift for ci, levels in enumerate(asg.forest.levels)
+            for level in levels for v in level for m in [asg.numerators[v]] for shift in (0, ci + 2)}
+
+
+@pytest.mark.parametrize("name, depth, keys", [
+    ("collatz", 14, 34),  # 206 nodes
+    ("pxr3m", 12, None),  # a fixed point, a 3- and an 11-cycle
+    ("pxr5", 10, None),
+])
+def test_export_json_renders_each_distinct_mass_once(name, depth, keys, monkeypatch):
+    # a mass text depends only on its numerator: one render per distinct
+    # numerator, however many nodes carry it, and the bytes of the reference
+    desc = _EXPORT_MAPS[name]
+    asg = assign_measure(build_forest(desc, find_cycles(desc, 100), depth))
+    want = mass_keys(asg)
+    calls = []
+    mass_text = measure_module._mass_text
+
+    def counted(num, den):
+        calls.append(num)
+        return mass_text(num, den)
+
+    monkeypatch.setattr(measure_module, "_mass_text", counted)
+    assert rendered(export_json, asg, None) == json.dumps(reference_export_dict(asg), indent=2) + "\n"
+    assert sorted(calls) == sorted(want)
+    assert len(want) < len(asg.forest.covered)
+    if keys is not None:
+        assert len(want) == keys
+
+
+@pytest.mark.parametrize("name, depth", [("collatz", 14), ("pxr3m", 12), ("pxr5", 10)])
+def test_nodes_of_one_mass_share_one_numerator(name, depth):
+    desc = _EXPORT_MAPS[name]
+    asg = assign_measure(build_forest(desc, find_cycles(desc, 100), depth))
+    numerators = list(asg.numerators.values())
+    assert len({id(m) for m in numerators}) == len(set(numerators)) < len(numerators)
+
+
 # -- the integer path against Fraction arithmetic ------------------------------
 
 
@@ -717,6 +757,14 @@ class TestIntegerMasses:
         asg = assign_measure(build_forest(collatz(), [CycleInfo((1, 2))], 3))
         assert_matches_reference(asg, trials=30, max_n=2, seed=9)
 
+    def test_ties_within_a_trial_keep_the_first_power(self):
+        # a fixed point with no other preimage: T^-n{1} = {1} for every n, so
+        # a trial that draws 1 ties at every power and must report n = 1
+        desc = parse_descriptor("d=2;m0=3,r0=0;m1=1,r1=1")
+        asg = assign_measure(build_forest(desc, [CycleInfo((1,))], 4))
+        rep = assert_matches_reference(asg, trials=6, max_n=4, seed=2)
+        assert rep.worst == {"n": 1, "set_size": 1, "mu_set": "1/2^3", "mu_preimage": "1/2^3"}
+
     @pytest.mark.parametrize("which", ["collatz", "five"])
     def test_measure_of_matches_measure_value_sum(
         self, which, collatz_assignment, five_assignment
@@ -747,15 +795,27 @@ class TestIntegerMasses:
         assert 1 < rep.worst_ratio <= 2
         assert rep.worst["mu_set"] == render(parse(plain.worst["mu_set"]) / 2**shift)
 
+    @staticmethod
+    def violation(asg, heavy):
+        """check_power_bound's message on asg with every mass 1/2^30 but the heavy ones."""
+        numerators = dict.fromkeys(asg.forest.covered, 1)
+        numerators.update(heavy)
+        broken = replace(asg, numerators=numerators, denominator=1 << 30)
+        with pytest.raises(BoundViolation) as raised:
+            check_power_bound(broken, trials=20, max_n=5, seed=1)
+        return str(raised.value)
+
     def test_heavy_preimage_violates_the_bound(self, collatz10_assignment):
         # 4 is a preimage of 2; weighing it far above the rest breaks the bound
         # for any sampled A that holds 2 but not 4, and the check must say so
-        asg = collatz10_assignment
-        numerators = dict.fromkeys(asg.forest.covered, 1)
-        numerators[4] = 10**6
-        broken = replace(asg, numerators=numerators, denominator=1 << 30)
-        with pytest.raises(BoundViolation, match=r"mu\(T\^-\d\(A\)\) = \S.* > 2\*mu\(A\) = \S.* for \|A\| = \d+, seed 1"):
-            check_power_bound(broken, trials=20, max_n=5, seed=1)
+        assert self.violation(collatz10_assignment, {4: 10**6}) == (
+            "mu(T^-1(A)) = 250009/2^28 > 2*mu(A) = 35/2^29 for |A| = 35, seed 1")
+
+    def test_violation_names_the_first_violating_power(self, collatz10_assignment):
+        # 16 = T^-3{2} outweighs 8 = T^-2{2}: the violating set's T^-2(A)
+        # carries 1101000029/2^30, more than T^-1(A), but T^-1 breaks the bound first
+        assert self.violation(collatz10_assignment, {4: 10**6, 8: 10**8, 16: 10**9}) == (
+            "mu(T^-1(A)) = 50500017/2^29 > 2*mu(A) = 1000037/2^29 for |A| = 38, seed 1")
 
     def test_work_per_call(self, five_assignment, monkeypatch):
         # one map preimage per covered node, one draw per trial, and
@@ -927,6 +987,10 @@ class TestFibreMasses:
      "bd5608966cbd9a2bb5600cb39e0ea3a263a761d8fcf98bb6bd6b04692bd7be88"),
     (["measure", "pxr:p=7,r=5", "--depth", "14", "--trials", "200", "--max-n", "8"],
      "041c1d3371058413dae57bd7c4772f00c91af716f188f256b0dd2d8777b4db8a"),
+    # a fixed point, a 3- and an 11-cycle: the shared denominator's odd part
+    # is 33, and the fixed point's tree prints denom 1 beside them
+    (["measure", "pxr:p=3,r=-1", "--depth", "12", "--trials", "50"],
+     "8dd5f7cd08863f0195d99c9a229ff9fe723de87bb2c6e57b06c78930e218f500"),
 ])
 def test_cli_measure_output_pinned(argv, digest, capsys):
     # SHA-256 of the whole stdout.  The Collatz bytes are those the per-node
