@@ -10,8 +10,10 @@ off the factorization of n+1) has exactly the two preimages
 Families are the orbit runs 2^a*h - 1 -> 3*2^(a-1)*h - 1 -> ... -> 3^a*h - 1;
 the even tail maps to an N1 node, whose image is again N2, linking family to
 family into chains.  The px+r analogues exist precisely when r = p - 2 or
-r = 2 - p, with the doubled preimage class at r/(2-p) mod p; the verifiers
-below pin those facts empirically, stepping the map itself as the oracle.
+r = 2 - p, with the doubled preimage class at r/(2-p) mod p.  Both facts
+hold by algebra (one-line proofs in verify_family_identity and
+verify_family_connection), so those verifiers, stepping the map over
+samples, test the map's apply, not the criterion.
 Every px+r entry point checks its (p, r) with maps.pxr, through _validate_pr.
 
 A caution recorded as a tested truth table rather than folklore: the odd
@@ -169,8 +171,8 @@ def family_of(a: int, h: int) -> Family:
     return Family(a, h, members)
 
 
-def _family_containing_orbit(n: int) -> tuple[Family, int | None, int]:
-    """Walk n to the first N2 point; return (family, n's member index or None, steps walked)."""
+def _family_containing_orbit(n: int) -> tuple[Family, int | None]:
+    """Walk n to the first N2 point; return (its family, n's member index or None)."""
     cur = n
     steps = 0
     guard = n.bit_length() + 8  # N0 evens halve at most log2(n) times, then 2 more steps
@@ -183,8 +185,8 @@ def _family_containing_orbit(n: int) -> tuple[Family, int | None, int]:
     family = family_of(form.a + form.b, form.h)
     idx = form.a - steps
     if 0 <= idx and family.members[idx] == n:
-        return family, idx, steps
-    return family, None, steps
+        return family, idx
+    return family, None
 
 
 @dataclass(frozen=True)
@@ -209,64 +211,50 @@ class Chain:
 
 
 def chain_of(n: int, links: int = 1) -> Chain:
-    """Locate n's family and extend up to `links` connections each way."""
+    """Locate n's family and extend up to `links` connections each way.
+
+    Each family is _family_containing_orbit's: of n, of a forward link, the
+    N1 image of a tail, and of 2*head, the tail behind an N1 head.
+    """
     if type(n) is not int or n < 1:
         raise DomainError(f"need a positive integer, got {n!r}")
     if type(links) is not int or links < 1:
         raise InvalidParameters(f"links must be an integer >= 1, got {links!r}")
-    base, origin_idx, _steps = _family_containing_orbit(n)
-    families = [base]
-    link_nodes: list[int] = []
+    base, origin_idx = _family_containing_orbit(n)
     seen_keys = {base.key}
-    cyclic = False
 
-    forward_built = 0
-    current = base
-    for _ in range(links):
-        link = _COLLATZ.apply(current.tail)       # tail is even, image is N1
-        nxt = _COLLATZ.apply(link)                # image of an N1 node is N2
-        form = decompose(nxt)
-        new = family_of(form.a + form.b, form.h)
-        if new.key in seen_keys:
-            cyclic = True
+    ahead: list[tuple[int, Family]] = []   # (link, family) pairs, nearest first
+    family = base
+    while len(ahead) < links:
+        link = _COLLATZ.apply(family.tail)    # tail is even, image is N1
+        family = _family_containing_orbit(link)[0]
+        if family.key in seen_keys:
             break
-        link_nodes.append(link)
-        families.append(new)
-        seen_keys.add(new.key)
-        current = new
-        forward_built += 1
+        seen_keys.add(family.key)
+        ahead.append((link, family))
+    cyclic = len(ahead) < links  # only a listed family stops the forward walk
 
-    backward_built = 0
-    backward_stopped = None
-    current = base
-    if not cyclic:
-        for _ in range(links):
-            head = current.head
-            if head % 3 != 1:
-                backward_stopped = classify(head).name  # N0: preimages stay in N0
-                break
-            prev = 2 * head                       # sole preimage of an N1 node
-            form = decompose(prev)                # prev is the previous family's tail
-            new = family_of(form.a + form.b, form.h)
-            if new.key in seen_keys:
-                cyclic = True
-                break
-            families.insert(0, new)
-            link_nodes.insert(0, head)
-            seen_keys.add(new.key)
-            current = new
-            backward_built += 1
-
+    behind: list[tuple[int, Family]] = []  # (link, family) pairs, nearest first
+    family = base
+    while not cyclic and len(behind) < links and family.head % 3 == 1:
+        head = family.head
+        family = _family_containing_orbit(2 * head)[0]  # 2*head: an N1 node's sole preimage
+        cyclic = family.key in seen_keys
+        if not cyclic:
+            seen_keys.add(family.key)
+            behind.append((head, family))
+    behind.reverse()
     return Chain(
         origin=n,
-        families=tuple(families),
-        links=tuple(link_nodes),
-        origin_family_index=backward_built,
+        families=(*(f for _, f in behind), base, *(f for _, f in ahead)),
+        links=tuple(link for link, _ in behind + ahead),
+        origin_family_index=len(behind),
         origin_member_index=origin_idx,
         cyclic=cyclic,
-        backward_stopped=backward_stopped,
-        forward_built=forward_built,
-        backward_built=backward_built,
+        # a walk short of `links` with no cycle met an N0 head, whose preimages stay in N0
+        backward_stopped=None if cyclic or len(behind) == links else classify(family.head).name,
+        forward_built=len(ahead),
+        backward_built=len(behind),
     )
 
 
@@ -405,6 +393,8 @@ def search_family_witness(
     Tries every l against all valid samples (b >= 1, k coprime to 2p, node in
     the odd class); returns the first universal l, else None.  Exhaustive by
     construction, with no knowledge of the r = +-(p-2) criterion baked in.
+    The identity holds iff r = l*(p - 2), as verify_family_identity proves,
+    so the search returns r // (p - 2) exactly when (p - 2) divides r.
     Raises InvalidParameters, before any sample, for p above _MAX_WITNESS_P.
 
     The rows are _identity_table's, drawn once; _check_identity runs them
@@ -439,16 +429,22 @@ class FamilyIdentityReport:
 
 
 def verify_family_identity(
-    p: int, r: int, alphas=range(0, 5), betas=range(1, 5), ks=range(1, 51)
+    p: int, r: int, alphas=range(WITNESS_ALPHA_MAX + 1), betas=range(1, WITNESS_BETA_MAX + 1),
+    ks=range(1, WITNESS_K_MAX + 1),
 ) -> FamilyIdentityReport:
     """Check V(p^a*2^b*k - l) = p^(a+1)*2^(b-1)*k - l with l = r/(p-2).
 
-    The samples are _identity_table's rows, run once through
-    _check_identity, the loop the witness search runs per l.
+    The identity holds iff r = l*(p - 2): the odd x = p^a*2^b*k - l maps to
+    (p*x + r)/2 = p^(a+1)*2^(b-1)*k + (r - p*l)/2, the right side exactly
+    when (r - p*l)/2 = -l.
+
+    The samples are _identity_table's rows, by default over the witness
+    search's grid, run once through _check_identity, the loop the witness
+    search runs per l.
 
     Raises NotApplicable when l is not an integer (with |r| < p that limits
-    the identity to r = +-(p-2)); any failed sample would disprove the
-    criterion, so it raises VerificationFailure.
+    the identity to r = +-(p-2)); a failed sample means the map broke its
+    formula, so it raises VerificationFailure.
     """
     _validate_pr(p, r)
     l, rem = divmod(r, p - 2)
@@ -501,6 +497,8 @@ def verify_family_connection(
     The tail p^a*k - l is even; after its v_2 halvings the odd branch fires
     once, and the landing must be r/(2-p) mod p.  Iteration is the oracle
     here; a mismatch would contradict the chain criterion, hence the error.
+    It holds for every odd x, tail or not: (p*x + r)/2 = r * 2^-1 (mod p),
+    and r * 2^-1 = r/(2-p) since 2 = 2 - p (mod p).
     """
     desc = _validate_pr(p, r)
     if not chain_criterion(p, r):

@@ -42,6 +42,7 @@ from .trajectory import (
     TrajectoryStatus,
     find_cycles,
     iterate,
+    trajectory_to_json,
 )
 
 __all__ = ["main"]
@@ -167,8 +168,7 @@ def _emit(path: str | None, render, *args) -> None:
 def _cmd_traj(args) -> int:
     desc = parse_descriptor(args.map)
     report = iterate(desc, args.n, _limits(args))
-    payload = {"map": desc.to_text(), **report.to_json_dict()}
-    _emit(args.out, write_json, payload)
+    _emit(args.out, trajectory_to_json, desc, report)
     return 0 if report.status is TrajectoryStatus.ENTERED_CYCLE else 2
 
 

@@ -14,8 +14,9 @@ str_ceiling state that limit once, for the CLI's bound parser and for the
 builders that refuse a value before it could reach the printer.
 
 write_json writes every JSON document to a stream: json.dumps renders it,
-and the `tree` and `measure` node arrays, pre-rendered one record per node
-and a batch of records at a time, are spliced in where it holds RECORDS.
+and the `tree` and `measure` node arrays and the `traj` orbit, pre-rendered
+one record per node or step and a batch of records at a time, are spliced in
+where it holds RECORDS.
 """
 
 from __future__ import annotations

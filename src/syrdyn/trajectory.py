@@ -12,6 +12,7 @@ from enum import Enum
 
 from .errors import DomainError, InvalidParameters, VerificationFailure
 from .maps import MapDescriptor, pxr
+from .numeric import RECORDS, batched, write_json
 
 __all__ = [
     "DEFAULT_MAX_STEPS",
@@ -21,6 +22,7 @@ __all__ = [
     "CycleInfo",
     "TrajectoryReport",
     "iterate",
+    "trajectory_to_json",
     "find_cycles",
     "check_power_cycle",
 ]
@@ -106,17 +108,6 @@ class TrajectoryReport:
     entry_index: int | None
     cycle: CycleInfo | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "start": str(self.start),
-            "status": self.status.value,
-            "steps": [str(v) for v in self.steps],
-            "applications": len(self.steps) - 1 + (1 if self.cycle else 0),
-            "max_excursion": str(self.max_excursion),
-            "entry_index": self.entry_index,
-            "cycle": [str(v) for v in self.cycle.members] if self.cycle else None,
-        }
-
 
 def iterate(desc: MapDescriptor, start: int, limits: Limits | None = None) -> TrajectoryReport:
     """Walk forward from start until a repeat, the step budget, or the ceiling.
@@ -152,6 +143,25 @@ def iterate(desc: MapDescriptor, start: int, limits: Limits | None = None) -> Tr
     return TrajectoryReport(
         start, tuple(steps), TrajectoryStatus.HIT_STEP_LIMIT, max(steps), None, None
     )
+
+
+def trajectory_to_json(desc: MapDescriptor, report: TrajectoryReport, stream) -> None:
+    """Write the map and the report to stream as indent-2 JSON, a batch of steps at a time.
+
+    The steps array is spliced in by numeric.write_json, one "<digits>"
+    record per orbit point, so the document text is never held whole.
+    """
+    cycle = report.cycle
+    write_json({
+        "map": desc.to_text(),
+        "start": str(report.start),
+        "status": report.status.value,
+        "steps": RECORDS,
+        "applications": len(report.steps) - 1 + (1 if cycle else 0),
+        "max_excursion": str(report.max_excursion),
+        "entry_index": report.entry_index,
+        "cycle": [str(v) for v in cycle.members] if cycle else None,
+    }, stream, ([f'"{v}"' for v in part] for part in batched(report.steps)))
 
 
 def find_cycles(

@@ -172,6 +172,55 @@ class TestFamily:
             family_of(2, 9)
 
 
+def reference_chain_of(n, links=1):
+    """chain_of as two counted loops: forward by two fixed map steps, backward by decompose(2*head)."""
+    cur, steps = n, 0
+    while cur % 3 != 2:
+        cur, steps = C.apply(cur), steps + 1
+    form = decompose(cur)
+    base = family_of(form.a + form.b, form.h)
+    idx = form.a - steps
+    origin_idx = idx if idx >= 0 and base.members[idx] == n else None
+    families, link_nodes, seen_keys, cyclic = [base], [], {base.key}, False
+
+    forward_built, current = 0, base
+    for _ in range(links):
+        link = C.apply(current.tail)
+        form = decompose(C.apply(link))
+        new = family_of(form.a + form.b, form.h)
+        if new.key in seen_keys:
+            cyclic = True
+            break
+        link_nodes.append(link)
+        families.append(new)
+        seen_keys.add(new.key)
+        current = new
+        forward_built += 1
+
+    backward_built, backward_stopped, current = 0, None, base
+    if not cyclic:
+        for _ in range(links):
+            head = current.head
+            if head % 3 != 1:
+                backward_stopped = classify(head).name
+                break
+            form = decompose(2 * head)
+            new = family_of(form.a + form.b, form.h)
+            if new.key in seen_keys:
+                cyclic = True
+                break
+            families.insert(0, new)
+            link_nodes.insert(0, head)
+            seen_keys.add(new.key)
+            current = new
+            backward_built += 1
+
+    return chains_module.Chain(
+        n, tuple(families), tuple(link_nodes), backward_built, origin_idx, cyclic,
+        backward_stopped, forward_built, backward_built,
+    )
+
+
 class TestChainOf:
     def test_chain_through_seven(self):
         ch = chain_of(7, links=1)
@@ -219,6 +268,14 @@ class TestChainOf:
             assert link % 3 == 1
             assert 2 * link == ch.families[t].tail
             assert C.apply(link) in ch.families[t + 1].members
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.one_of(st.integers(1, 10**6), st.integers(1, 10**40)), links=st.integers(1, 6))
+    @example(n=1, links=1)  # the cyclic {1, 2} family
+    @example(n=9, links=2)  # backward growth stops at the N0 head 9
+    @example(n=4, links=1)  # an origin outside every family
+    def test_is_the_two_loop_reference(self, n, links):
+        assert chain_of(n, links) == reference_chain_of(n, links)
 
     def test_validation(self):
         with pytest.raises(DomainError):

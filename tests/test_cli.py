@@ -193,7 +193,39 @@ class TestExitCodes:
         assert code == 1
 
 
+def reference_traj_payload(desc, report):
+    """The traj document as a dict, the way it was built before the steps were streamed."""
+    return {
+        "map": desc.to_text(),
+        "start": str(report.start),
+        "status": report.status.value,
+        "steps": [str(v) for v in report.steps],
+        "applications": len(report.steps) - 1 + (1 if report.cycle else 0),
+        "max_excursion": str(report.max_excursion),
+        "entry_index": report.entry_index,
+        "cycle": [str(v) for v in report.cycle.members] if report.cycle else None,
+    }
+
+
 class TestTraj:
+    @pytest.mark.parametrize("text, n, max_steps, max_value, status", [
+        ("collatz", 27, 10**5, 10**40, "EnteredCycle"),
+        ("pxr:p=5,r=1", 7, 50, 10**40, "HitStepLimit"),
+        ("pxr:p=5,r=1", 7, 10**5, 10**6, "HitValueLimit"),
+    ])
+    def test_bytes_are_json_dumps_of_the_reference(self, text, n, max_steps, max_value, status,
+                                                   capsys):
+        from syrdyn.maps import parse_descriptor
+        from syrdyn.trajectory import Limits, iterate
+
+        desc = parse_descriptor(text)
+        report = iterate(desc, n, Limits(max_steps, max_value))
+        assert report.status.value == status
+        code, out, _ = run(capsys, "traj", text, str(n), "--max-steps", str(max_steps),
+                           "--max-value", str(max_value))
+        assert code == (0 if status == "EnteredCycle" else 2)
+        assert out == json.dumps(reference_traj_payload(desc, report), indent=2) + "\n"
+
     def test_golden_payload(self, capsys):
         _, out, _ = run(capsys, "traj", "collatz", "7")
         doc = json.loads(out)
@@ -543,17 +575,21 @@ class _Discard:
         self.length += len(text)
 
 
-@pytest.mark.parametrize("engine, render", [("chains", "tree_to_json"), ("measure", "export_json")])
+@pytest.mark.parametrize("engine, render", [("chains", "tree_to_json"), ("measure", "export_json"),
+                                            ("trajectory", "trajectory_to_json")])
 def test_rendering_does_not_hold_the_document(engine, render):
-    # the collatz depth-28 documents: 19,385 tree nodes (2.85 MB), 11,301 forest nodes (4.29 MB)
-    from syrdyn.maps import collatz
+    # the collatz depth-28 documents: 19,385 tree nodes (2.85 MB), 11,301 forest nodes (4.29 MB);
+    # the pxr:p=5,r=1 orbit of 7 below 10^500: 10,655 steps (2.70 MB)
+    from syrdyn.maps import collatz, pxr
     from syrdyn.measure import assign_measure, build_forest
-    from syrdyn.trajectory import CycleInfo
+    from syrdyn.trajectory import CycleInfo, Limits, iterate
 
     if engine == "chains":
         args = (chains_module.build_preimage_tree(collatz(), 1, 28),)
-    else:
+    elif engine == "measure":
         args = (assign_measure(build_forest(collatz(), [CycleInfo((1, 2))], 28)), None)
+    else:
+        args = (pxr(5, 1), iterate(pxr(5, 1), 7, Limits(max_value=10**500)))
     stream = _Discard()
     tracemalloc.start()
     try:

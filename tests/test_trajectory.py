@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +12,9 @@ from syrdyn.trajectory import (
     check_power_cycle,
     find_cycles,
     iterate,
+    trajectory_to_json,
 )
+from test_numeric import rendered
 
 
 class TestLimits:
@@ -99,7 +103,8 @@ class TestIterate:
             iterate(collatz(), -5)
 
     def test_json_shape(self):
-        payload = iterate(collatz(), 7).to_json_dict()
+        payload = json.loads(rendered(trajectory_to_json, collatz(), iterate(collatz(), 7)))
+        assert payload["map"] == collatz().to_text()
         assert payload["start"] == "7"
         assert payload["status"] == "EnteredCycle"
         assert payload["steps"][0] == "7"
