@@ -12,8 +12,9 @@ the even tail maps to an N1 node, whose image is again N2, linking family to
 family into chains.  The px+r analogues exist precisely when r = p - 2 or
 r = 2 - p, with the doubled preimage class at r/(2-p) mod p.  Both facts
 hold by algebra (one-line proofs in verify_family_identity and
-verify_family_connection), so those verifiers, stepping the map over
-samples, test the map's apply, not the criterion.
+verify_family_connection), so the sampling verifiers test arithmetic, not
+the criterion: the identity's samples evaluate (p*x + r)/2 inline, and only
+verify_family_connection steps the map's MapDescriptor.apply.
 Every px+r entry point checks its (p, r) with maps.pxr, through _validate_pr.
 
 A caution recorded as a tested truth table rather than folklore: the odd
@@ -61,6 +62,9 @@ __all__ = [
     "verify_family_identity",
     "family_tails",
     "verify_family_connection",
+    "WITNESS_ALPHA_MAX",
+    "WITNESS_BETA_MAX",
+    "WITNESS_K_MAX",
     "chain_to_json",
     "chain_to_dot",
     "tree_to_json",
@@ -329,15 +333,17 @@ def two_preimage_class(p: int, r: int) -> int:
 
 
 def two_preimage_floor(p: int, r: int) -> int:
-    """Least positive member (p + r)/2 of the two-preimage class.
+    """Least positive member (p + r)/2 of the two-preimage class: the class residue itself.
 
     The odd preimage (2y - r)/p is a positive integer exactly when y is in
     the class and 2y >= p + r.  No positive class member lies below
     (p + r)/2, and there both preimages, 2y and (2y - r)/p = 1, already
     exist, so every positive member of the class has two preimages.
+
+    It is two_preimage_class's residue r * 2^-1 mod p: 2 * (p + r)/2 = r
+    (mod p), and p, r odd with |r| < p put (p + r)/2 in 1..p-1.
     """
-    _validate_pr(p, r)
-    return (p + r) // 2
+    return two_preimage_class(p, r)
 
 
 def _identity_table(p: int, alphas, betas, ks):

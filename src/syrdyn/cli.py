@@ -11,14 +11,15 @@ Each subcommand hands _emit a renderer, which writes to stdout or to the
 by numeric.write_json as json.dumps(payload, indent=2) plus a newline.
 
 The range engine (maps, trajectory, partition) is imported with this
-module.  The measure and chains engines load on first use: each process
-runs one subcommand, and traj, partition, cycles and scan need neither, so
-importing them would only lengthen every start.  Their names are still
-attributes of this module: reading one imports its engine.  chains, tree
-and criterion bind the chains engine's names here before they start;
-measure binds its engine's after its depth and seed-cycle checks, then
-refuses bad sampler arguments before it builds the forest.  A name bound
-here first, by a test's monkeypatch or a tracer's wrapper, is kept.
+module.  The measure and chains engines (_ENGINES) load on first use: each
+process runs one subcommand, and traj, partition, cycles and scan need
+neither, so importing one would only lengthen every start.  Loading an
+engine binds every name in its __all__ here, the one list of what the CLI
+calls.  chains, tree and criterion load theirs before they start; measure
+loads its engine after its depth and seed-cycle checks, then refuses bad
+sampler arguments before it builds the forest.  A name bound here first,
+by a monkeypatch or a tracer's wrapper, is kept.  Reading an unbound engine
+name loads the engines in turn until it is bound, or raises AttributeError.
 
 Exit codes: 0 success, 1 usage or validation error, 2 trajectory hit a
 limit without entering a cycle, 3 an internal verification tripped.
@@ -49,40 +50,30 @@ __all__ = ["main"]
 
 DEFAULT_SEED = 1729
 
-# name -> the engine module that defines it, for the engines loaded on first use
-_LAZY = {
-    **dict.fromkeys(("assign_measure", "build_forest", "check_power_bound", "check_sampling",
-                     "export_json"), "measure"),
-    **dict.fromkeys((
-        "WITNESS_ALPHA_MAX", "WITNESS_BETA_MAX", "WITNESS_K_MAX",
-        "build_preimage_tree", "chain_criterion", "chain_of", "chain_to_dot",
-        "chain_to_json", "search_family_witness", "tree_to_dot", "tree_to_json",
-        "two_preimage_class", "two_preimage_floor", "verify_family_connection",
-        "verify_family_identity",
-    ), "chains"),
-}
+# the engines loaded on first use; each binds the names in its __all__ here
+_ENGINES = ("measure", "chains")
 
 _loaded = set()  # engines whose names are bound here
 
 
 def _load(engine: str) -> None:
-    """Import an engine and bind its names here, keeping any name already bound."""
+    """Import an engine and bind its __all__ here, keeping any name already bound."""
     if engine in _loaded:
         return
     module = importlib.import_module(f"{__package__}.{engine}")
     names = globals()
-    for name, owner in _LAZY.items():
-        if owner == engine:
-            names.setdefault(name, getattr(module, name))
+    for name in module.__all__:
+        names.setdefault(name, getattr(module, name))
     _loaded.add(engine)
 
 
 def __getattr__(name):
-    engine = _LAZY.get(name)
-    if engine is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load(engine)
-    return globals()[name]
+    # only a read before the subcommand's own _load, as a tracer's or a test's, lands here
+    for engine in _ENGINES:
+        _load(engine)
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -4,7 +4,7 @@ import json
 import math
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from syrdyn.chains import (
     ChainHeadForm,
@@ -36,7 +36,8 @@ from syrdyn.errors import (
     VerificationFailure,
 )
 from syrdyn.cli import main
-from syrdyn.maps import collatz, parse_descriptor, pxr
+from syrdyn.maps import MapDescriptor, collatz, parse_descriptor, pxr
+from test_acceptance import PR_GRID
 from test_numeric import rendered
 
 C = collatz()
@@ -171,6 +172,12 @@ class TestFamily:
         with pytest.raises(InvalidParameters):
             family_of(2, 9)
 
+    def test_a_broken_map_step_is_a_verification_failure(self, monkeypatch):
+        monkeypatch.setattr(MapDescriptor, "apply", lambda self, x: x + 1)
+        with pytest.raises(VerificationFailure) as exc:
+            family_of(3, 1)
+        assert str(exc.value) == "family (3, 1) broken at member 0: map gives 8, expected 11"
+
 
 def reference_chain_of(n, links=1):
     """chain_of as two counted loops: forward by two fixed map steps, backward by decompose(2*head)."""
@@ -222,6 +229,15 @@ def reference_chain_of(n, links=1):
 
 
 class TestChainOf:
+    def test_an_orbit_that_misses_n2_trips_the_guard(self, monkeypatch):
+        # 7 -> 21 -> 63 -> ... stays 0 (mod 3) past the guard's 11 steps; from
+        # 10^8 on the broken map gives 2, so without the guard the walk ends
+        # in family_of's own failure instead
+        monkeypatch.setattr(MapDescriptor, "apply", lambda self, x: 3 * x if x < 10**8 else 2)
+        with pytest.raises(VerificationFailure) as exc:
+            chain_of(7)
+        assert str(exc.value) == "orbit of 7 failed to reach 2 (mod 3)"
+
     def test_chain_through_seven(self):
         ch = chain_of(7, links=1)
         assert [f.members for f in ch.families] == [(9, 14), (7, 11, 17, 26), (13, 20)]
@@ -405,14 +421,21 @@ class TestCriterion:
             for y in range(1, 2000):
                 assert len(desc.preimage(y)) == (2 if y % p == cls else 1), (p, r, y)
 
+    @given(st.data())
+    def test_floor_is_the_class_residue_on_drawn_pairs(self, data):
+        k = data.draw(st.one_of(st.integers(1, 200), st.integers(1, 10**30)), label="k")
+        p = 2 * k + 1
+        r = 2 * data.draw(st.integers(-k, k - 1), label="j") + 1  # odd, |r| < p
+        assume(math.gcd(r, p) == 1)
+        assert two_preimage_floor(p, r) == two_preimage_class(p, r) == (p + r) // 2
+
     def test_floor_is_least_class_member(self):
-        # (p+r)/2 is itself in the class, so no positive class member sits
-        # below it and the two-preimage law has no boundary exceptions
-        for (p, r) in [(3, 1), (5, 3), (7, 5), (5, -3), (31, 29), (31, -29)]:
+        # (p+r)/2 is the class residue itself, so no positive class member
+        # sits below it and the two-preimage law has no boundary exceptions
+        for p, r in PR_GRID:
             floor = two_preimage_floor(p, r)
-            cls = two_preimage_class(p, r)
-            assert floor % p == cls
-            assert 1 <= floor <= p
+            assert floor == two_preimage_class(p, r) == (p + r) // 2, (p, r)
+            assert 1 <= floor < p
             desc = pxr(p, r)
             assert len(desc.preimage(floor)) == 2
 
@@ -531,6 +554,12 @@ class TestFamilyTails:
         with pytest.raises(InvalidParameters):
             family_tails(5, 1, 10)
 
+    @pytest.mark.parametrize("count", [0, -3, True, 2.0])
+    def test_refuses_a_count_below_one_or_not_an_int(self, count):
+        with pytest.raises(InvalidParameters) as exc:
+            family_tails(3, 1, count)
+        assert str(exc.value) == f"count must be >= 1, got {count!r}"
+
 
 class TestFamilyConnection:
     @pytest.mark.parametrize("p,r", [(3, 1), (5, 3), (7, 5), (5, -3)])
@@ -560,6 +589,13 @@ class TestFamilyConnection:
     def test_requires_criterion(self):
         with pytest.raises(InvalidParameters):
             verify_family_connection(5, 1)
+
+    def test_a_broken_landing_is_a_connection_failure(self, monkeypatch):
+        # 26 halves to 13, which the broken map sends to 39 = 0 (mod 3)
+        monkeypatch.setattr(MapDescriptor, "apply", lambda self, x: 3 * x)
+        with pytest.raises(ConnectionFailure) as exc:
+            verify_family_connection(3, 1, tails=[26])
+        assert str(exc.value) == "tail 26: first odd-branch landing 39 is 0 (mod 3), expected 2"
 
 
 class TestExports:

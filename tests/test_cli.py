@@ -12,6 +12,7 @@ import syrdyn.chains as chains_module
 import syrdyn.cli as cli
 from syrdyn.chains import search_family_witness
 from syrdyn.cli import _parse_bound, main
+from syrdyn.maps import MapDescriptor
 from syrdyn.numeric import max_str_digits
 from test_numeric import rendered
 
@@ -191,6 +192,15 @@ class TestExitCodes:
     def test_scan_range_validation(self, capsys):
         code, _, _ = run(capsys, "scan", "collatz", "--start", "9", "--end", "3")
         assert code == 1
+
+    def test_internal_check_failure_exits_three(self, capsys, monkeypatch):
+        # only the connection check steps the map: tail 4 halves to 1, sent to 5 = 0 (mod 5)
+        monkeypatch.setattr(MapDescriptor, "apply", lambda self, x: 5 * x)
+        code, out, err = run(capsys, "criterion", "5", "3", "--verify")
+        assert code == 3
+        assert out == ""
+        assert err == ("internal check failed: "
+                       "tail 4: first odd-branch landing 5 is 0 (mod 5), expected 4\n")
 
 
 def reference_traj_payload(desc, report):
@@ -548,6 +558,25 @@ def test_lazy_names_are_the_engines_and_unknown_names_raise():
     with pytest.raises(AttributeError, match="no_such_name"):
         cli.no_such_name
     assert not hasattr(cli, "measure")
+    # each engine's __all__ is the one declaration: per engine, the names read through
+    # the CLI that are not the engine's own, those another engine declares too, and
+    # those of the package's public subset that the engine does not declare
+    probe = ("import importlib, syrdyn, syrdyn.cli as cli\n"
+             "seen = set()\n"
+             "for engine in cli._ENGINES:\n"
+             "    module = importlib.import_module(f'syrdyn.{engine}')\n"
+             "    names = set(module.__all__)\n"
+             "    foreign = [n for n in module.__all__ if getattr(cli, n) is not getattr(module, n)]\n"
+             "    print(engine, foreign, sorted(names & seen),\n"
+             "          sorted(set(syrdyn._LAZY_NAMES[engine]) - names))\n"
+             "    seen |= names\n"
+             "try:\n"
+             "    cli.no_such_name\n"
+             "except AttributeError as exc:\n"
+             "    print(exc)\n")
+    assert _fresh_probe(probe) == (
+        "measure [] [] []\nchains [] [] []\n"
+        "module 'syrdyn.cli' has no attribute 'no_such_name'\n")
 
 
 # -- one output path -----------------------------------------------------------

@@ -185,6 +185,26 @@ class TestParse:
             parse_descriptor(None)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: collatz().preimage(0), DomainError, "map codomain is the positive integers, got 0"),
+    (lambda: validate(MapDescriptor(2, ((1, 0), (3.0, 1)))), InvalidDescriptor,
+     "branch 1 entries must be ints"),
+    (lambda: parse_descriptor("d=2;m0=0,r0=0;m1=1,r1=1"), InvalidDescriptor,
+     "branch 0 multiplier must be positive, got 0"),
+    (lambda: pxr(5.0, 1), InvalidDescriptor, "p and r must be ints"),
+    (lambda: pxr(5, "1"), InvalidDescriptor, "p and r must be ints"),
+    (lambda: parse_descriptor("d=1;m0=1,r0=0"), DescriptorParseError,
+     "modulus must be >= 2, got 1 (at position 2)"),
+    (lambda: parse_descriptor("d=2;m0=1,r0=0;m1=3,r1=1x"), DescriptorParseError,
+     "unexpected trailing text (at position 23)"),
+])
+def test_refusals_name_their_input(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
 def test_descriptor_pickles():
     desc = pxr(5, 1)
     again = pickle.loads(pickle.dumps(desc))

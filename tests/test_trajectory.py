@@ -58,6 +58,14 @@ class TestCycleInfo:
         with pytest.raises(InvalidParameters):
             CycleInfo(())
 
+    @pytest.mark.parametrize("members, shown", [
+        ((0, 1), "0"), ((1, -4), "-4"), ((1, 2.0), "2.0"), ((True,), "True"),
+    ])
+    def test_rejects_a_member_that_is_not_a_positive_int(self, members, shown):
+        with pytest.raises(InvalidParameters) as exc:
+            CycleInfo(members)
+        assert str(exc.value) == f"cycle members must be positive ints, got {shown}"
+
     def test_verify(self):
         CycleInfo((1, 2)).verify(collatz())
         with pytest.raises(VerificationFailure):
