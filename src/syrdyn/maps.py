@@ -49,6 +49,10 @@ __all__ = [
     "parse_descriptor",
 ]
 
+# the forward class table (MapDescriptor.class_levels) is kept mod d^K for the
+# largest K with d^K at most this many classes
+_CLASS_TABLE_SIZE = 256
+
 
 @dataclass(frozen=True)
 class MapDescriptor:
@@ -83,6 +87,69 @@ class MapDescriptor:
         leaves the fields, equality and hash alone.
         """
         return tuple((m, r, r * pow(self.d, -1, m) % m) for m, r in self.branches)
+
+    @cached_property
+    def class_steps(self) -> int:
+        """K, the steps a forward class table entry spans: the largest K with d^K <= 256.
+
+        8 for d = 2 and 5 for d = 3.  Below 2 (d > 16) there is no table.
+        """
+        k, size = 0, self.d
+        while size <= _CLASS_TABLE_SIZE:
+            k, size = k + 1, size * self.d
+        return k
+
+    @cached_property
+    def class_levels(self) -> list[list]:
+        """The forward class tables, filled an entry at a time by class_entry.
+
+        class_levels[j][a], for j = 1 .. class_steps and 0 <= a < d^j, is the
+        entry of T^j on the class a mod d^j, or None until a caller needs
+        it; class_levels[0] is unused.  Nothing is built until first use.
+        """
+        return [[None] * self.d ** j for j in range(self.class_steps + 1)]
+
+    def class_entry(self, a: int, j: int) -> tuple[int, int, int, int, int]:
+        """T^j on the residue class a mod d^j, 1 <= j <= class_steps: (Q, S, C, A, B).
+
+        On the class x = a + d^j*q, 0 <= a < d^j, the first j steps take the
+        same branches for every q >= 0, so T^j is affine there (Terras 1976;
+        Lagarias 1985, section 2).  All five are exact: T^j(x) = A*q + B,
+        and for q >= Q the largest of the j points T(x), ..., T^j(x) is
+        S*q + C, the steepest of their lines.  Q is a bound, not always the
+        least one.
+
+        Filled on first use into class_levels from the level below: on x = a
+        + d^j*q, T(x) = a' + d^(j-1)*(c + m*q) for the branch (m, r) of a,
+        where (m*a + r)/d = a' + d^(j-1)*c with 0 <= a' < d^(j-1), so T^j
+        there is T followed by T^(j-1) on the class a' mod d^(j-1) at q' = c
+        + m*q.  So each entry costs one step once the entries it rests on
+        are filled.
+        """
+        levels = self.class_levels
+        entry = levels[j][a]
+        if entry is None:
+            d = self.d
+            m, r = self.branches[a % d]
+            a1 = (m * a + r) // d
+            if j == 1:
+                entry = (0, m, a1, m, a1)
+            else:
+                size = d ** (j - 1)
+                c, rest = divmod(a1, size)
+                q0, slope, offset, am, ab = levels[j - 1][rest] or self.class_entry(rest, j - 1)
+                first = m * size  # the slope of T(x)
+                slope, offset = slope * m, slope * c + offset  # the steepest line after T(x)
+                # that line holds the later points from q' >= q0, and the
+                # steeper of the two lines passes the other where it catches up
+                q0 = -((c - q0) // m)
+                if first > slope:
+                    slope, offset, first, a1 = first, a1, slope, offset
+                if a1 > offset:
+                    q0 = max(q0, -((offset - a1) // (slope - first)))
+                entry = (max(q0, 0), slope, offset, am * m, am * c + ab)
+            levels[j][a] = entry
+        return entry
 
     def preimage(self, y: int) -> list[int]:
         """All x >= 1 with apply(x) == y, ascending.

@@ -15,13 +15,19 @@ loop, _classify, runs the whole window: a start found in the memo is
 classified where it is found, and any other is walked right there, stepping
 the map inline with the formula of MapDescriptor.apply.  A walk finds a cycle
 by Brent's test against one moving mark, not by indexing every point it
-passes.  The steps taken are reported as PartitionResult.applications.
+passes.  Far above the window, past last * d^K, a walk jumps K steps at a
+time through MapDescriptor.class_entry, the affine form of T^K on each
+residue class mod d^K (Terras 1976; Lagarias 1985, section 2), since no
+point a jump passes there is in the window or often met again.  The steps
+taken, a jump counting as its K, are reported as
+PartitionResult.applications, and the jumps as PartitionResult.jumps.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from itertools import islice
 from math import isqrt
 
 from .errors import DomainError, InvalidParameters
@@ -59,12 +65,13 @@ _MAX_POINTS = 3_500_000
 # depth and a dict slot at its worst, 90 B while a growing table is copied)
 # plus one int of max_value's size, since no stored value exceeds max_value.
 # The memo is the cost that varies.  Above the window it keeps checkpoint
-# depths only, so under the default limits Collatz keeps 1.0 entries a start
-# and pxr:p=5,r=1 about 1.12 (windows 1..10^6).  A window of _MAX_POINTS leaves
-# room for about 4.36 M entries, so at those rates both fit up to the point
-# cap.  With max_steps 200 and max_value 1e12, pxr:p=5,r=1 keeps about 1.8
-# entries and segments a start (1..2000): 1.56 memo entries, 0.09 of them past
-# the budget, and 0.23 segments.
+# depths only, and none of the points a class-table jump passes, so under the
+# default limits Collatz keeps 1.0 entries a start and pxr:p=5,r=1 about 1.01
+# (windows 1..10^6).  A window of _MAX_POINTS leaves room for about 4.36 M
+# entries, so at those rates both fit up to the point cap.  With max_steps 200
+# and max_value 1e12, pxr:p=5,r=1 keeps about 1.31 entries and segments a
+# start (1..2000): 1.08 memo entries, 0.06 of them past the budget, and 0.23
+# segments.
 _MAX_BYTES = 1 << 30
 _POINT_BYTES = 25
 _ENTRY_BYTES = 182
@@ -74,6 +81,13 @@ _ENTRY_BYTES = 182
 # every step budget, so any start that reaches such a value is step-limited.
 # The entry is (_OPEN + points ahead, the last of those points, 0).
 _OPEN = 1 << 62
+# a walk starts a run of class-table jumps only with room in its step budget
+# for this many jumps.  A walk with runs costs more to settle than one
+# without, and a class-table entry costs a few steps to fill on first use,
+# while a jump saves about 5; with room for one jump, partition of
+# pxr:p=5,r=1 1..3000 at max_value 1e40 ran 3-6% longer than without jumps at
+# max_steps 20 to 50, and with room for 4 within 2% (Python 3.11, 2 CPUs)
+_JUMP_ROOM = 4
 # a checkpoint gap that no depth reaches (depth % gap is the depth itself), so
 # no checkpoint is stored and no segment hop is taken: nothing past the budget
 _NO_CHECKPOINTS = 1 << 63
@@ -89,6 +103,7 @@ class PartitionResult:
     cycles: tuple[CycleInfo, ...]
     start: int
     applications: int                           # map steps, Brent's overshoot included
+    jumps: int                                  # of K steps each, through the class table
     _codes: bytearray = field(repr=False)       # one of the per-point codes above
     _steps: list = field(repr=False)            # steps_to_cycle, None for D2?
     _excursions: list = field(repr=False)
@@ -213,6 +228,22 @@ def _peak(desc, v, depth, count, segments, k):
     return best, steps
 
 
+def _unjump(desc, path, hops):
+    """path with the points its jump runs passed put back: one orbit point a step."""
+    branches, d = desc.branches, desc.d
+    orbit, lo = [], 0
+    for i, ran, _high in hops:
+        orbit += path[lo:i]
+        v = orbit[-1]
+        for _ in range(ran):
+            m, r = branches[v % d]
+            v = (m * v + r) // d
+            orbit.append(v)
+        lo = i
+    orbit += path[lo:]
+    return orbit
+
+
 def _classify(desc, start, limits, memo, segments, codes, steps, excs, cids):
     """Classify start, start + 1, ... into codes, steps, excs and cids, one loop for the window.
 
@@ -257,6 +288,29 @@ def _classify(desc, start, limits, memo, segments, codes, steps, excs, cids):
     step-limited start is the maximum of its first max_steps + 1 orbit
     points, read off the path and, beyond it, from _peak.
 
+    Far above the window a walk jumps (Terras 1976; Lagarias 1985, section
+    2).  Above the floor J = last * d^K, K = desc.class_steps (8 for d = 2,
+    5 for d = 3, none below 2), it takes K steps at once through
+    desc.class_entry: on x = a + d^K*q, T^K(x) = A*q + B, and for q >= Q the
+    largest of the K points is S*q + C.  maps.validate gives r >= -(m - 1)*d
+    on every branch, so T(x) >= x/d for x >= d, and every point a jump from
+    above J passes lies above last.  The walk reaches the jump code only
+    from its compare against min(J, max_value), and keeps jumping while x >
+    J, q >= Q, the jump's top stays at most max_value and the jump ends
+    within the budget; it starts a run of jumps only with room in the
+    budget for _JUMP_ROOM of them.  The points a jump passes are neither
+    looked up nor stored.  Depths count steps, a jump counting as K, and
+    every walk is settled by the same code, which reads the back-fill, the
+    budget's edge and the excursion off step positions: the back-fill stops
+    before a run that would pass the budget, checkpoints past the budget are
+    taken at their true depths, and a walk without runs is the case of
+    none.  Before that, the walk puts its jumped points back
+    (_unjump) when a jump may have passed over what its verdict rests on:
+    when it found a cycle or met a cycle member, whose entry may lie among
+    the jumped points, and when it vouches for distinct points ahead (at
+    the cap, or from an open entry) whose last may repeat a jumped point,
+    one above last and at most the runs' highest.
+
     The kernel also holds the memo and segment cache to partition's byte
     budget, as partition describes.
 
@@ -265,8 +319,9 @@ def _classify(desc, start, limits, memo, segments, codes, steps, excs, cids):
     maps.validate guarantees that every branch sends a positive int to a
     positive int, so every orbit point is in the domain.
 
-    Returns (cycles, applications): the cycles found, indexed by the cycle
-    ids in cids, and the map steps the walks and _peak took.
+    Returns (cycles, applications, jumps): the cycles found, indexed by the
+    cycle ids in cids, the map steps the walks and _peak took, a jump
+    counting as K, and the jumps.
     """
     branches, d = desc.branches, desc.d
     max_steps, max_value = limits.max_steps, limits.max_value
@@ -282,7 +337,18 @@ def _classify(desc, start, limits, memo, segments, codes, steps, excs, cids):
     cycles: list[CycleInfo] = []
     lengths: list[int] = []  # lengths[cid] is cycles[cid].length
     cycle_ids: dict[tuple[int, ...], int] = {}
-    applications = 0
+    applications = jumps = 0
+    # a walk jumps K steps at a time through the forward class table, mod
+    # size = d^K, from points above the floor: it starts a run of jumps up to
+    # the step first_jump, and jumps on up to the step last_jump
+    K = desc.class_steps
+    size = d ** K
+    floor = last * size if K >= 2 else max_value
+    jump_ceiling = min(floor, max_value)
+    last_jump = max_steps - K
+    first_jump = max_steps - _JUMP_ROOM * K
+    table = None  # desc.class_levels[K], whose entries class_entry fills on use
+    span = range(1, cap)  # the steps a walk may take
     for w, x in enumerate(range(start, start + len(codes))):
         hit = memo_get(x)
         if hit is not None:
@@ -298,8 +364,12 @@ def _classify(desc, start, limits, memo, segments, codes, steps, excs, cids):
         else:
             path = [x]
             nxt = mark = x
-            due = 1  # the mark moves to path[n] when n reaches due, a power of two
-            for n in range(1, cap):  # n = len(path), the steps taken so far
+            due = 1  # the mark moves to nxt once n reaches due, a power of two
+            hops = ()  # the jump runs: (i, ran, high) for a run of ran steps to path[i]
+            skipped = highest = 0  # the steps they took, and the highest point they passed
+            ceiling = jump_ceiling
+            clock = iter(span)
+            for n in clock:  # the steps taken so far, len(path) until a jump
                 m, r = branches[nxt % d]
                 nxt = (m * nxt + r) // d
                 hit = memo_get(nxt)
@@ -309,54 +379,125 @@ def _classify(desc, start, limits, memo, segments, codes, steps, excs, cids):
                     depth, cid, exc = hit
                     end = n
                     break
-                if nxt > max_value:
-                    # nxt is dropped from the orbit, so it adds nothing to the excursion
-                    depth, cid, exc, end = 0, None, 0, n
-                    break
+                if nxt > ceiling:
+                    if nxt > max_value:
+                        # nxt is dropped from the orbit, so it adds nothing to the excursion
+                        depth, cid, exc, end = 0, None, 0, n
+                        break
+                    if n > first_jump:  # so is every later step of this walk
+                        ceiling = max_value
+                    else:
+                        # nxt lies above the floor: jump K steps a table entry
+                        # while the points jumped stay at most max_value
+                        s, v, high = n, nxt, nxt
+                        if table is None:
+                            table, fill = desc.class_levels[K], desc.class_entry
+                        while s <= last_jump and v > floor:
+                            q, a = divmod(v, size)
+                            q0, slope, offset, am, ab = table[a] or fill(a, K)
+                            if q < q0:
+                                break
+                            t = slope * q + offset
+                            if t > max_value:
+                                break
+                            if t > high:
+                                high = t
+                            v = am * q + ab
+                            s += K
+                        if s > n:
+                            if not hops:
+                                hops = []
+                            hops.append((len(path), s - n, high))
+                            if high > highest:
+                                highest = high
+                            jumps += (s - n) // K
+                            skipped += s - n
+                            nxt = v
+                            next(islice(clock, s - n - 1, None), None)  # the clock counts on from s
+                            n = s
                 path.append(nxt)
                 if nxt == mark:
                     end = -1  # path holds a cycle
                     break
-                if n == due:
+                if n >= due:  # a jump may pass due
                     mark = nxt
                     due <<= 1
             else:
-                end = -1 if len(set(path)) < cap else None
+                end = -1 if len(set(path)) < len(path) else None
             applications += n
+            if hops:
+                if end is not None and end > 0:
+                    end -= skipped  # nxt would be path[end]
+                # the jumped points, all above last and at most highest, may
+                # hold a cycle's entry, or repeat the point that ends the
+                # distinct points the walk vouches for: path[-1] at the cap,
+                # or an open entry's last point
+                if end is None:
+                    recheck = last < path[-1] <= highest
+                elif end < 0 or depth == 0 and cid is not None:  # a cycle, or a member met
+                    recheck = True
+                else:
+                    recheck = depth >= _OPEN and last < cid <= highest
+                if recheck:
+                    path, hops = _unjump(desc, path, hops), ()
+                    applications += skipped
+                    skipped = highest = 0
+                    if end is None or end < 0:
+                        end = -1 if len(set(path)) < len(path) else None
+                    elif depth >= _OPEN:
+                        end = len(path)
+                        if cid in path:
+                            # the entry lies on a cycle through the path: walk
+                            # on through its points ahead to the repeat
+                            path.append(nxt)
+                            while path[-1] != cid:
+                                m, r = branches[path[-1] % d]
+                                path.append((m * path[-1] + r) // d)
+                            applications += len(path) - end - 1
+                            end = -1
+                    else:
+                        # the first cycle member on the orbit ends the walk
+                        members = set(cycles[cid].members)
+                        path.append(nxt)
+                        end = next(i for i, v in enumerate(path) if v in members)
+                        nxt = path[end]
+                        del path[end:]
             if end is None:
-                # no verdict after cap - 1 applications; path[j] has cap - 1 - j points ahead
-                if cap > count:
-                    for j in range((_OPEN + cap - 1) % k, count + 1, k):
-                        memo[path[j]] = (_OPEN + cap - 1 - j, path[-1], 0)
-                code, st, exc, cid = _STEP_LIMIT, None, max(path[:count]), None
-            else:
-                if end < 0:
-                    # the first repeat: path[j] == path[entry], one cycle length on
-                    first = {}
-                    for j, v in enumerate(path):
-                        entry = first.setdefault(v, j)
-                        if entry != j:
-                            break
-                    del path[j:]
-                    nxt = path[entry]
-                    cycle = CycleInfo.from_orbit(tuple(path[entry:]))
-                    cid = cycle_ids.get(cycle.members)
-                    if cid is None:
-                        cid = len(cycles)
-                        cycles.append(cycle)
-                        lengths.append(j - entry)
-                        cycle_ids[cycle.members] = cid
-                    # members of a cycle longer than the budget lie past it
-                    exc = max(cycle.members) if j - entry <= max_steps else 0
-                    for v in cycle.members:
-                        memo[v] = (0, cid, exc)
-                    depth, end = 0, entry
-                # path[:end] takes the verdict of path[end] (nxt): path[j] lies
-                # end - j steps before it.  Verdicts within budget, depth <= keep,
-                # are a suffix; path[j:] holds them when the loop ends.
-                keep = max_steps - (0 if cid is None or depth >= _OPEN else lengths[cid])
-                j = end
-                while j and depth < keep:
+                # no verdict after the cap: path vouches for the distinct
+                # points up to path[-1], as an open entry there with none
+                # ahead would
+                end, nxt, depth, cid, exc = len(path) - 1, path[-1], _OPEN, path[-1], 0
+            elif end < 0:
+                # the first repeat: path[j] == path[entry], one cycle length on
+                first = {}
+                for j, v in enumerate(path):
+                    entry = first.setdefault(v, j)
+                    if entry != j:
+                        break
+                del path[j:]
+                nxt = path[entry]
+                cycle = CycleInfo.from_orbit(tuple(path[entry:]))
+                cid = cycle_ids.get(cycle.members)
+                if cid is None:
+                    cid = len(cycles)
+                    cycles.append(cycle)
+                    lengths.append(j - entry)
+                    cycle_ids[cycle.members] = cid
+                # members of a cycle longer than the budget lie past it
+                exc = max(cycle.members) if j - entry <= max_steps else 0
+                for v in cycle.members:
+                    memo[v] = (0, cid, exc)
+                depth, end = 0, entry
+            # path[:end] takes the verdict of path[end] (nxt): path[j] lies end
+            # - j steps before it, plus the steps of the runs between them; a
+            # run (i, ran, high) puts path[i] 1 + ran steps after path[i - 1].
+            # Verdicts within budget, depth <= keep, are a suffix; path[j:]
+            # holds them when the loop ends
+            keep = max_steps - (0 if cid is None or depth >= _OPEN else lengths[cid])
+            j, held = end, skipped  # hops, of held steps, are the runs up to path[j]
+            run = hops[-1][0] if hops else 0  # the last of them ends at path[run]
+            while True:
+                while j > run and depth < keep:
                     j -= 1
                     depth += 1
                     v = path[j]
@@ -364,25 +505,50 @@ def _classify(desc, start, limits, memo, segments, codes, steps, excs, cids):
                         exc = v
                     if v <= last or not depth % k:  # above the window, checkpoints only
                         memo[v] = (depth, cid, exc)
-                if not j and exc:  # x's verdict is within budget
-                    if cid is None:
-                        code, st = _VALUE_LIMIT, None
-                    else:
-                        code, st = (_C if depth == 0 else _D1), depth
+                if not hops or j != run or depth + hops[-1][1] >= keep:
+                    break
+                # back over the run: its steps, and its highest point for the excursion
+                _i, ran, high = hops.pop()
+                depth += ran
+                held -= ran
+                if high > exc:
+                    exc = high
+                run = hops[-1][0] if hops else 0
+            if not j and exc:  # x's verdict is within budget
+                if cid is None:
+                    code, st = _VALUE_LIMIT, None
                 else:
-                    # path[:j] lies past the budget (all of it, if x is on a cycle
-                    # longer than the budget): store its checkpoint depths
-                    top = depth + j  # x's depth; path[i] lies at top - i
-                    for i in range(top % k, j, k):
-                        memo[path[i]] = (top - i, cid, 0)
-                    code, st, cid = _STEP_LIMIT, None, None
-                    if len(path) >= count:
-                        exc = max(path[:count])
-                    else:
-                        # nxt follows path[-1] on its orbit, at depth top - end
-                        exc, n = _peak(desc, nxt, top - end, count - len(path), segments, k)
-                        exc = max(exc, max(path))
-                        applications += n
+                    code, st = (_C if depth == 0 else _D1), depth
+            else:
+                # path[:j] lies past the budget (all of it, if x is on a cycle
+                # longer than the budget): store its checkpoint depths, down
+                # from x's depth top, and for an open verdict only those
+                # max_steps or more ahead
+                top = at = depth + j + held  # path[i] lies at depth at - i, up to the next run
+                # path[i] is kept if i < stop: for an open verdict, only with
+                # max_steps points ahead or more
+                stop = at + 1 if depth < _OPEN else at - _OPEN - max_steps + 1
+                lo = 0
+                for hi, ran, _high in hops:
+                    for i in range(lo + (at - lo) % k, min(hi, stop), k):
+                        memo[path[i]] = (at - i, cid, 0)
+                    lo, at, stop = hi, at - ran, stop - ran
+                for i in range(lo + (at - lo) % k, min(j, stop), k):
+                    memo[path[i]] = (at - i, cid, 0)
+                code, st, cid = _STEP_LIMIT, None, None
+                # x's excursion: the largest of its first max_steps + 1
+                # points, those of path[:ahead] and of the runs, and _peak's
+                # beyond the path
+                ahead = count - skipped
+                if len(path) >= ahead:
+                    exc = max(path[:ahead])
+                else:
+                    # nxt lies end + skipped steps from x
+                    exc, n = _peak(desc, nxt, top - end - skipped, ahead - len(path), segments, k)
+                    exc = max(exc, max(path))
+                    applications += n
+                if highest > exc:
+                    exc = highest
         if code == _STEP_LIMIT:  # only step-limited starts fill the segment cache
             room = max_entries - len(segments)
         if len(memo) > room:
@@ -394,6 +560,7 @@ def _classify(desc, start, limits, memo, segments, codes, steps, excs, cids):
                 for v in [v for v, entry in memo.items() if not entry[2]]:
                     del memo[v]
                 k, cap = _NO_CHECKPOINTS, count
+                span = range(1, cap)
             if len(memo) > max_entries:
                 raise InvalidParameters(
                     f"partition of {start}..{last} outgrows its budget "
@@ -405,7 +572,7 @@ def _classify(desc, start, limits, memo, segments, codes, steps, excs, cids):
         steps[w] = st
         excs[w] = exc
         cids[w] = cid
-    return cycles, applications
+    return cycles, applications, jumps
 
 
 def check_window(start: int, end: int, limits: Limits) -> None:
@@ -443,7 +610,8 @@ def partition(
     If the memo and segment cache outgrow what _MAX_BYTES leaves beside the
     window, everything past the budget is dropped and no more is kept; if the
     verdicts within the budget alone outgrow it, InvalidParameters is raised.
-    The result's applications is the number of map steps the call took.
+    The result's applications is the number of map steps the call took, a
+    class-table jump counting as its K steps, and jumps the number of jumps.
     """
     limits = limits or Limits()
     check_window(start, domain_bound, limits)
@@ -454,13 +622,13 @@ def partition(
     steps_arr: list = [None] * size
     exc_arr: list = [0] * size
     cid_arr: list = [None] * size
-    cycles, applications = _classify(desc, start, limits, memo, segments,
-                                     codes, steps_arr, exc_arr, cid_arr)
+    cycles, applications, jumps = _classify(desc, start, limits, memo, segments,
+                                            codes, steps_arr, exc_arr, cid_arr)
     # a walk may find a cycle past its start's budget; list only those entered
     cycle_of = {cid: cycles[cid] for cid in set(cid_arr) if cid is not None}
     ordered = tuple(sorted(cycle_of.values(), key=lambda c: c.members[0]))
     cycle_of[None] = None
-    return PartitionResult(desc, domain_bound, limits, ordered, start, applications,
+    return PartitionResult(desc, domain_bound, limits, ordered, start, applications, jumps,
                            codes, steps_arr, exc_arr, cid_arr, cycle_of)
 
 

@@ -1,5 +1,6 @@
 import math
 import pickle
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -349,3 +350,71 @@ class TestPreimageLevels:
             assert out == ""
             assert err.startswith(f"error: {noun} level {level} would take the {noun} to ")
             assert f"above the cap of {cap};" in err
+
+
+PX_MAPS = [(p, r) for p in (3, 5, 7, 9, 11) for r in range(2 - p, p, 2) if math.gcd(p, r) == 1]
+TABLE_MAPS = [collatz(), *(pxr(p, r) for p, r in PX_MAPS), parse_descriptor(D3_TEXT)]
+
+
+def k_steps(desc, x):
+    """x and the class_steps points after it, one MapDescriptor.apply call each."""
+    points = [x]
+    for _ in range(desc.class_steps):
+        points.append(desc.apply(points[-1]))
+    return points
+
+
+def check_class_table(desc, rng):
+    size = desc.d ** desc.class_steps
+    assert len(desc.class_levels[-1]) == size
+    for a in range(size):
+        q0, slope, offset, am, ab = desc.class_entry(a, desc.class_steps)
+        for q in {q0, q0 + 1, rng.randrange(q0, q0 + 10**6), rng.randrange(q0, q0 + 10**30)}:
+            if a + size * q >= 1:
+                points = k_steps(desc, a + size * q)
+                assert points[-1] == am * q + ab, (a, q)  # the landing
+                assert max(points[1:]) == slope * q + offset, (a, q)  # the largest point
+
+
+def test_class_steps_is_the_largest_power_within_256():
+    assert [MapDescriptor(d, ()).class_steps for d in (2, 3, 4, 5, 16, 17, 256, 257)] == [
+        8, 5, 4, 3, 2, 1, 1, 0]
+
+
+@pytest.mark.parametrize("desc", TABLE_MAPS, ids=lambda desc: desc.to_text())
+def test_class_table_is_k_map_steps(desc):
+    # every entry against K calls of apply, at its threshold Q, just past it
+    # and at random q >= Q: the landing and the largest of the K points
+    check_class_table(desc, random.Random(desc.to_text()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(desc=validated_maps(max_d=5), seed=st.integers(0, 2**32))
+def test_class_table_is_k_map_steps_on_drawn_maps(desc, seed):
+    check_class_table(desc, random.Random(seed))
+
+
+def test_class_entries_are_filled_on_use_outside_the_fields():
+    # an entry fills the entries it rests on, one a level, and no other
+    fresh, used = pxr(5, 1), pxr(5, 1)
+    entry = used.class_entry(7, 8)
+    assert used.class_entry(7, 8) is entry and used.class_levels[8][7] is entry
+    assert [sum(e is not None for e in level) for level in used.class_levels[1:]] == [1] * 8
+    assert "class_levels" in used.__dict__ and "class_levels" not in fresh.__dict__
+    assert fresh == used and hash(fresh) == hash(used) and repr(fresh) == repr(used)
+    assert pickle.loads(pickle.dumps(used)).class_levels == used.class_levels
+    assert fresh.class_entry(7, 8) == entry
+
+
+@pytest.mark.parametrize("desc", TABLE_MAPS, ids=lambda desc: desc.to_text())
+def test_a_step_never_falls_below_x_over_d(desc):
+    # validate keeps r_i >= -(m_i - 1)*d, so d*T(x) >= x for x >= d: the range
+    # engine's jumps from above last*d^K pass only points above last
+    for x in range(desc.d, 100 * desc.d):
+        assert desc.d * desc.apply(x) >= x, x
+
+
+@given(desc=validated_maps(max_d=5), x=st.integers(1, 10**12))
+def test_a_step_never_falls_below_x_over_d_on_drawn_maps(desc, x):
+    if x >= desc.d:
+        assert desc.d * desc.apply(x) >= x

@@ -3,13 +3,15 @@ import importlib
 import io
 import json
 import math
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from syrdyn import cli
 from syrdyn.cli import main
 from syrdyn.errors import DomainError, InvalidParameters
-from syrdyn.maps import collatz, parse_descriptor, pxr
+from syrdyn.maps import MapDescriptor, collatz, parse_descriptor, pxr, validate
 from syrdyn.partition import (_OPEN, _checkpoint_gap, _classify, export_csv, partition,
                               summary_dict)
 from syrdyn.trajectory import Limits, TrajectoryStatus, iterate
@@ -167,8 +169,9 @@ def classify_window(desc, bound, limits, memo=None, segments=None, start=1):
     memo = {} if memo is None else memo
     segments = {} if segments is None else segments
     size = bound - start + 1
-    cycles, _applications = _classify(desc, start, limits, memo, segments, bytearray(size),
-                                      [None] * size, [0] * size, [None] * size)
+    cycles, _applications, _jumps = _classify(desc, start, limits, memo, segments,
+                                              bytearray(size), [None] * size, [0] * size,
+                                              [None] * size)
     return _checkpoint_gap(limits.max_steps), memo, segments, cycles
 
 
@@ -281,13 +284,129 @@ def test_memo_holds_on_small_px_maps(pr, max_steps, bound, max_value):
     check_memo(desc, limits, bound, *classify_window(desc, bound, limits))
 
 
+JUMP_MAPS = [f"pxr:p={p},r={r}" for p, r in PX_MAPS] + ["collatz", D3.to_text()]
+
+
+def jump_room(room):
+    """partition with a walk starting a jump run given room for room jumps, 1 as the bare rule."""
+    return mock.patch.object(partition_module, "_JUMP_ROOM", room)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(JUMP_MAPS), st.integers(15, 250), st.integers(1, 60), st.integers(0, 40),
+       st.sampled_from([10**6, 10**9, 10**12, 10**20, 10**40]), st.sampled_from([1, 4]),
+       st.just(False))
+# the 31-cycle of pxr:p=7,r=5 through 27, members up to 3,688, lies partly above
+# 7's floor of 7*2^8: the walk from 7 jumps along it and must find it all the same
+@example("pxr:p=7,r=5", 40, 7, 0, 10**12, 4, True)
+# the budget ends inside a jump run, and runs stop short of the ceiling, which
+# their walks reach in single steps
+@example("pxr:p=5,r=1", 200, 1, 39, 10**12, 4, True)
+# walks with runs end at the cap, meet an open entry and meet a cycle member
+@example("pxr:p=5,r=1", 80, 1, 119, 10**40, 4, True)
+# from 1 the walk passes 3*2^8 at 1,579, where q = 6 is below its class's Q =
+# 10 and the steepest line, 3,954, misses the largest point ahead, 4,004: a
+# jump from there would pass over the ceiling
+@example("d=2;m0=1,r0=10;m1=5,r1=13", 60, 1, 2, 4000, 4, True)
+# a jump lands on Brent's mark: the walk from 5 finds the 10-cycle through 11
+# right after jumping over its entry
+@example("pxr:p=31,r=21", 40, 5, 0, 10**12, 4, True)
+def test_jumps_keep_every_verdict(text, max_steps, lo, width, max_value, room, jumped):
+    # small windows, so that orbits climb far past the floor last*d^K and
+    # jump, on every map of the grids: records, cycles and scan are
+    # per-start iterate's, and every memo entry is a fresh iterate
+    desc, limits, hi = parse_descriptor(text), Limits(max_steps, max_value), lo + width
+    argv = ["scan", text, "--start", str(lo), "--end", str(hi),
+            "--max-steps", str(max_steps), "--max-value", str(max_value)]
+    buf = io.StringIO()
+    with jump_room(room), mock.patch.object(cli.sys, "stdout", buf):
+        res = partition(desc, hi, limits, start=lo)
+        assert main(argv) == 0
+        check_memo(desc, limits, hi, *classify_window(desc, hi, limits, start=lo))
+    assert list(res.records()) == [
+        (x, rep.status, rep.entry_index, rep.max_excursion, rep.cycle)
+        for x in range(lo, hi + 1) for rep in [iterate(desc, x, limits)]]
+    assert list(res.cycles) == reference_cycles(desc, lo, hi, limits)
+    rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
+    assert rows == reference_scan_rows(desc, lo, hi, limits)
+    assert res.jumps > 0 or not jumped
+
+
+@pytest.mark.parametrize("ahead", [16, 24])
+def test_open_entry_met_after_a_jump(ahead):
+    # the walk from 7 under pxr:p=7,r=5 enters the 31-cycle through 27 and
+    # jumps along it to 202, where an open entry vouches for ahead distinct
+    # points of the cycle; their last lies where the jump passed, so the walk
+    # puts the jumped points back to look for it.  With 16 ahead it is not on
+    # the walk's path and the entry stands; with 24 it is, the entry lies on a
+    # cycle through the path, and the walk goes on round to the repeat
+    desc, limits = pxr(7, 5), Limits(15, 10**12)
+    ahead_points = [202]
+    for _ in range(ahead):
+        ahead_points.append(desc.apply(ahead_points[-1]))
+    memo = {202: (_OPEN + ahead, ahead_points[-1], 0)}
+    codes, steps, excs, cids = bytearray(1), [None], [0], [None]
+    with jump_room(1):
+        cycles, _applications, jumps = _classify(desc, 7, limits, memo, {}, codes, steps, excs, cids)
+    rep = iterate(desc, 7, limits)
+    assert jumps > 0 and rep.status is TrajectoryStatus.HIT_STEP_LIMIT
+    assert (codes[0], steps[0], excs[0]) == (partition_module._STEP_LIMIT, None, rep.max_excursion)
+    assert [c.length for c in cycles] == ([] if ahead == 16 else [31])
+    check_memo(desc, limits, 7, _checkpoint_gap(15), memo, {}, cycles)
+
+
+def test_a_jump_onto_brents_mark_counts_its_steps():
+    # under pxr:p=31,r=21 the walk from 5 passes 5*2^8 at 2,816, step 6, and
+    # jumps 8 steps to 11, step 14, Brent's mark since step 4: it has found the
+    # 10-cycle through 11, whose entry at step 1 the jump passed over, so it
+    # puts the jumped points back.  That is 6 + 8 steps to the mark, the jump
+    # counting as its K, and 8 more to put them back
+    res = partition(pxr(31, 21), 5, Limits(40, 10**12), start=5)
+    assert (res.jumps, res.applications) == (1, 22)
+    assert list(res.records()) == [(5, TrajectoryStatus.ENTERED_CYCLE, 1, 2816, res.cycles[0])]
+
+
+def test_walks_below_the_floor_build_no_table():
+    # Collatz orbits from 1..300 stay below 300*2^8, so no walk jumps, the
+    # class table is never built and no run is recorded
+    desc = collatz()
+    res = partition(desc, 300)
+    assert max(res._excursions) < 300 << 8
+    assert res.jumps == 0 and "class_levels" not in desc.__dict__
+
+
+def test_a_few_jumps_fill_a_few_entries():
+    # Collatz 1..5000 passes 5000*2^8 on 3 walks: their jumps fill the
+    # entries they land through, not the 256 classes mod 2^8
+    desc = collatz()
+    res = partition(desc, 5000)
+    filled = sum(entry is not None for entry in desc.class_levels[8])
+    assert 0 < res.jumps and 0 < filled <= res.jumps
+
+
+def test_no_jumps_below_two_table_steps():
+    # d = 17 leaves one step a class mod 17 <= 256 < 17^2, too few for a
+    # table: the orbits climb to the ceiling in single steps
+    branches = ((1, 0),) + tuple((35, -(-35 * i // 17) * 17 - 35 * i) for i in range(1, 17))
+    desc = validate(MapDescriptor(17, branches))
+    limits = Limits(200, 10**12)
+    assert desc.class_steps == 1
+    res = partition(desc, 40, limits)
+    assert res.counts()["D2?"] > 0 and res.jumps == 0 and "class_levels" not in desc.__dict__
+    assert list(res.records()) == [
+        (x, rep.status, rep.entry_index, rep.max_excursion, rep.cycle)
+        for x in range(1, 41) for rep in [iterate(desc, x, limits)]]
+
+
 def test_memo_keeps_checkpoints_above_the_window():
     # pxr:p=5,r=1 climbs to the ceiling from most starts; a verdict within the
     # budget is kept above the window only at checkpoint depths (gap 14 here),
-    # where the rule that kept every one held 21,049 entries
+    # where the rule that kept every one held 21,049 entries, and only on the
+    # points a walk steps to, not those it jumps over above 2000*2^8, where
+    # storing every checkpoint held 3,114
     limits = Limits(max_steps=200, max_value=10**12)
     k, memo, _segments, _cycles = classify_window(pxr(5, 1), 2000, limits)
-    assert k == 14 and len(memo) == 3114
+    assert k == 14 and len(memo) == 2160
 
 
 @TIGHT_LIMITS
@@ -332,19 +451,23 @@ def test_csv_golden():
 
 @pytest.mark.parametrize("desc,start,bound,limits,count", [
     (collatz(), 1, 5000, Limits(max_steps=10**5, max_value=10**40), 8388),
-    (pxr(5, 1), 1, 2000, Limits(max_steps=200, max_value=10**12), 34743),
-    (pxr(5, 1), 1300, 1899, Limits(max_steps=200, max_value=10**12), 26784),
+    (pxr(5, 1), 1, 2000, Limits(max_steps=200, max_value=10**12), 35459),
+    (pxr(5, 1), 1300, 1899, Limits(max_steps=200, max_value=10**12), 27296),
     # checkpoints past the budget, open entries and _peak's segment hops
-    (pxr(5, 1), 1, 20000, Limits(max_steps=50, max_value=10**40), 360597),
+    (pxr(5, 1), 1, 20000, Limits(max_steps=50, max_value=10**40), 364546),
     (D3, 1, 120, Limits(max_steps=21, max_value=10**12), 120),
 ])
 def test_applications_count_every_map_step(desc, start, bound, limits, count):
     # every map step the kernel takes, exactly: the steps up to each verdict,
-    # _peak's steps, and Brent's overshoot, the steps a walk that finds a cycle
-    # takes past its first repeat before the mark comes round (2 for Collatz's
-    # (1 2); for pxr:p=5,r=1, 23 from 1 and 65 from 1300 over its three cycles;
-    # none for D3's two fixed points), and the steps a walk that merges into a
-    # stored orbit above the window takes on to the next value kept there
+    # a class-table jump counting as its K steps, _peak's steps, and Brent's
+    # overshoot, the steps a walk that finds a cycle takes past its first
+    # repeat before the mark comes round (2 for Collatz's (1 2); for
+    # pxr:p=5,r=1, 23 from 1 over its three cycles; none for D3's two fixed
+    # points), and the steps a walk that merges into a stored orbit above the
+    # window takes on to the next value kept there.  The pxr rows count more
+    # steps than walks of single steps do: a jump passes over stored values a
+    # walk would have merged into, and a walk puts its jumped points back when
+    # its verdict rests on them.  No Collatz or D3 walk here passes over one.
     assert partition(desc, bound, limits, start).applications == count
 
 
