@@ -24,11 +24,13 @@ preimages {5, 16}, and 5 is in N2); only for a = 1 does it fall in N0 or N1.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import (
@@ -278,11 +280,34 @@ _new_node = tuple.__new__
 
 @dataclass(frozen=True)
 class PreimageTree:
+    """Truncated preimage tree below one root, held as its levels.
+
+    levels[l] lists the level-l nodes as (value, parent) pairs, ascending,
+    parent being the node's image under the map; levels[0] is
+    ((root, None),).  repeats[l] is the frozenset of level-l values already
+    met at a shallower level, empty unless the root is periodic.  These are
+    the only node data, as in measure.PreimageForest: a node's level is its
+    place in levels, and its children are the next level's pairs naming it.
+    A tree that dies out before depth ends at its last non-empty level.
+    """
+
     descriptor: MapDescriptor
     root: int
     depth: int
-    nodes: tuple[TreeNode, ...]  # breadth-first, ascending within each level
-    annotated: bool              # mod-3 / chain-form annotations (halved 3x+1 only)
+    levels: tuple[tuple[tuple[int, int | None], ...], ...]
+    repeats: tuple[frozenset, ...]
+    annotated: bool  # mod-3 / chain-form annotations (halved 3x+1 only)
+
+    @cached_property
+    def nodes(self) -> tuple[TreeNode, ...]:
+        """One TreeNode per node, breadth-first, ascending within each level.
+
+        Built on first read and kept in the instance __dict__, so the fields,
+        equality and hash are the levels' alone; the renderers never read it.
+        """
+        return tuple(_new_node(TreeNode, (v, lvl, parent, v in rep))
+                     for lvl, (level, rep) in enumerate(zip(self.levels, self.repeats))
+                     for v, parent in level)
 
 
 def build_preimage_tree(desc: MapDescriptor, root: int, depth: int) -> PreimageTree:
@@ -290,21 +315,29 @@ def build_preimage_tree(desc: MapDescriptor, root: int, depth: int) -> PreimageT
 
     Unlike the measure forest, nothing is excluded: if the root sits on a
     cycle its members re-occur at deeper levels, flagged as repeats.  The
-    levels are maps.preimage_levels below the root, which reads the map's
-    residue table as preimage does, so the forest's node cap, repeats
-    counted, and its stop at the first empty level hold here.
+    tree is its levels: maps.preimage_levels below the root, kept as it
+    yields them.  That closure reads the map's residue table as preimage
+    does, and the forest's node cap, repeats counted, and its stop at the
+    first empty level hold here.  No per-node object is built;
+    PreimageTree.nodes is derived on first read.
     """
     if type(root) is not int or root < 1:
         raise DomainError(f"root must be a positive integer, got {root!r}")
     if type(depth) is not int or depth < 0:
         raise InvalidParameters(f"depth must be a non-negative int, got {depth!r}")
-    nodes = [TreeNode(root, 0, None, False)]
-    seen = {root}
+    levels = [((root, None),)]
+    repeats = [frozenset()]
+    period = 0  # level of the root's first return, 0 until it returns
     for lvl, staged in enumerate(preimage_levels(desc, [root], depth, 1, "tree"), start=1):
-        # the values of one level are distinct, so a repeat is one seen at a shallower level
-        nodes += [_new_node(TreeNode, (q, lvl, v, q in seen)) for q, v in staged]
-        seen.update([q for q, _v in staged])
-    return PreimageTree(desc, root, depth, tuple(nodes), desc.is_collatz)
+        if not period:
+            at = bisect.bisect_left(staged, (root,))  # staged is sorted, its values distinct
+            period = lvl if at < len(staged) and staged[at][0] == root else 0
+        # a value at levels l' < l maps to the root in l' and in l steps, so the period
+        # divides l - l', and every value at level l - period is at level l: the repeats
+        # of level l are exactly the values of level l - period
+        repeats.append(frozenset(dict(levels[lvl - period])) if period else frozenset())
+        levels.append(tuple(staged))
+    return PreimageTree(desc, root, depth, tuple(levels), tuple(repeats), desc.is_collatz)
 
 
 # -- px+r chain criterion and verifiers ---------------------------------------
@@ -575,34 +608,38 @@ def chain_to_dot(chain: Chain, stream) -> None:
 
 
 def tree_to_json(tree: PreimageTree, stream) -> None:
-    """Write the tree to stream as indent-2 JSON, one f-string per node.
+    """Write the tree to stream as indent-2 JSON, one f-string per node, level by level.
 
     A record has one of three shapes: plain, or annotated (halved 3x+1) with
-    the node's class and, in N2, its 3^a*2^b*h-1 form, else a null form.  The
-    root, the one node without a parent, is json.dumps of its fields.
-    numeric.write_json draws the records and states their escaping rule.
+    the node's class and, in N2, its 3^a*2^b*h-1 form, else a null form.
+    Records come straight from the levels' (value, parent) pairs, a level's
+    number and repeat set shared by its records.  The root, the one node
+    without a parent, is json.dumps of its fields.  numeric.write_json draws
+    the records and states their escaping rule.
     """
     root = tree.root
     fields = {"value": str(root), "level": 0, "parent": None, "repeat": False}
+    # below the root, each level with its number as text, formatted once for all its records
+    rows = zip(map(str, itertools.count(1)), tree.levels[1:], tree.repeats[1:])
     if tree.annotated:
         fields |= {"class": NodeClass(root % 3).name,
                    "form": _form_text(*_head_factors(root)) if root % 3 == 2 else None}
         records = ([
-            f'{{\n      "value": "{v}",\n      "level": {level},\n      "parent": "{parent}",\n'
-            f'      "repeat": {"true" if repeat else "false"},\n      "class": "N2",\n'
+            f'{{\n      "value": "{v}",\n      "level": {lvl},\n      "parent": "{parent}",\n'
+            f'      "repeat": {"true" if v in rep else "false"},\n      "class": "N2",\n'
             f'      "form": "{_form_text(*_head_factors(v))}"\n    }}'
             if v % 3 == 2 else
-            f'{{\n      "value": "{v}",\n      "level": {level},\n      "parent": "{parent}",\n'
-            f'      "repeat": {"true" if repeat else "false"},\n'
+            f'{{\n      "value": "{v}",\n      "level": {lvl},\n      "parent": "{parent}",\n'
+            f'      "repeat": {"true" if v in rep else "false"},\n'
             f'      "class": "{"N1" if v % 3 else "N0"}",\n      "form": null\n    }}'
-            for v, level, parent, repeat in part
-        ] for part in batched(itertools.islice(tree.nodes, 1, None)))
+            for v, parent in part
+        ] for lvl, level, rep in rows for part in batched(level))
     else:
         records = ([
-            f'{{\n      "value": "{v}",\n      "level": {level},\n      "parent": "{parent}",\n'
-            f'      "repeat": {"true" if repeat else "false"}\n    }}'
-            for v, level, parent, repeat in part
-        ] for part in batched(itertools.islice(tree.nodes, 1, None)))
+            f'{{\n      "value": "{v}",\n      "level": {lvl},\n      "parent": "{parent}",\n'
+            f'      "repeat": {"true" if v in rep else "false"}\n    }}'
+            for v, parent in part
+        ] for lvl, level, rep in rows for part in batched(level))
     write_json({
         "map": tree.descriptor.to_text(),
         "root": str(root),
@@ -612,13 +649,19 @@ def tree_to_json(tree: PreimageTree, stream) -> None:
 
 
 def tree_to_dot(tree: PreimageTree, stream) -> None:
-    """Write the Graphviz rendering to stream: one line per integer and per edge, by node shape."""
-    firsts = ([node.value for node in part if not node.repeat] for part in batched(tree.nodes))
+    """Write the Graphviz rendering to stream: one line per integer and per edge, by node shape.
+
+    Lines come straight from the levels' (value, parent) pairs: a repeat
+    declares nothing, and its edge is new only at the root's first return.
+    """
+    rows = tuple(enumerate(zip(tree.levels, tree.repeats)))
+    firsts = ([v for v, _ in part if v not in rep] for _, (level, rep) in rows
+              for part in batched(level))
     declared = (_dot_nodes(vs) if tree.annotated else [f'  "{v}";\n' for v in vs] for vs in firsts)
-    # a value's nodes below the root share a parent, so the one repeat with a new edge is the root's
-    # first return, the first repeat: a value met at levels l' < l returns the root by level l - l'
-    first_return = next((node for node in tree.nodes if node.repeat), None)
-    edges = ([f'  "{node.parent}" -> "{node.value}";\n' for node in part if not node.repeat
-              or node is first_return] for part in batched(itertools.islice(tree.nodes, 1, None)))
+    # a value's nodes below the root share a parent, so the one repeat with a new edge is the
+    # root's first return, the only repeat of the first level that has one
+    back = next((lvl for lvl, (_, rep) in rows if rep), None)
+    edges = ([f'  "{parent}" -> "{v}";\n' for v, parent in part if v not in rep or lvl == back]
+             for lvl, (level, rep) in rows[1:] for part in batched(level))
     write_batches(itertools.chain(declared, edges, [["}\n"]]), "", "digraph preimage_tree {\n",
                   stream)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -9,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from syrdyn.chains import (
     ChainHeadForm,
     NodeClass,
+    PreimageTree,
     TreeNode,
     build_preimage_tree,
     chain_criterion,
@@ -361,6 +363,35 @@ class TestPreimageTree:
         tree = build_preimage_tree(parse_descriptor("d=2;m0=3,r0=0;m1=3,r1=1"), 1, 2**40)
         assert [(n.value, n.level) for n in tree.nodes] == [(1, 0)]
         assert tree.depth == 2**40
+
+    def test_tree_is_a_hashable_value_of_its_levels(self):
+        one, two = build_preimage_tree(C, 2, 9), build_preimage_tree(C, 2, 9)
+        assert [f.name for f in dataclasses.fields(PreimageTree)] == [
+            "descriptor", "root", "depth", "levels", "repeats", "annotated"]
+        assert one == two and hash(one) == hash(two)
+        one.nodes  # the derived nodes are no field: reading them leaves equality and hash alone
+        assert one == two and hash(one) == hash(two)
+        assert one != build_preimage_tree(C, 2, 8)
+        assert one.levels[:3] == (((2, None),), ((1, 2), (4, 2)), ((2, 1), (8, 4)))
+        assert one.repeats[:4] == (frozenset(), frozenset(), frozenset({2}), frozenset({1, 4}))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            one.levels = ()
+
+    @pytest.mark.parametrize("name,root,depth", [("collatz", 1, 24), ("d3", 2, 10)])
+    def test_tree_path_builds_no_node_tuple(self, name, root, depth, monkeypatch):
+        built = []
+
+        def counted(cls, fields):
+            built.append(fields)
+            return tuple.__new__(cls, fields)
+
+        monkeypatch.setattr(chains_module, "_new_node", counted)
+        tree = build_preimage_tree(_TREE_MAPS[name], root, depth)
+        rendered(tree_to_json, tree)
+        rendered(tree_to_dot, tree)
+        assert built == []
+        assert tree.nodes is tree.nodes  # built on the first read only
+        assert len(built) == len(tree.nodes) == sum(map(len, tree.levels))
 
 
 def admissible_rs(p):
@@ -738,6 +769,38 @@ def reference_tree_dot(tree):
 def test_tree_dot_is_the_reference_rendering(name, root, depth):
     tree = build_preimage_tree(_TREE_MAPS[name], root, depth)
     assert rendered(tree_to_dot, tree) == reference_tree_dot(tree)
+
+
+def reference_tree_nodes(desc, root, depth):
+    """The tree's nodes breadth-first from MapDescriptor.preimage, each repeat flag by its definition."""
+    nodes = [TreeNode(root, 0, None, False)]
+    level = [root]
+    for lvl in range(1, depth + 1):
+        met = {node.value for node in nodes}  # every value at a shallower level
+        staged = sorted((q, v) for v in level for q in desc.preimage(v))
+        if not staged:
+            break
+        nodes += [TreeNode(q, lvl, v, q in met) for q, v in staged]
+        level = [q for q, _v in staged]
+    return tuple(nodes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_TREE_MAPS)),
+    root=st.one_of(st.integers(1, 500), st.integers(1, 2**100)),
+    depth=st.integers(0, 8),
+)
+# roots on a cycle, so repeats are derived from the root's period
+@example(name="collatz", root=1, depth=8)
+@example(name="collatz", root=2, depth=9)
+@example(name="pxr5", root=8, depth=8)
+@example(name="pxr7", root=5, depth=8)
+@example(name="d3", root=2, depth=8)
+def test_tree_nodes_are_the_breadth_first_preimage_closure(name, root, depth):
+    tree = build_preimage_tree(_TREE_MAPS[name], root, depth)
+    assert tree.nodes == reference_tree_nodes(_TREE_MAPS[name], root, depth)
+    assert all(type(node) is TreeNode for node in tree.nodes)
 
 
 def test_tree_json_examples_hold_repeats():
