@@ -4,8 +4,11 @@ Every engine is reachable as a subcommand with file-based, reproducible
 output: identical arguments (and seed) give byte-identical bytes.  Numbers
 that live in the map's domain are serialized as decimal strings since scans
 routinely leave the 64-bit range; counts and indices stay plain ints.
-cycles and scan classify their whole window with one partition call in this
-process, under one memo budget; their --threads flag is accepted and ignored.
+scan classifies its whole window with one partition call in this process,
+under one memo budget.  cycles calls find_cycles, which walks each start
+only until it falls below or returns to itself, and hands the window to one
+partition call at the first start that does neither.  Their --threads flag
+is accepted and ignored.
 Each subcommand hands _emit a renderer, which writes to stdout or to the
 --out file, opened only after every check.  Every JSON payload is written
 by numeric.write_json as json.dumps(payload, indent=2) plus a newline.
@@ -166,7 +169,7 @@ def _cmd_traj(args) -> int:
 def _cmd_cycles(args) -> int:
     desc = parse_descriptor(args.map)
     limits = _limits(args)
-    cycles = partition(desc, args.bound, limits).cycles
+    cycles = find_cycles(desc, args.bound, limits)
     payload = {
         "map": desc.to_text(),
         "bound": str(args.bound),

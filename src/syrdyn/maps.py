@@ -70,8 +70,9 @@ class MapDescriptor:
         """One forward step.  Raises DomainError off {1, 2, 3, ...}.
 
         This is the definition of the map, and iterate steps through it.  The
-        range engine (partition) inlines the same formula without the domain
-        check, which validate makes redundant on orbit points.
+        range engine (partition) and find_cycles' descent inline the same
+        formula without the domain check, which validate makes redundant on
+        orbit points.
         """
         if type(x) is not int or x < 1:
             raise DomainError(f"map domain is the positive integers, got {x!r}")

@@ -5,8 +5,11 @@ Classes: "C" (on a cycle), "D1" (orbit reaches a cycle within limits), "D2?"
 budget cannot certify true escape, so the third class only collects
 candidates, and results always carry the limits used.
 
-This is the one range engine: find_cycles and the CLI's cycles and scan
-subcommands read their answers off a PartitionResult.  Its starts share an
+This is the one range engine: the CLI's partition and scan subcommands read
+their answers off a PartitionResult.  find_cycles, and the cycles subcommand
+through it, need no per-start verdict: they find the cycles by descent, and
+call partition only for a window with a start that neither falls below nor
+returns to itself (see trajectory.find_cycles).  A window's starts share an
 orbit memo of exact verdict depths, kept for every value up to the window's
 end and every cycle member, and above the window or past the step budget at
 checkpoint depths only; a step-limited start reads its excursion off cached

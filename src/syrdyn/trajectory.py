@@ -169,17 +169,65 @@ def find_cycles(
 ) -> list[CycleInfo]:
     """Distinct cycles that starts in 1..search_bound enter within the limits.
 
-    These are the cycles of partition(desc, search_bound, limits), sorted by
-    minimum: its shared orbit memo classifies every start exactly as
-    iterate() would, and it lists a cycle only when some start enters it
-    within the step budget, never one that a walk past the budget found.
-    So the list is the one per-start walks give.
-    """
-    if type(search_bound) is not int or search_bound < 1:
-        raise InvalidParameters(f"search_bound must be >= 1, got {search_bound!r}")
-    from .partition import partition  # partition builds on this module
+    The list is the cycles of partition(desc, search_bound, limits), sorted
+    by least member: a cycle counts when some start's iterate() enters it
+    within the limits.  It is found by descent, with nothing stored per
+    start.  Each start x is walked, stepping the map inline with the formula
+    of MapDescriptor.apply, only until its orbit falls below x or returns to
+    x.  A return means x is its cycle's least member, and x is recorded.
+    Then each recorded cycle is rebuilt from its least member.
 
-    return list(partition(desc, search_bound, limits).cycles)
+    Why the list is partition's.  Suppose x falls below itself to y within
+    the limits, s <= max_steps steps on, every point on the way at most
+    max_value.  Then x enters whatever cycle y enters.  If x enters a cycle
+    within budget, y lies on x's orbit and enters it in s fewer steps, or
+    is on it already, through points of x's orbit.  So by induction down the
+    descents, every cycle that a start in 1..search_bound enters within
+    budget is the cycle of a least member <= search_bound that returns to
+    itself within max_steps steps and below max_value, and each such member
+    is recorded.  The induction needs every start to fall or return.  A
+    start that does neither is an escapee: its walk passes max_value, uses
+    up max_steps, or enters a cycle above x, which Brent's test finds when
+    the walk meets its moving mark again.  At the first escapee the whole
+    window goes to partition instead, as 1 does under pxr(7, 5), which
+    enters the 6-cycle at 3.
+
+    check_window refuses a bad window, or one above partition's point cap,
+    before any walk, so the descent refuses exactly what partition would.
+    """
+    from .partition import check_window, partition  # partition builds on this module
+
+    limits = limits or Limits()
+    check_window(1, search_bound, limits)
+    branches, d = desc.branches, desc.d
+    max_value = limits.max_value
+    span = range(1, limits.max_steps + 1)
+    least = []
+    for x in range(1, search_bound + 1):
+        v = mark = x
+        due = 1  # the mark moves to v once n reaches due, a power of two
+        for n in span:
+            m, r = branches[v % d]
+            v = (m * v + r) // d
+            if v <= x:
+                if v == x:
+                    least.append(x)
+                break
+            if v > max_value or v == mark:
+                return list(partition(desc, search_bound, limits).cycles)
+            if n == due:
+                mark = v
+                due <<= 1
+        else:
+            return list(partition(desc, search_bound, limits).cycles)
+    cycles = []
+    for x in least:
+        members, v = [x], desc.apply(x)
+        while v != x:
+            members.append(v)
+            v = desc.apply(v)
+        cycles.append(CycleInfo(tuple(members)))
+    return cycles
 
 
 def check_power_cycle(k: int) -> CycleInfo:

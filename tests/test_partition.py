@@ -2,7 +2,6 @@ import hashlib
 import importlib
 import io
 import json
-import math
 from unittest import mock
 
 import pytest
@@ -15,7 +14,7 @@ from syrdyn.maps import MapDescriptor, collatz, parse_descriptor, pxr, validate
 from syrdyn.partition import (_OPEN, _checkpoint_gap, _classify, export_csv, partition,
                               summary_dict)
 from syrdyn.trajectory import Limits, TrajectoryStatus, iterate
-from test_range_engine import reference_cycles, reference_scan_rows
+from test_range_engine import PX_MAPS, reference_cycles, reference_scan_rows
 
 partition_module = importlib.import_module("syrdyn.partition")  # syrdyn.partition is the function
 
@@ -271,9 +270,6 @@ def test_open_entries_on_a_long_cycle_claim_only_distinct_points(bound, max_step
     # cycle has, unless it sees that 342's last point ahead is on its path
     desc, limits = pxr(7, 5), Limits(max_steps, 10**12)
     check_memo(desc, limits, bound, *classify_window(desc, bound, limits))
-
-
-PX_MAPS = [(p, r) for p in (3, 5, 7, 9, 11) for r in range(2 - p, p, 2) if math.gcd(p, r) == 1]
 
 
 @settings(max_examples=40, deadline=None)

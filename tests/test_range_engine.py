@@ -1,8 +1,11 @@
-"""cycles, scan and find_cycles on partition's shared memo, against per-start iterate().
+"""cycles, scan and find_cycles against per-start iterate().
 
-The reference functions below walk every start on its own with iterate(),
-as the range subcommands did before they were rebuilt on partition; the
-memoized engine must reproduce them exactly, whatever --threads says.
+scan reads partition's shared memo; find_cycles, and cycles through it,
+walk each start by descent and hand the window to partition at the first
+start that neither falls below nor returns to itself.  The reference
+functions below walk every start on its own with iterate(), as the range
+subcommands did before they were rebuilt on partition; both engines must
+reproduce them exactly, whatever --threads says.
 """
 
 import concurrent.futures
@@ -124,6 +127,63 @@ def test_cycle_found_past_every_budget_is_not_listed(capsys):
 
 
 GRID_MAPS = ["collatz", "pxr:p=5,r=1", "d=3;m0=1,r0=0;m1=2,r1=1;m2=2,r2=2"]
+PX_MAPS = [(p, r) for p in (3, 5, 7, 9, 11) for r in range(2 - p, p, 2) if math.gcd(p, r) == 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(GRID_MAPS + [f"pxr:p={p},r={r}" for p, r in PX_MAPS]),
+       st.integers(1, 300), st.integers(1, 400),
+       st.one_of(st.integers(10, 5000), st.integers(10, 10**40)))
+# start 1 enters the 6-cycle at 3, above the bound
+@example("pxr:p=7,r=5", 2, 10**5, 10**40)
+# start 5 reaches the 7-cycle at 13 in one step
+@example("pxr:p=5,r=1", 5, 10**5, 10**40)
+# and enters it in 8 steps, before Brent's mark comes round
+@example("pxr:p=5,r=1", 5, 8, 10**40)
+# the 31-cycle at 27 is longer than the step budget
+@example("pxr:p=7,r=5", 40, 30, 10**12)
+# the 7-cycle at 13 climbs past the ceiling
+@example("pxr:p=5,r=1", 10, 10**5, 20)
+# so does the 11-cycle at 17, and every start below 17 falls or returns first
+@example("pxr:p=3,r=-1", 20, 10**5, 100)
+def test_find_cycles_by_descent_matches_partition(text, bound, max_steps, max_value):
+    desc, limits = parse_descriptor(text), Limits(max_steps, max_value)
+    bound = min(bound, max_value)
+    want = reference_cycles(desc, 1, bound, limits)
+    assert list(partition(desc, bound, limits).cycles) == want
+    assert find_cycles(desc, bound, limits) == want
+
+
+def refuse_partition(*args, **kwargs):
+    raise AssertionError("partition was called")
+
+
+def test_descent_without_escapees_calls_no_partition(capsys, monkeypatch):
+    # every start falls below or returns to itself, so the descent alone
+    # gives the list, and nothing is stored per start
+    monkeypatch.setattr(partition_module, "partition", refuse_partition)
+    assert [c.members for c in find_cycles(collatz(), 10**4)] == [(1, 2)]
+    assert [c.members for c in find_cycles(pxr(3, -1), 10**4)] == [
+        (1,), (5, 7, 10), (17, 25, 37, 55, 82, 41, 61, 91, 136, 68, 34)]
+    code, out = run(capsys, "cycles", "collatz", "--bound", "20000")
+    assert code == 0 and json.loads(out)["cycles"] == [["1", "2"]]
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["cycles", "collatz", "--bound", "0"], "error: end must be >= start 1, got 0\n"),
+    (["cycles", "collatz", "--bound", "4e6"],
+     "error: window 1..4000000 has 4000000 points, above the cap of 3500000; "
+     "partition stores every point\n"),
+    (["cycles", "collatz", "--bound", "100", "--max-value", "50"],
+     "error: end 100 exceeds max_value 50\n"),
+    (["measure", "collatz", "--depth", "3", "--cycle-bound", "0"],
+     "error: end must be >= start 1, got 0\n"),
+], ids=["bound0", "cap", "ceiling", "measure-bound0"])
+def test_cycle_search_refuses_through_check_window(capsys, monkeypatch, argv, err):
+    monkeypatch.setattr(partition_module, "partition", refuse_partition)
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", err)
+
 
 
 @st.composite
@@ -313,7 +373,8 @@ class TestMemoBudget:
 
     @pytest.mark.parametrize("argv", [
         ["scan", "collatz", "--start", "1", "--end", "20000"],
-        ["cycles", "collatz", "--bound", "20000"],
+        # start 5 enters a cycle above itself, so the whole window goes to partition
+        ["cycles", "pxr:p=5,r=1", "--bound", "20000"],
     ], ids=["scan", "cycles"])
     def test_refusal_ignores_threads(self, capsys, monkeypatch, argv):
         # one memo and one budget for the whole window, whatever --threads says

@@ -153,7 +153,8 @@ class TestFindCycles:
             cyc.verify(desc)
 
     def test_bad_bound(self):
-        with pytest.raises(InvalidParameters):
+        # the window check partition makes, before any walk
+        with pytest.raises(InvalidParameters, match="^end must be >= start 1, got 0$"):
             find_cycles(collatz(), 0)
 
 
