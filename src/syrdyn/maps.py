@@ -93,7 +93,9 @@ class MapDescriptor:
     def class_steps(self) -> int:
         """K, the steps a forward class table entry spans: the largest K with d^K <= 256.
 
-        8 for d = 2 and 5 for d = 3.  Below 2 (d > 16) there is no table.
+        8 for d = 2 and 5 for d = 3.  K is 1 for 17 <= d <= 256 and 0, with
+        no table, for d > 256.  partition jumps only when K >= 2 (d <= 16);
+        find_cycles' class filter reads the table whenever K >= 1.
         """
         k, size = 0, self.d
         while size <= _CLASS_TABLE_SIZE:

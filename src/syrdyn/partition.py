@@ -7,9 +7,11 @@ candidates, and results always carry the limits used.
 
 This is the one range engine: the CLI's partition and scan subcommands read
 their answers off a PartitionResult.  find_cycles, and the cycles subcommand
-through it, need no per-start verdict: they find the cycles by descent, and
-call partition only for a window with a start that neither falls below nor
-returns to itself (see trajectory.find_cycles).  A window's starts share an
+through it, need no per-start verdict: they find the cycles by descent,
+walking only the starts that no residue class of MapDescriptor.class_entry
+proves to fall below themselves, and call partition only for a window with
+a walked start that neither falls below nor returns to itself (see
+trajectory.find_cycles).  A window's starts share an
 orbit memo of exact verdict depths, kept for every value up to the window's
 end and every cycle member, and above the window or past the step budget at
 checkpoint depths only; a step-limited start reads its excursion off cached
@@ -293,7 +295,7 @@ def _classify(desc, start, limits, memo, segments, codes, steps, excs, cids):
 
     Far above the window a walk jumps (Terras 1976; Lagarias 1985, section
     2).  Above the floor J = last * d^K, K = desc.class_steps (8 for d = 2,
-    5 for d = 3, none below 2), it takes K steps at once through
+    5 for d = 3; no jumps below K = 2), it takes K steps at once through
     desc.class_entry: on x = a + d^K*q, T^K(x) = A*q + B, and for q >= Q the
     largest of the K points is S*q + C.  maps.validate gives r >= -(m - 1)*d
     on every branch, so T(x) >= x/d for x >= d, and every point a jump from

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 from .errors import DomainError, InvalidParameters, VerificationFailure
 from .maps import MapDescriptor, pxr
@@ -175,7 +176,9 @@ def find_cycles(
     start.  Each start x is walked, stepping the map inline with the formula
     of MapDescriptor.apply, only until its orbit falls below x or returns to
     x.  A return means x is its cycle's least member, and x is recorded.
-    Then each recorded cycle is rebuilt from its least member.
+    Then each recorded cycle is rebuilt from its least member.  Most starts
+    past d^K, K = desc.class_steps, are not walked at all: a residue class
+    proves that they fall (_descent_starts).
 
     Why the list is partition's.  Suppose x falls below itself to y within
     the limits, s <= max_steps steps on, every point on the way at most
@@ -192,6 +195,17 @@ def find_cycles(
     window goes to partition instead, as 1 does under pxr(7, 5), which
     enters the 6-cycle at 3.
 
+    Why a start that is not walked needs no limit.  Suppose x enters a cycle
+    within the limits: its first repeat is at index mu + lambda <= max_steps,
+    and every point before it is at most max_value.  Every later point
+    repeats one of those, so the orbit never passes max_value, and a point
+    below x, if any, comes before index mu + lambda.  So a start whose orbit
+    falls below itself at some step either enters no cycle within the
+    limits, and adds none to the list, or falls within the limits, and the
+    induction above holds for it unchanged.  Nor is such a start a least
+    member.  So the skip rests on the exact identity T^j(x) = A*q + B < x
+    alone, and reads neither the class entry's Q, S and C nor the limits.
+
     check_window refuses a bad window, or one above partition's point cap,
     before any walk, so the descent refuses exactly what partition would.
     """
@@ -203,7 +217,7 @@ def find_cycles(
     max_value = limits.max_value
     span = range(1, limits.max_steps + 1)
     least = []
-    for x in range(1, search_bound + 1):
+    for x in _descent_starts(desc, search_bound):
         v = mark = x
         due = 1  # the mark moves to v once n reaches due, a power of two
         for n in span:
@@ -228,6 +242,62 @@ def find_cycles(
             v = desc.apply(v)
         cycles.append(CycleInfo(tuple(members)))
     return cycles
+
+
+def _class_pass(desc: MapDescriptor):
+    """Every class a mod d^j, 0 <= j <= K, of a depth-first pass, as (a, j, A, B).
+
+    K = desc.class_steps, and T^j(a + d^j*q) = A*q + B for every q >= 0
+    (MapDescriptor.class_entry; the root, a = 0 at j = 0, is q itself).  A
+    class is split into its d children mod d^(j+1) while A >= d^j and j < K,
+    so the pass ends on the classes that fall, A < d^j, and on those mod
+    d^K that survive every level.  A class filled for the pass stays in
+    desc.class_levels, where partition's jumps read the level-K entries.
+    """
+    d, k = desc.d, desc.class_steps
+    classes = [(0, 0, 1, 0)]
+    while classes:
+        a, j, am, ab = node = classes.pop()
+        yield node
+        size = d ** j
+        if am >= size and j < k:
+            for i in range(d):
+                child = a + size * i
+                classes.append((child, j + 1, *desc.class_entry(child, j + 1)[3:]))
+
+
+def _descent_starts(desc: MapDescriptor, bound: int):
+    """The starts find_cycles walks, ascending: 1..bound but for those a class proves fall.
+
+    Every start below d^K, K = desc.class_steps, comes first, and nothing
+    is read from the class table until they are all taken, so an escapee
+    among them hands its window to partition before any entry is filled.
+    Past d^K, a class a mod d^j from _class_pass with A < d^j gives T^j(x) =
+    A*q + B < a + d^j*q = x once q > (B - a)/(d^j - A) (Terras 1976;
+    Lagarias 1985, section 2), so only its members up to that bound are
+    walked.  Every member of a class mod d^K that survives is walked.  The
+    members of falling classes all lie below some block of d^K starts, and
+    from that block on the survivors are yielded a block at a time, so
+    what is held does not grow with the bound.
+    """
+    d, k = desc.d, desc.class_steps
+    top = d ** k
+    yield from range(1, min(bound, top - 1) + 1)
+    if bound < top:
+        return
+    walked, offsets = [], []
+    for a, j, am, ab in _class_pass(desc):
+        size = d ** j
+        if am < size:
+            walked.append(range(top + a, min(bound, a + size * ((ab - a) // (size - am))) + 1, size))
+        elif j == k:
+            offsets.append(a)
+    offsets.sort()
+    rest = top * (max((r[-1] for r in walked if r), default=0) // top + 1)
+    walked += [range(top + a, min(bound + 1, rest), top) for a in offsets]
+    yield from sorted(chain.from_iterable(walked))
+    yield from (x for base in range(rest, bound + 1, top) for a in offsets
+                for x in [base + a] if x <= bound)
 
 
 def check_power_cycle(k: int) -> CycleInfo:

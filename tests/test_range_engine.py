@@ -2,7 +2,9 @@
 
 scan reads partition's shared memo; find_cycles, and cycles through it,
 walk each start by descent and hand the window to partition at the first
-start that neither falls below nor returns to itself.  The reference
+start that neither falls below nor returns to itself.  Past d^K the descent
+walks only the starts that no residue class proves to fall; every start it
+skips is checked to fall by plain apply calls.  The reference
 functions below walk every start on its own with iterate(), as the range
 subcommands did before they were rebuilt on partition; both engines must
 reproduce them exactly, whatever --threads says.
@@ -23,9 +25,10 @@ from hypothesis import example, given, settings, strategies as st
 from syrdyn import cli
 from syrdyn.cli import main
 from syrdyn.errors import DomainError, InvalidParameters
-from syrdyn.maps import collatz, parse_descriptor, pxr
+from syrdyn.maps import MapDescriptor, collatz, parse_descriptor, pxr, validate
 from syrdyn.partition import partition
-from syrdyn.trajectory import Limits, TrajectoryStatus, find_cycles, iterate
+from syrdyn.trajectory import (
+    CycleInfo, Limits, TrajectoryStatus, _class_pass, _descent_starts, find_cycles, iterate)
 
 partition_module = importlib.import_module("syrdyn.partition")  # syrdyn.partition is the function
 
@@ -130,9 +133,25 @@ GRID_MAPS = ["collatz", "pxr:p=5,r=1", "d=3;m0=1,r0=0;m1=2,r1=1;m2=2,r2=2"]
 PX_MAPS = [(p, r) for p in (3, 5, 7, 9, 11) for r in range(2 - p, p, 2) if math.gcd(p, r) == 1]
 
 
-@settings(max_examples=60, deadline=None)
+def falls_by_its_class(desc, x):
+    """Whether T^j(x) < x, by j apply calls, at the first j <= K with T^j's multiplier below d^j.
+
+    That multiplier is the product of the branch multipliers along x's first
+    j steps, and it is the same on x's whole class mod d^j.
+    """
+    d, am, v = desc.d, 1, x
+    for j in range(1, desc.class_steps + 1):
+        am *= desc.branches[v % d][0]
+        v = desc.apply(v)
+        if am < d ** j:
+            return v < x
+    return False
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.sampled_from(GRID_MAPS + [f"pxr:p={p},r={r}" for p, r in PX_MAPS]),
-       st.integers(1, 300), st.integers(1, 400),
+       st.one_of(st.integers(1, 1000), st.integers(256, 1000)),
+       st.one_of(st.integers(1, 8), st.integers(1, 400)),
        st.one_of(st.integers(10, 5000), st.integers(10, 10**40)))
 # start 1 enters the 6-cycle at 3, above the bound
 @example("pxr:p=7,r=5", 2, 10**5, 10**40)
@@ -146,12 +165,63 @@ PX_MAPS = [(p, r) for p in (3, 5, 7, 9, 11) for r in range(2 - p, p, 2) if math.
 @example("pxr:p=5,r=1", 10, 10**5, 20)
 # so does the 11-cycle at 17, and every start below 17 falls or returns first
 @example("pxr:p=3,r=-1", 20, 10**5, 100)
+# 259 = 3 mod 16 is skipped and falls at step 4, past the step budget; start
+# 3 does not fall within it either, so the window goes to partition
+@example("collatz", 300, 3, 10**40)
+# 997 = 1 mod 4 is skipped and falls at step 2, through 1496, above max_value
+@example("collatz", 1000, 10**5, 1000)
+# every start of the d = 3 map past 3^5 is skipped and falls at step 1
+@example("d=3;m0=1,r0=0;m1=2,r1=1;m2=2,r2=2", 1000, 1, 1000)
+# the even class falls at step 1 only past x = 400, so 256..400 are walked
+# before the classes mod 2^8 that never fall take over
+@example("d=2;m0=1,r0=400;m1=3,r1=41", 1000, 10**5, 10**40)
 def test_find_cycles_by_descent_matches_partition(text, bound, max_steps, max_value):
     desc, limits = parse_descriptor(text), Limits(max_steps, max_value)
     bound = min(bound, max_value)
     want = reference_cycles(desc, 1, bound, limits)
     assert list(partition(desc, bound, limits).cycles) == want
     assert find_cycles(desc, bound, limits) == want
+    # the descent skips exactly the starts past d^K that fall below
+    # themselves at their class's level, whatever the limits
+    top = desc.d ** desc.class_steps
+    assert list(_descent_starts(desc, bound)) == [
+        x for x in range(1, bound + 1) if x < top or not falls_by_its_class(desc, x)]
+
+
+@pytest.mark.parametrize("desc,survivors", [
+    (collatz(), [1, 1, 2, 3, 4, 8, 13, 19]),
+    (pxr(3, -1), [1, 1, 2, 3, 4, 8, 13, 19]),
+    (pxr(5, 1), [1, 2, 3, 6, 10, 20, 35, 70]),
+    (pxr(5, 3), [1, 2, 3, 6, 10, 20, 35, 70]),
+    (pxr(7, 5), [1, 2, 3, 6, 12, 22, 44, 88]),
+], ids=lambda v: v.to_text() if isinstance(v, MapDescriptor) else "")
+def test_class_pass_survivors(desc, survivors):
+    # the classes mod 2^j whose multiplier is still at least 2^j, j = 1..8
+    nodes = list(_class_pass(desc))
+    assert [sum(1 for _a, i, am, _b in nodes if i == j and am >= 2 ** j)
+            for j in range(1, 9)] == survivors
+    assert len(nodes) == len({(a, j) for a, j, _am, _b in nodes})
+
+
+@pytest.mark.parametrize("text,bound,walked", [
+    ("collatz", 5000, 606),
+    ("d=3;m0=1,r0=0;m1=2,r1=1;m2=2,r2=2", 10**5, 242),
+])
+def test_walked_start_counts(text, bound, walked):
+    assert sum(1 for _x in _descent_starts(parse_descriptor(text), bound)) == walked
+
+
+@pytest.mark.parametrize("bound", [1, 300, 3000])
+def test_map_without_class_table_walks_every_start(bound):
+    # d = 257 is past the 256-class table, so class_steps is 0 and no class
+    # proves any start to fall
+    d = 257
+    desc = validate(MapDescriptor(d, tuple((1, d - i) for i in range(d))))
+    assert desc.class_steps == 0
+    assert list(_descent_starts(desc, bound)) == list(range(1, bound + 1))
+    assert find_cycles(desc, bound) == list(partition(desc, bound).cycles) == [
+        CycleInfo((1,))]
+    assert desc.class_levels == [[None]]
 
 
 def refuse_partition(*args, **kwargs):
@@ -160,11 +230,14 @@ def refuse_partition(*args, **kwargs):
 
 def test_descent_without_escapees_calls_no_partition(capsys, monkeypatch):
     # every start falls below or returns to itself, so the descent alone
-    # gives the list, and nothing is stored per start
+    # gives the list, and nothing is stored per start; past 2^8 it walks
+    # only the starts whose class does not prove them to fall
     monkeypatch.setattr(partition_module, "partition", refuse_partition)
     assert [c.members for c in find_cycles(collatz(), 10**4)] == [(1, 2)]
-    assert [c.members for c in find_cycles(pxr(3, -1), 10**4)] == [
+    assert [c.members for c in find_cycles(pxr(3, -1), 10**5)] == [
         (1,), (5, 7, 10), (17, 25, 37, 55, 82, 41, 61, 91, 136, 68, 34)]
+    # 255 starts below 2^8, and 19 of each 256 past it
+    assert sum(1 for _x in _descent_starts(pxr(3, -1), 10**5)) == 7659
     code, out = run(capsys, "cycles", "collatz", "--bound", "20000")
     assert code == 0 and json.loads(out)["cycles"] == [["1", "2"]]
 
