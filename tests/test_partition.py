@@ -473,20 +473,28 @@ RANGE_FLAGS = {
 }
 
 
-@pytest.mark.parametrize("map_text,bound,digests", [
-    ("collatz", 5000, (
+@pytest.mark.parametrize("map_text,bound,flags,digests", [
+    pytest.param("collatz", 5000, RANGE_FLAGS["collatz"], (
         "5c8114973117664f0858766495127688adb912c6d00db6eebecfd6b85b129b1a",
-        "b5305340f0f80bfca2c1343e6ba0d3329cfcd43a785768486bd15b555660b858")),
-    ("pxr:p=5,r=1", 2000, (
+        "b5305340f0f80bfca2c1343e6ba0d3329cfcd43a785768486bd15b555660b858"),
+        id="collatz-5000-digests0"),
+    pytest.param("pxr:p=5,r=1", 2000, RANGE_FLAGS["pxr:p=5,r=1"], (
         "221b6da108af1607052b14dfaa2d26a29674eb673f689e897ae9d6d50bf8dc50",
-        "0c6a58cb3f03eaf2da9eb8123589f55fa70bbbf6e882ae9bdba7793e7722cb2b")),
+        "0c6a58cb3f03eaf2da9eb8123589f55fa70bbbf6e882ae9bdba7793e7722cb2b"),
+        id="pxr:p=5,r=1-2000-digests1"),
+    # a small budget: nearly every start is step-limited, so most of the
+    # excursions are read beyond the walks' paths
+    pytest.param("pxr:p=5,r=1", 20000, ["--max-steps", "50", "--max-value", "10^40"], (
+        "588ce72f5b97e84d5f4d983d0de2a20192e4db999cfdcac2c431782b72588ef5",
+        "cd16519771a4c92867d8432ba2c3f58eaadb3560f26a3e1363644db1b27f845f"),
+        id="pxr:p=5,r=1-20000-max-steps-50"),
 ])
-def test_cli_partition_output_pinned(map_text, bound, digests, capsys, tmp_path):
+def test_cli_partition_output_pinned(map_text, bound, flags, digests, capsys, tmp_path):
     # SHA-256 of the JSON on stdout and of the CSV, as the engine printed
     # them when it stepped the map through MapDescriptor.apply
     csv_path = tmp_path / "partition.csv"
     argv = ["partition", map_text, "--bound", str(bound), "--csv", str(csv_path)]
-    assert main([*argv, *RANGE_FLAGS[map_text]]) == 0
+    assert main([*argv, *flags]) == 0
     out = capsys.readouterr().out.encode()
     assert (hashlib.sha256(out).hexdigest(),
             hashlib.sha256(csv_path.read_bytes()).hexdigest()) == digests
