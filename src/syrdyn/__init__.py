@@ -67,8 +67,8 @@ _LAZY_NAMES = {
         "NodeClass", "ChainHeadForm", "Family", "Chain", "PreimageTree",
         "classify", "decompose", "family_of", "chain_of",
         "build_preimage_tree", "chain_criterion", "two_preimage_class",
-        "two_preimage_floor", "search_family_witness", "verify_family_identity",
-        "family_tails", "verify_family_connection",
+        "search_family_witness", "verify_family_identity", "family_tails",
+        "verify_family_connection",
     ),
 }
 

@@ -59,7 +59,6 @@ __all__ = [
     "build_preimage_tree",
     "chain_criterion",
     "two_preimage_class",
-    "two_preimage_floor",
     "search_family_witness",
     "verify_family_identity",
     "family_tails",
@@ -360,23 +359,15 @@ def chain_criterion(p: int, r: int) -> bool:
 def two_preimage_class(p: int, r: int) -> int:
     """The residue class mod p whose members have two preimages: r/(2-p) = r/2 mod p.
 
-    It is the odd branch's t in the map's MapDescriptor.preimage_table.
+    It is the odd branch's t in the map's MapDescriptor.preimage_table.  The
+    residue is also the class's least positive member (p + r)/2, which
+    criterion reports as two_preimage_floor: 2 * (p + r)/2 = r (mod p), and
+    p, r odd with |r| < p put (p + r)/2 in 1..p-1.  The odd preimage
+    (2y - r)/p is a positive integer exactly when y is in the class and
+    2y >= p + r, and at y = (p + r)/2 both preimages, 2y and (2y - r)/p = 1,
+    already exist, so every positive member of the class has two preimages.
     """
     return _validate_pr(p, r).preimage_table[1][2]
-
-
-def two_preimage_floor(p: int, r: int) -> int:
-    """Least positive member (p + r)/2 of the two-preimage class: the class residue itself.
-
-    The odd preimage (2y - r)/p is a positive integer exactly when y is in
-    the class and 2y >= p + r.  No positive class member lies below
-    (p + r)/2, and there both preimages, 2y and (2y - r)/p = 1, already
-    exist, so every positive member of the class has two preimages.
-
-    It is two_preimage_class's residue r * 2^-1 mod p: 2 * (p + r)/2 = r
-    (mod p), and p, r odd with |r| < p put (p + r)/2 in 1..p-1.
-    """
-    return two_preimage_class(p, r)
 
 
 def _identity_table(p: int, alphas, betas, ks):

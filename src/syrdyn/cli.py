@@ -230,6 +230,7 @@ def _cmd_criterion(args) -> int:
     _load("chains")
     p, r = args.p, args.r
     has_chains = chain_criterion(p, r)
+    two_preimages = str(two_preimage_class(p, r))  # the class residue is its least member
     if has_chains:
         verdict = f"chain structure present: r = {'p-2' if r == p - 2 else '2-p'}"
     else:
@@ -239,8 +240,8 @@ def _cmd_criterion(args) -> int:
         "r": str(r),
         "chain_structure": has_chains,
         "verdict": verdict,
-        "two_preimage_class": str(two_preimage_class(p, r)),
-        "two_preimage_floor": str(two_preimage_floor(p, r)),
+        "two_preimage_class": two_preimages,
+        "two_preimage_floor": two_preimages,
     }
     if args.verify:
         l = search_family_witness(p, r)

@@ -9,23 +9,25 @@ This is the one range engine: the CLI's partition and scan subcommands read
 their answers off a PartitionResult.  find_cycles, and the cycles subcommand
 through it, need no per-start verdict: they find the cycles by descent,
 walking only the starts that no residue class of MapDescriptor.class_entry
-proves to fall below themselves, and call partition only for a window with
-a walked start that neither falls below nor returns to itself (see
-trajectory.find_cycles).  A window's starts share an
-orbit memo of exact verdict depths, kept for every value up to the window's
-end and every cycle member, and above the window or past the step budget at
-checkpoint depths only; a step-limited start reads its excursion off cached
-orbit segments, so orbits shared by many starts are walked about once.  One
-loop, _classify, runs the whole window: a start found in the memo is
-classified where it is found, and any other is walked right there, stepping
-the map inline with the formula of MapDescriptor.apply.  A walk finds a cycle
-by Brent's test against one moving mark, not by indexing every point it
-passes.  Far above the window, past last * d^K, a walk jumps K steps at a
-time through MapDescriptor.class_entry, the affine form of T^K on each
-residue class mod d^K (Terras 1976; Lagarias 1985, section 2), since no
-point a jump passes there is in the window or often met again.  The steps
-taken, a jump counting as its K, are reported as
-PartitionResult.applications, and the jumps as PartitionResult.jumps.
+proves to fall below themselves, and call partition only for a window with a
+walked start that neither falls below nor returns to itself (see
+trajectory.find_cycles).  A window's starts share an orbit memo of exact
+verdict depths, kept for every value up to the window's end and every cycle
+member, and above the window or past the step budget at checkpoint depths
+only, so orbits shared by many starts are walked about once; it is the one
+cache a call keeps.  One loop, _classify, runs the whole window: a start
+found in the memo is classified where it is found, and any other is walked
+right there, stepping the map inline with the formula of MapDescriptor.apply.
+A walk finds a cycle by Brent's test against one moving mark, not by indexing
+every point it passes.  Far above the window, past last * d^K, a walk jumps K
+steps at a time through MapDescriptor.class_entry, the affine form of T^K on
+each residue class mod d^K (Terras 1976; Lagarias 1985, section 2), since no
+point a jump passes there is in the window or often met again.  A
+step-limited start whose walk stops short of its last budgeted point reads
+the rest of its excursion from _peak, which hops K steps at a time through
+the same table.  The steps taken, a jump or hop counting as its K, are
+reported as PartitionResult.applications, and the jumps as
+PartitionResult.jumps.
 """
 
 from __future__ import annotations
@@ -64,19 +66,19 @@ _CODE_STATUS = {
 # orbit memo, which the byte budget below bounds.
 _MAX_POINTS = 3_500_000
 
-# each partition call holds its window arrays, orbit memo and segment cache
-# to this many bytes, at _POINT_BYTES a window point (a code byte and three
-# list slots) and _ENTRY_BYTES a memo entry or cached segment (a 3-tuple, a
-# depth and a dict slot at its worst, 90 B while a growing table is copied)
-# plus one int of max_value's size, since no stored value exceeds max_value.
+# each partition call holds its window arrays and orbit memo to this many
+# bytes, at _POINT_BYTES a window point (a code byte and three list slots) and
+# _ENTRY_BYTES a memo entry (a 3-tuple, a depth and a dict slot at its worst,
+# 90 B while a growing table is copied) plus one int of max_value's size,
+# since no stored value exceeds max_value.
 # The memo is the cost that varies.  Above the window it keeps checkpoint
 # depths only, and none of the points a class-table jump passes, so under the
 # default limits Collatz keeps 1.0 entries a start and pxr:p=5,r=1 about 1.01
 # (windows 1..10^6).  A window of _MAX_POINTS leaves room for about 4.36 M
 # entries, so at those rates both fit up to the point cap.  With max_steps 200
-# and max_value 1e12, pxr:p=5,r=1 keeps about 1.31 entries and segments a
-# start (1..2000): 1.08 memo entries, 0.06 of them past the budget, and 0.23
-# segments.
+# and max_value 1e12, pxr:p=5,r=1 keeps about 1.08 entries a start (1..2000),
+# 0.06 of them past the budget; with max_steps 50 and max_value 1e40, about
+# 0.80 (1..20000), 0.76 of them past the budget.
 _MAX_BYTES = 1 << 30
 _POINT_BYTES = 25
 _ENTRY_BYTES = 182
@@ -94,7 +96,7 @@ _OPEN = 1 << 62
 # max_steps 20 to 50, and with room for 4 within 2% (Python 3.11, 2 CPUs)
 _JUMP_ROOM = 4
 # a checkpoint gap that no depth reaches (depth % gap is the depth itself), so
-# no checkpoint is stored and no segment hop is taken: nothing past the budget
+# no checkpoint is stored: nothing past the budget is kept
 _NO_CHECKPOINTS = 1 << 63
 
 
@@ -179,58 +181,53 @@ class PartitionResult:
 def _checkpoint_gap(max_steps: int) -> int:
     """K: past the step budget the memo keeps only depths divisible by K.
 
-    K is isqrt(max_steps + 1).  Keeping what lies past the budget pays only
-    when a fresh walk of max_steps + 1 points costs more than a lead, about K
-    hops and a tail through the segment cache plus the memo upkeep.  Below
-    K = 4 (max_steps < 15) it does not: with it, partition ran up to 1.46
-    times as long on Collatz and pxr:p=5,r=1 at max_steps 4 to 14, and faster
-    on both from K = 4 on (Python 3.11, 2 CPUs), so a smaller K gives
-    _NO_CHECKPOINTS.
+    K is isqrt(max_steps + 1).  Keeping what lies past the budget pays when
+    the walks that meet a checkpoint save more than the upkeep of the
+    checkpoints and the longer walks to a verdict past the budget cost.
+    Partition of 1..20000 at the default max_value, with checkpoints against
+    without (Python 3.11, 2 CPUs, medians of 5 alternating runs, two
+    series): from max_steps 8 on (K = 3) it ran 12-44% shorter on Collatz
+    and 3-28% shorter on pxr:p=5,r=1, and at max_steps 2 (K = 1) 13-29%
+    longer on both; between, Collatz mostly gained and pxr:p=5,r=1 mostly
+    lost.  A K below 4 (max_steps < 15) gives _NO_CHECKPOINTS, a margin
+    above where checkpoints start to pay.
     """
     k = isqrt(max_steps + 1)
     return k if k >= 4 else _NO_CHECKPOINTS
 
 
-def _peak(desc, v, depth, count, segments, k):
-    """The maximum of the first count orbit points from v, at memo depth depth.
+def _peak(desc, v, count):
+    """The maximum of the first count orbit points from v, and the count - 1 steps to them.
 
-    Steps to the next checkpoint depth, hops k points at a time through
-    segments, value -> (T^k(value), max of those k points), filled on first
-    use, and steps through the rest.  Only step-limited starts ask, so every
-    point read lies at or below max_value.  Returns (maximum, map steps
-    taken); a filled segment takes k steps, a hop through a cached one none.
+    While K = desc.class_steps >= 2 steps remain, a class whose line holds,
+    q >= Q on v = a + d^K*q, hops K steps through desc.class_entry, the K
+    points' maximum being S*q + C; everywhere else it takes single steps.
+    Only step-limited starts ask, so every point read lies at or below
+    max_value.
     """
-    branches, d = desc.branches, desc.d
-    best = steps = 0
-    lead = depth % k
-    while count:
-        if lead or count < k:
-            if v > best:
-                best = v
-            count -= 1
-            if lead:
-                lead -= 1
-            if count:
-                m, r = branches[v % d]
-                v = (m * v + r) // d
-                steps += 1
-            continue
-        seg = segments.get(v)
-        if seg is None:
-            u = top = v
-            for _ in range(k - 1):
-                m, r = branches[u % d]
-                u = (m * u + r) // d
-                if u > top:
-                    top = u
-            m, r = branches[u % d]
-            seg = segments[v] = ((m * u + r) // d, top)
-            steps += k
-        v, top = seg
-        if top > best:
-            best = top
-        count -= k
-    return best, steps
+    branches, d, K = desc.branches, desc.d, desc.class_steps
+    best, left = v, count - 1
+    if K >= 2 and left >= K:
+        size, table, fill = d ** K, desc.class_levels[K], desc.class_entry
+        while left >= K:
+            q, a = divmod(v, size)
+            q0, slope, offset, am, ab = table[a] or fill(a, K)
+            if q >= q0:
+                top = slope * q + offset
+                v = am * q + ab
+                left -= K
+            else:
+                m, r = branches[a % d]
+                top = v = (m * v + r) // d
+                left -= 1
+            if top > best:
+                best = top
+    for _ in range(left):
+        m, r = branches[v % d]
+        v = (m * v + r) // d
+        if v > best:
+            best = v
+    return best, count - 1
 
 
 def _unjump(desc, path, hops):
@@ -249,7 +246,7 @@ def _unjump(desc, path, hops):
     return orbit
 
 
-def _classify(desc, start, limits, memo, segments, codes, steps, excs, cids):
+def _classify(desc, start, limits, memo, codes, steps, excs, cids):
     """Classify start, start + 1, ... into codes, steps, excs and cids, one loop for the window.
 
     memo maps a value to (depth, cycle_id, excursion).  A cycle_id of None is
@@ -316,8 +313,8 @@ def _classify(desc, start, limits, memo, segments, codes, steps, excs, cids):
     the cap, or from an open entry) whose last may repeat a jumped point,
     one above last and at most the runs' highest.
 
-    The kernel also holds the memo and segment cache to partition's byte
-    budget, as partition describes.
+    The kernel also holds the memo to partition's byte budget, as partition
+    describes.
 
     The walks step the map inline, with MapDescriptor.apply's formula but
     without its domain check: check_window has checked the window, and
@@ -325,8 +322,8 @@ def _classify(desc, start, limits, memo, segments, codes, steps, excs, cids):
     positive int, so every orbit point is in the domain.
 
     Returns (cycles, applications, jumps): the cycles found, indexed by the
-    cycle ids in cids, the map steps the walks and _peak took, a jump
-    counting as K, and the jumps.
+    cycle ids in cids, the map steps the walks and _peak took, a jump or a
+    hop counting as K, and the walks' jumps.
     """
     branches, d = desc.branches, desc.d
     max_steps, max_value = limits.max_steps, limits.max_value
@@ -338,7 +335,6 @@ def _classify(desc, start, limits, memo, segments, codes, steps, excs, cids):
     cap = 2 * count if k <= max_steps else count
     max_entries = (_MAX_BYTES - len(codes) * _POINT_BYTES) // (
         _ENTRY_BYTES + sys.getsizeof(max_value))
-    room = max_entries  # for the memo, beside the segment cache
     cycles: list[CycleInfo] = []
     lengths: list[int] = []  # lengths[cid] is cycles[cid].length
     cycle_ids: dict[tuple[int, ...], int] = {}
@@ -360,7 +356,7 @@ def _classify(desc, start, limits, memo, segments, codes, steps, excs, cids):
             depth, cid, exc = hit
             if not exc:  # past the budget
                 code, st, cid = _STEP_LIMIT, None, None
-                exc, n = _peak(desc, x, depth, count, segments, k)
+                exc, n = _peak(desc, x, count)
                 applications += n
             elif cid is None:
                 code, st = _VALUE_LIMIT, None
@@ -527,9 +523,9 @@ def _classify(desc, start, limits, memo, segments, codes, steps, excs, cids):
             else:
                 # path[:j] lies past the budget (all of it, if x is on a cycle
                 # longer than the budget): store its checkpoint depths, down
-                # from x's depth top, and for an open verdict only those
+                # from x's depth, and for an open verdict only those
                 # max_steps or more ahead
-                top = at = depth + j + held  # path[i] lies at depth at - i, up to the next run
+                at = depth + j + held  # path[i] lies at depth at - i, up to the next run
                 # path[i] is kept if i < stop: for an open verdict, only with
                 # max_steps points ahead or more
                 stop = at + 1 if depth < _OPEN else at - _OPEN - max_steps + 1
@@ -548,20 +544,15 @@ def _classify(desc, start, limits, memo, segments, codes, steps, excs, cids):
                 if len(path) >= ahead:
                     exc = max(path[:ahead])
                 else:
-                    # nxt lies end + skipped steps from x
-                    exc, n = _peak(desc, nxt, top - end - skipped, ahead - len(path), segments, k)
+                    exc, n = _peak(desc, nxt, ahead - len(path))
                     exc = max(exc, max(path))
                     applications += n
                 if highest > exc:
                     exc = highest
-        if code == _STEP_LIMIT:  # only step-limited starts fill the segment cache
-            room = max_entries - len(segments)
-        if len(memo) > room:
+        if len(memo) > max_entries:
             if k != _NO_CHECKPOINTS:
                 # what lies past the budget only saves work: drop it, and keep
                 # nothing past the budget for the rest of the window
-                segments.clear()
-                room = max_entries
                 for v in [v for v, entry in memo.items() if not entry[2]]:
                     del memo[v]
                 k, cap = _NO_CHECKPOINTS, count
@@ -612,23 +603,23 @@ def partition(
     a window costs about as much as the orbits it touches; only the window is
     stored per point.  The cycles listed are those some start enters within
     its budget.  check_window refuses a bad window before storing anything.
-    If the memo and segment cache outgrow what _MAX_BYTES leaves beside the
-    window, everything past the budget is dropped and no more is kept; if the
+    If the memo outgrows what _MAX_BYTES leaves beside the window,
+    everything past the budget is dropped and no more is kept; if the
     verdicts within the budget alone outgrow it, InvalidParameters is raised.
     The result's applications is the number of map steps the call took, a
-    class-table jump counting as its K steps, and jumps the number of jumps.
+    class-table jump or hop counting as its K steps, and jumps the number of
+    the walks' jumps.
     """
     limits = limits or Limits()
     check_window(start, domain_bound, limits)
     memo: dict[int, tuple[int, int | None, int]] = {}
-    segments: dict[int, tuple[int, int]] = {}
     size = domain_bound - start + 1
     codes = bytearray(size)
     steps_arr: list = [None] * size
     exc_arr: list = [0] * size
     cid_arr: list = [None] * size
-    cycles, applications, jumps = _classify(desc, start, limits, memo, segments,
-                                            codes, steps_arr, exc_arr, cid_arr)
+    cycles, applications, jumps = _classify(desc, start, limits, memo, codes, steps_arr,
+                                            exc_arr, cid_arr)
     # a walk may find a cycle past its start's budget; list only those entered
     cycle_of = {cid: cycles[cid] for cid in set(cid_arr) if cid is not None}
     ordered = tuple(sorted(cycle_of.values(), key=lambda c: c.members[0]))

@@ -25,7 +25,6 @@ from syrdyn.chains import (
     tree_to_dot,
     tree_to_json,
     two_preimage_class,
-    two_preimage_floor,
     verify_family_connection,
     verify_family_identity,
 )
@@ -431,9 +430,8 @@ class TestCriterion:
 
     def test_validation(self):
         # one (p, r) check serves every chain entry point, with one exception type
-        for entry in (chain_criterion, two_preimage_class, two_preimage_floor,
-                      search_family_witness, verify_family_identity, family_tails,
-                      verify_family_connection):
+        for entry in (chain_criterion, two_preimage_class, search_family_witness,
+                      verify_family_identity, family_tails, verify_family_connection):
             for p, r in ((4, 1), (5, 5), (9, 3), (5, 2)):
                 with pytest.raises(InvalidParameters):
                     entry(p, r)
@@ -458,14 +456,14 @@ class TestCriterion:
         p = 2 * k + 1
         r = 2 * data.draw(st.integers(-k, k - 1), label="j") + 1  # odd, |r| < p
         assume(math.gcd(r, p) == 1)
-        assert two_preimage_floor(p, r) == two_preimage_class(p, r) == (p + r) // 2
+        assert two_preimage_class(p, r) == (p + r) // 2
 
     def test_floor_is_least_class_member(self):
         # (p+r)/2 is the class residue itself, so no positive class member
         # sits below it and the two-preimage law has no boundary exceptions
         for p, r in PR_GRID:
-            floor = two_preimage_floor(p, r)
-            assert floor == two_preimage_class(p, r) == (p + r) // 2, (p, r)
+            floor = two_preimage_class(p, r)
+            assert floor == (p + r) // 2, (p, r)
             assert 1 <= floor < p
             desc = pxr(p, r)
             assert len(desc.preimage(floor)) == 2

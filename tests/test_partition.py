@@ -150,7 +150,7 @@ def test_memoized_equals_naive(capsys, monkeypatch, desc, bound, limits):
 
 
 class SpyDict(dict):
-    """A memo or segment cache that records every (key, value) the kernel finds in it."""
+    """A memo that records every (key, value) the kernel finds in it."""
 
     def __init__(self):
         super().__init__()
@@ -163,15 +163,13 @@ class SpyDict(dict):
         return value
 
 
-def classify_window(desc, bound, limits, memo=None, segments=None, start=1):
-    """partition(desc, bound, limits, start)'s kernel run on the memo and segment cache given."""
+def classify_window(desc, bound, limits, memo=None, start=1):
+    """partition(desc, bound, limits, start)'s kernel run on the memo given."""
     memo = {} if memo is None else memo
-    segments = {} if segments is None else segments
     size = bound - start + 1
-    cycles, _applications, _jumps = _classify(desc, start, limits, memo, segments,
-                                              bytearray(size), [None] * size, [0] * size,
-                                              [None] * size)
-    return _checkpoint_gap(limits.max_steps), memo, segments, cycles
+    cycles, _applications, _jumps = _classify(desc, start, limits, memo, bytearray(size),
+                                              [None] * size, [0] * size, [None] * size)
+    return _checkpoint_gap(limits.max_steps), memo, cycles
 
 
 def entry_budget(limits, cycles, cid):
@@ -179,15 +177,15 @@ def entry_budget(limits, cycles, cid):
 
 
 def test_grid_has_memo_hits_past_the_budget():
-    # without lookups that find a past-budget checkpoint, an open entry, a
+    # without lookups that find a past-budget checkpoint, an open entry and a
     # verdict within the budget keyed above the window (kept at checkpoint
-    # depths only) and a cached segment, the grid would not exercise the code
-    # that stores and reads them
-    past = opened = above = hops = 0
+    # depths only), the grid would not exercise the code that stores and
+    # reads them
+    past = opened = above = 0
     for desc, bound in DOMAIN_GRID:
         for limits in LIMITS_GRID:
-            memo, segments = SpyDict(), SpyDict()
-            _k, _memo, _segments, cycles = classify_window(desc, bound, limits, memo, segments)
+            memo = SpyDict()
+            _k, _memo, cycles = classify_window(desc, bound, limits, memo)
             for v, (depth, cid, _exc) in memo.found:
                 if depth >= _OPEN:
                     opened += 1
@@ -195,8 +193,7 @@ def test_grid_has_memo_hits_past_the_budget():
                     past += 1
                 else:
                     above += v > bound and depth > 0
-            hops += len(segments.found)
-    assert past > 0 and opened > 0 and above > 0 and hops > 0
+    assert past > 0 and opened > 0 and above > 0
 
 
 @TIGHT_LIMITS
@@ -204,14 +201,13 @@ def test_grid_has_memo_hits_past_the_budget():
 def test_every_memo_entry_is_a_fresh_iterate(desc, bound, limits):
     # the memo also holds orbit values outside the window and verdicts past
     # the budget; each exact entry must be the verdict a fresh iterate from
-    # that value reaches with an unbounded budget, each open entry must have
-    # the clean points ahead that it claims, and each cached segment must be
-    # k real steps
+    # that value reaches with an unbounded budget, and each open entry must
+    # have the clean points ahead that it claims
     check_memo(desc, limits, bound, *classify_window(desc, bound, limits))
 
 
-def check_memo(desc, limits, last, k, memo, segments, cycles):
-    """Check every memo entry and cached segment of a window ending at last."""
+def check_memo(desc, limits, last, k, memo, cycles):
+    """Check every memo entry of a window ending at last."""
     unbounded = Limits(max_steps=10**6, max_value=limits.max_value)
     for v, (depth, cid, exc) in memo.items():
         if depth >= _OPEN:
@@ -236,12 +232,6 @@ def check_memo(desc, limits, last, k, memo, segments, cycles):
             assert v <= last or depth % k == 0, v
         else:
             assert depth % k == 0 and exc == 0, v  # a checkpoint past the budget
-    for v, (after, top) in segments.items():
-        points = [v]
-        for _ in range(k):
-            points.append(desc.apply(points[-1]))
-        assert (after, top) == (points[k], max(points[:k])), v
-        assert top <= limits.max_value, v
 
 
 @pytest.mark.parametrize("max_steps", range(15, 41))
@@ -343,12 +333,12 @@ def test_open_entry_met_after_a_jump(ahead):
     memo = {202: (_OPEN + ahead, ahead_points[-1], 0)}
     codes, steps, excs, cids = bytearray(1), [None], [0], [None]
     with jump_room(1):
-        cycles, _applications, jumps = _classify(desc, 7, limits, memo, {}, codes, steps, excs, cids)
+        cycles, _applications, jumps = _classify(desc, 7, limits, memo, codes, steps, excs, cids)
     rep = iterate(desc, 7, limits)
     assert jumps > 0 and rep.status is TrajectoryStatus.HIT_STEP_LIMIT
     assert (codes[0], steps[0], excs[0]) == (partition_module._STEP_LIMIT, None, rep.max_excursion)
     assert [c.length for c in cycles] == ([] if ahead == 16 else [31])
-    check_memo(desc, limits, 7, _checkpoint_gap(15), memo, {}, cycles)
+    check_memo(desc, limits, 7, _checkpoint_gap(15), memo, cycles)
 
 
 def test_a_jump_onto_brents_mark_counts_its_steps():
@@ -380,11 +370,14 @@ def test_a_few_jumps_fill_a_few_entries():
     assert 0 < res.jumps and 0 < filled <= res.jumps
 
 
+# d = 17 leaves one step a class mod 17 <= 256 < 17^2, too few for a table
+D17 = validate(MapDescriptor(
+    17, ((1, 0),) + tuple((35, -(-35 * i // 17) * 17 - 35 * i) for i in range(1, 17))))
+
+
 def test_no_jumps_below_two_table_steps():
-    # d = 17 leaves one step a class mod 17 <= 256 < 17^2, too few for a
-    # table: the orbits climb to the ceiling in single steps
-    branches = ((1, 0),) + tuple((35, -(-35 * i // 17) * 17 - 35 * i) for i in range(1, 17))
-    desc = validate(MapDescriptor(17, branches))
+    # the orbits of D17 climb to the ceiling in single steps
+    desc = D17
     limits = Limits(200, 10**12)
     assert desc.class_steps == 1
     res = partition(desc, 40, limits)
@@ -394,6 +387,19 @@ def test_no_jumps_below_two_table_steps():
         for x in range(1, 41) for rep in [iterate(desc, x, limits)]]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([collatz(), D3, D17, *(pxr(p, r) for p, r in PX_MAPS)]),
+       st.integers(1, 2**100), st.integers(1, 300))
+# 3 lies in a class mod 2^8 whose line holds only from its Q up: the line
+# gives 1 where the largest of the 8 points from 3 is 4
+@example(pxr(3, -1), 3, 9)
+def test_peak_is_the_orbits_maximum(desc, v, count):
+    # the largest of the first count orbit points from v, hops through the
+    # class table included, and one step counted for each point past v
+    points = iterate(desc, v, Limits(count - 1, 1 << 4096)).steps if count > 1 else (v,)
+    assert partition_module._peak(desc, v, count) == (max(points), count - 1)
+
+
 def test_memo_keeps_checkpoints_above_the_window():
     # pxr:p=5,r=1 climbs to the ceiling from most starts; a verdict within the
     # budget is kept above the window only at checkpoint depths (gap 14 here),
@@ -401,7 +407,7 @@ def test_memo_keeps_checkpoints_above_the_window():
     # points a walk steps to, not those it jumps over above 2000*2^8, where
     # storing every checkpoint held 3,114
     limits = Limits(max_steps=200, max_value=10**12)
-    k, memo, _segments, _cycles = classify_window(pxr(5, 1), 2000, limits)
+    k, memo, _cycles = classify_window(pxr(5, 1), 2000, limits)
     assert k == 14 and len(memo) == 2160
 
 
@@ -447,23 +453,27 @@ def test_csv_golden():
 
 @pytest.mark.parametrize("desc,start,bound,limits,count", [
     (collatz(), 1, 5000, Limits(max_steps=10**5, max_value=10**40), 8388),
-    (pxr(5, 1), 1, 2000, Limits(max_steps=200, max_value=10**12), 35459),
-    (pxr(5, 1), 1300, 1899, Limits(max_steps=200, max_value=10**12), 27296),
-    # checkpoints past the budget, open entries and _peak's segment hops
-    (pxr(5, 1), 1, 20000, Limits(max_steps=50, max_value=10**40), 364546),
+    (pxr(5, 1), 1, 2000, Limits(max_steps=200, max_value=10**12), 93436),
+    (pxr(5, 1), 1300, 1899, Limits(max_steps=200, max_value=10**12), 39168),
+    # checkpoints past the budget, open entries and most excursions from _peak
+    (pxr(5, 1), 1, 20000, Limits(max_steps=50, max_value=10**40), 1048165),
     (D3, 1, 120, Limits(max_steps=21, max_value=10**12), 120),
 ])
 def test_applications_count_every_map_step(desc, start, bound, limits, count):
     # every map step the kernel takes, exactly: the steps up to each verdict,
-    # a class-table jump counting as its K steps, _peak's steps, and Brent's
-    # overshoot, the steps a walk that finds a cycle takes past its first
-    # repeat before the mark comes round (2 for Collatz's (1 2); for
-    # pxr:p=5,r=1, 23 from 1 over its three cycles; none for D3's two fixed
-    # points), and the steps a walk that merges into a stored orbit above the
-    # window takes on to the next value kept there.  The pxr rows count more
-    # steps than walks of single steps do: a jump passes over stored values a
-    # walk would have merged into, and a walk puts its jumped points back when
-    # its verdict rests on them.  No Collatz or D3 walk here passes over one.
+    # a class-table jump counting as its K steps, and Brent's overshoot, the
+    # steps a walk that finds a cycle takes past its first repeat before the
+    # mark comes round (2 for Collatz's (1 2); for pxr:p=5,r=1, 23 from 1 over
+    # its three cycles; none for D3's two fixed points), and the steps a walk
+    # that merges into a stored orbit above the window takes on to the next
+    # value kept there.  _peak counts the steps to its points, a hop as its K,
+    # so a step-limited start whose excursion it reads adds the steps from
+    # the point it starts at to the start's last point.  Those are most of
+    # the pxr rows' steps (66,620, 17,392 and 798,015 of them).  The pxr rows
+    # also count more steps than walks of single steps do: a jump passes over
+    # stored values a walk would have merged into, and a walk puts its jumped
+    # points back when its verdict rests on them.  No Collatz or D3 walk here
+    # passes over one.
     assert partition(desc, bound, limits, start).applications == count
 
 

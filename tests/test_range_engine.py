@@ -433,16 +433,16 @@ class TestMemoBudget:
         want = list(partition(pxr(5, 1), size, limits).records())
         monkeypatch.setattr(partition_module, "_MAX_BYTES", 3 << 20)
         assert list(partition(pxr(5, 1), size, limits).records()) == want
-        memo, segments = StoreLog(), {}
+        memo = StoreLog()
         steps, excs = [None] * size, [0] * size
-        partition_module._classify(pxr(5, 1), 1, limits, memo, segments, bytearray(size),
-                                   steps, excs, [None] * size)
+        partition_module._classify(pxr(5, 1), 1, limits, memo, bytearray(size), steps, excs,
+                                   [None] * size)
         assert list(zip(steps, excs)) == [(n, top) for _x, _status, n, top, _c in want]
         # the walks started with gap 7: what they stored past the budget lies
         # at multiples of 7, and the window ended keeping none of it
         past = [depth for depth, _cid, exc in memo.stored if not exc and depth < partition_module._OPEN]
         assert math.gcd(*past) == 7
-        assert all(exc for _depth, _cid, exc in memo.values()) and not segments
+        assert all(exc for _depth, _cid, exc in memo.values())
 
     @pytest.mark.parametrize("argv", [
         ["scan", "collatz", "--start", "1", "--end", "20000"],
