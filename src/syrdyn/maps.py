@@ -193,10 +193,10 @@ class MapDescriptor:
 
 # preimage closures (measure forests, and preimage trees with their repeats)
 # of more nodes than this are refused.  The deepest Collatz forest under it,
-# depth 36 with 112,658 nodes, takes `measure --trials 1` about 61 MB peak
-# RSS and 0.8-1.2 s, of which the forest and assignment hold 18 MB, while its
+# depth 36 with 112,658 nodes, takes `measure --trials 1` about 58 MB peak
+# RSS and 0.6-1.0 s, of which the forest and assignment hold 18 MB, while its
 # 36 MB document goes out a batch of node records at a time, and the default
-# 1000 trials 8-9.5 s (Python 3.11, 2 CPUs, fresh processes); depth 20 has 1137 nodes.
+# 1000 trials 7-8 s (Python 3.11, 2 CPUs, fresh processes); depth 20 has 1137 nodes.
 _MAX_FOREST_NODES = 1 << 17
 
 

@@ -263,17 +263,20 @@ def _fibre_masses(assignment: MeasureAssignment, max_n: int) -> list[dict]:
 
     P_0 is the assignment's numerators and P_n the push-forward of P_(n-1)
     along the image map q -> T(q), keyed by its nonzero entries only.  The
-    image map is read off one map preimage per covered node (not the stored
-    tree links), intersected with the covered set.  The covered set is
-    forward-closed, so pushing forward n times sums exactly the covered part
-    of each n-step preimage, and the supports shrink with n.  Raises
-    InvalidParameters, before the first level and after each one, once the
-    tables must hold more than _MAX_TABLE_ENTRIES entries in all, each level
-    counted as at least 8.
+    image map is read off the forest with no map call: forest.parent is T
+    off the cycles, and each cycle member maps to the next one.  The covered
+    set is forward-closed, so pushing forward n times sums exactly the
+    covered part of each n-step preimage, and the supports shrink with n.
+    Raises InvalidParameters, before the first level and after each one,
+    once the tables must hold more than _MAX_TABLE_ENTRIES entries in all,
+    each level counted as at least 8.
     """
     forest = assignment.forest
-    desc, covered = forest.descriptor, forest.covered
-    image = {q: v for v in covered for q in desc.preimage(v) if q in covered}
+    parent = forest.parent
+    successor = {}  # cycle member -> the next member, its image
+    for cyc in forest.cycles:
+        members = cyc.members
+        successor.update(zip(members, members[1:] + members[:1]))
     tables = [assignment.numerators]
     # a lower bound: each level counts as at least the 8 slots of a dict's
     # smallest table, so that many tiny levels are bounded like a few big ones
@@ -283,7 +286,7 @@ def _fibre_masses(assignment: MeasureAssignment, max_n: int) -> list[dict]:
             return tables
         pushed: dict[int, int] = {}
         for q, m in tables[-1].items():
-            v = image[q]
+            v = parent.get(q) or successor[q]  # nodes are positive ints
             pushed[v] = pushed.get(v, 0) + m
         tables.append(pushed)
         entries += max(len(pushed), 8) - 8
@@ -343,9 +346,9 @@ def check_power_bound(
     _draw_mask).  check_sampling refuses bad arguments.  The sets T^-n{v} of
     distinct v are disjoint, so mu(T^-n(A)) is the sum over v in A of the
     fibre mass P_n(v), the mass of the covered part of T^-n{v}.  The fibre
-    masses are computed once per call (see _fibre_masses: one map preimage
-    per covered node, not the stored tree links) and packed into one int per
-    node, P_n(v) in field n.  A field is as many bits as the largest table
+    masses are computed once per call (see _fibre_masses: pushed along the
+    forest's links, with no map call) and packed into one int per node,
+    P_n(v) in field n.  A field is as many bits as the largest table
     total needs, so no subset sum carries into the next field.  Packing
     shifts each nonzero table entry into its field, once per distinct row of
     fields: nodes whose rows agree share one packed int (1,229 for the

@@ -22,12 +22,15 @@ A walk finds a cycle by Brent's test against one moving mark, not by indexing
 every point it passes.  Far above the window, past last * d^K, a walk jumps K
 steps at a time through MapDescriptor.class_entry, the affine form of T^K on
 each residue class mod d^K (Terras 1976; Lagarias 1985, section 2), since no
-point a jump passes there is in the window or often met again.  A
-step-limited start whose walk stops short of its last budgeted point reads
-the rest of its excursion from _peak, which hops K steps at a time through
-the same table.  The steps taken, a jump or hop counting as its K, are
-reported as PartitionResult.applications, and the jumps as
-PartitionResult.jumps.
+point a jump passes there is in the window or often met again.  A start
+whose verdict may rest on a point a jump passed over is walked a second
+time, from the start in single steps; that is rare (4 of the 2,000 starts
+of pxr:p=5,r=1 at max_steps 200 and max_value 1e12, none of Collatz
+1..10^6 at the default limits).  A step-limited start whose walk stops
+short of its last budgeted point reads the rest of its excursion from
+_peak, which hops K steps at a time through the same table.  The steps
+taken, a jump or hop counting as its K, are reported as
+PartitionResult.applications, and the jumps as PartitionResult.jumps.
 """
 
 from __future__ import annotations
@@ -230,22 +233,6 @@ def _peak(desc, v, count):
     return best, count - 1
 
 
-def _unjump(desc, path, hops):
-    """path with the points its jump runs passed put back: one orbit point a step."""
-    branches, d = desc.branches, desc.d
-    orbit, lo = [], 0
-    for i, ran, _high in hops:
-        orbit += path[lo:i]
-        v = orbit[-1]
-        for _ in range(ran):
-            m, r = branches[v % d]
-            v = (m * v + r) // d
-            orbit.append(v)
-        lo = i
-    orbit += path[lo:]
-    return orbit
-
-
 def _classify(desc, start, limits, memo, codes, steps, excs, cids):
     """Classify start, start + 1, ... into codes, steps, excs and cids, one loop for the window.
 
@@ -301,17 +288,19 @@ def _classify(desc, start, limits, memo, codes, steps, excs, cids):
     J, q >= Q, the jump's top stays at most max_value and the jump ends
     within the budget; it starts a run of jumps only with room in the
     budget for _JUMP_ROOM of them.  The points a jump passes are neither
-    looked up nor stored.  Depths count steps, a jump counting as K, and
-    every walk is settled by the same code, which reads the back-fill, the
-    budget's edge and the excursion off step positions: the back-fill stops
-    before a run that would pass the budget, checkpoints past the budget are
-    taken at their true depths, and a walk without runs is the case of
-    none.  Before that, the walk puts its jumped points back
-    (_unjump) when a jump may have passed over what its verdict rests on:
-    when it found a cycle or met a cycle member, whose entry may lie among
-    the jumped points, and when it vouches for distinct points ahead (at
-    the cap, or from an open entry) whose last may repeat a jumped point,
-    one above last and at most the runs' highest.
+    looked up nor stored.  A jump may pass over what a verdict rests on:
+    when the walk found a cycle or met a cycle member, whose entry may lie
+    among the jumped points, and when it vouches for distinct points ahead
+    (at the cap, or from an open entry) whose last may repeat a jumped
+    point, one above last and at most the runs' highest.  Then x is walked
+    again under the ceiling max_value, so that the second walk takes no
+    jump, and that walk is the one settled; applications counts the steps
+    of both walks, and jumps the first walk's jumps.  Depths count steps, a
+    jump counting as K, and every walk is settled by the same code, which
+    reads the back-fill, the budget's edge and the excursion off step
+    positions: the back-fill stops before a run that would pass the budget,
+    checkpoints past the budget are taken at their true depths, and a walk
+    without runs is the case of none.
 
     The kernel also holds the memo to partition's byte budget, as partition
     describes.
@@ -363,70 +352,75 @@ def _classify(desc, start, limits, memo, codes, steps, excs, cids):
             else:
                 code, st = (_C if depth == 0 else _D1), depth
         else:
-            path = [x]
-            nxt = mark = x
-            due = 1  # the mark moves to nxt once n reaches due, a power of two
-            hops = ()  # the jump runs: (i, ran, high) for a run of ran steps to path[i]
-            skipped = highest = 0  # the steps they took, and the highest point they passed
+            # a walk whose verdict may rest on a point a jump passed over is
+            # walked again from x in single steps, under ceiling max_value
             ceiling = jump_ceiling
-            clock = iter(span)
-            for n in clock:  # the steps taken so far, len(path) until a jump
-                m, r = branches[nxt % d]
-                nxt = (m * nxt + r) // d
-                hit = memo_get(nxt)
-                # an open entry whose last point ahead is on the path lies on a
-                # cycle through the path: its points ahead are not all new
-                if hit is not None and (hit[0] < _OPEN or hit[1] not in path):
-                    depth, cid, exc = hit
-                    end = n
-                    break
-                if nxt > ceiling:
-                    if nxt > max_value:
-                        # nxt is dropped from the orbit, so it adds nothing to the excursion
-                        depth, cid, exc, end = 0, None, 0, n
+            while True:
+                path = [x]
+                nxt = mark = x
+                due = 1  # the mark moves to nxt once n reaches due, a power of two
+                hops = ()  # the jump runs: (i, ran, high) for a run of ran steps to path[i]
+                skipped = highest = 0  # the steps they took, and the highest point they passed
+                clock = iter(span)
+                for n in clock:  # the steps taken so far, len(path) until a jump
+                    m, r = branches[nxt % d]
+                    nxt = (m * nxt + r) // d
+                    hit = memo_get(nxt)
+                    # an open entry whose last point ahead is on the path lies on a
+                    # cycle through the path: its points ahead are not all new
+                    if hit is not None and (hit[0] < _OPEN or hit[1] not in path):
+                        depth, cid, exc = hit
+                        end = n
                         break
-                    if n > first_jump:  # so is every later step of this walk
-                        ceiling = max_value
-                    else:
-                        # nxt lies above the floor: jump K steps a table entry
-                        # while the points jumped stay at most max_value
-                        s, v, high = n, nxt, nxt
-                        if table is None:
-                            table, fill = desc.class_levels[K], desc.class_entry
-                        while s <= last_jump and v > floor:
-                            q, a = divmod(v, size)
-                            q0, slope, offset, am, ab = table[a] or fill(a, K)
-                            if q < q0:
-                                break
-                            t = slope * q + offset
-                            if t > max_value:
-                                break
-                            if t > high:
-                                high = t
-                            v = am * q + ab
-                            s += K
-                        if s > n:
-                            if not hops:
-                                hops = []
-                            hops.append((len(path), s - n, high))
-                            if high > highest:
-                                highest = high
-                            jumps += (s - n) // K
-                            skipped += s - n
-                            nxt = v
-                            next(islice(clock, s - n - 1, None), None)  # the clock counts on from s
-                            n = s
-                path.append(nxt)
-                if nxt == mark:
-                    end = -1  # path holds a cycle
+                    if nxt > ceiling:
+                        if nxt > max_value:
+                            # nxt is dropped from the orbit, so it adds nothing to the excursion
+                            depth, cid, exc, end = 0, None, 0, n
+                            break
+                        if n > first_jump:  # so is every later step of this walk
+                            ceiling = max_value
+                        else:
+                            # nxt lies above the floor: jump K steps a table entry
+                            # while the points jumped stay at most max_value
+                            s, v, high = n, nxt, nxt
+                            if table is None:
+                                table, fill = desc.class_levels[K], desc.class_entry
+                            while s <= last_jump and v > floor:
+                                q, a = divmod(v, size)
+                                q0, slope, offset, am, ab = table[a] or fill(a, K)
+                                if q < q0:
+                                    break
+                                t = slope * q + offset
+                                if t > max_value:
+                                    break
+                                if t > high:
+                                    high = t
+                                v = am * q + ab
+                                s += K
+                            if s > n:
+                                if not hops:
+                                    hops = []
+                                hops.append((len(path), s - n, high))
+                                if high > highest:
+                                    highest = high
+                                jumps += (s - n) // K
+                                skipped += s - n
+                                nxt = v
+                                # the clock counts on from s
+                                next(islice(clock, s - n - 1, None), None)
+                                n = s
+                    path.append(nxt)
+                    if nxt == mark:
+                        end = -1  # path holds a cycle
+                        break
+                    if n >= due:  # a jump may pass due
+                        mark = nxt
+                        due <<= 1
+                else:
+                    end = -1 if len(set(path)) < len(path) else None
+                applications += n
+                if not hops:
                     break
-                if n >= due:  # a jump may pass due
-                    mark = nxt
-                    due <<= 1
-            else:
-                end = -1 if len(set(path)) < len(path) else None
-            applications += n
-            if hops:
                 if end is not None and end > 0:
                     end -= skipped  # nxt would be path[end]
                 # the jumped points, all above last and at most highest, may
@@ -439,30 +433,9 @@ def _classify(desc, start, limits, memo, codes, steps, excs, cids):
                     recheck = True
                 else:
                     recheck = depth >= _OPEN and last < cid <= highest
-                if recheck:
-                    path, hops = _unjump(desc, path, hops), ()
-                    applications += skipped
-                    skipped = highest = 0
-                    if end is None or end < 0:
-                        end = -1 if len(set(path)) < len(path) else None
-                    elif depth >= _OPEN:
-                        end = len(path)
-                        if cid in path:
-                            # the entry lies on a cycle through the path: walk
-                            # on through its points ahead to the repeat
-                            path.append(nxt)
-                            while path[-1] != cid:
-                                m, r = branches[path[-1] % d]
-                                path.append((m * path[-1] + r) // d)
-                            applications += len(path) - end - 1
-                            end = -1
-                    else:
-                        # the first cycle member on the orbit ends the walk
-                        members = set(cycles[cid].members)
-                        path.append(nxt)
-                        end = next(i for i, v in enumerate(path) if v in members)
-                        nxt = path[end]
-                        del path[end:]
+                if not recheck:
+                    break
+                ceiling = max_value
             if end is None:
                 # no verdict after the cap: path vouches for the distinct
                 # points up to path[-1], as an open entry there with none
@@ -599,8 +572,9 @@ def partition(
 
     All starts share one orbit memo, value -> (depth, cycle_id, excursion),
     of exact cycle and ceiling verdicts (see _classify), each start is classified
-    by comparing its depth with the budget, and no start is walked twice, so
-    a window costs about as much as the orbits it touches; only the window is
+    by comparing its depth with the budget, and a start is walked a second
+    time only when a class-table jump may have passed over its verdict, so a
+    window costs about as much as the orbits it touches; only the window is
     stored per point.  The cycles listed are those some start enters within
     its budget.  check_window refuses a bad window before storing anything.
     If the memo outgrows what _MAX_BYTES leaves beside the window,

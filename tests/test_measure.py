@@ -818,8 +818,8 @@ class TestIntegerMasses:
             "mu(T^-1(A)) = 50500017/2^29 > 2*mu(A) = 1000037/2^29 for |A| = 38, seed 1")
 
     def test_work_per_call(self, five_assignment, monkeypatch):
-        # one map preimage per covered node, one draw per trial, and
-        # MeasureValues only for the worst pair
+        # no map preimage (the fibre masses are pushed along the forest's
+        # links), one draw per trial, and MeasureValues only for the worst pair
         desc = five_assignment.forest.descriptor
         calls = []
         built = []
@@ -843,7 +843,7 @@ class TestIntegerMasses:
         monkeypatch.setattr(MeasureValue, "__init__", counted_init)
         monkeypatch.setattr(measure_module, "random", SimpleNamespace(Random=CountedRandom))
         rep = check_power_bound(five_assignment, trials=20, max_n=5, seed=3)
-        assert sorted(calls) == sorted(five_assignment.forest.covered)
+        assert calls == []
         assert draws == [32 * len(five_assignment.forest.covered)] * 20
         assert len(built) == 2 and rep.comparisons == 100
 
