@@ -9,15 +9,17 @@ This is the one range engine: the CLI's partition and scan subcommands read
 their answers off a PartitionResult.  find_cycles, and the cycles subcommand
 through it, need no per-start verdict: they find the cycles by descent,
 walking only the starts that no residue class of MapDescriptor.class_entry
-proves to fall below themselves, and call partition only for a window with a
-walked start that neither falls below nor returns to itself (see
-trajectory.find_cycles).  A window's starts share an orbit memo of exact
+proves to fall below themselves.  At the first walked start that neither
+falls below nor returns to itself, they hand that start and the descent's
+later starts to the engine's loop, _classify, and never call partition (see
+trajectory.find_cycles).  The starts of a call share an orbit memo of exact
 verdict depths, kept for every value up to the window's end and every cycle
 member, and above the window or past the step budget at checkpoint depths
 only, so orbits shared by many starts are walked about once; it is the one
-cache a call keeps.  One loop, _classify, runs the whole window: a start
-found in the memo is classified where it is found, and any other is walked
-right there, stepping the map inline with the formula of MapDescriptor.apply.
+cache a call keeps.  One loop, _classify, runs the starts it is given, for
+partition the whole window: a start found in the memo is classified where
+it is found, and any other is walked right there, stepping the map inline
+with the formula of MapDescriptor.apply.
 A walk finds a cycle by Brent's test against one moving mark, not by indexing
 every point it passes.  Far above the window, past last * d^K, a walk jumps K
 steps at a time through MapDescriptor.class_entry, the affine form of T^K on
@@ -69,8 +71,9 @@ _CODE_STATUS = {
 # orbit memo, which the byte budget below bounds.
 _MAX_POINTS = 3_500_000
 
-# each partition call holds its window arrays and orbit memo to this many
-# bytes, at _POINT_BYTES a window point (a code byte and three list slots) and
+# each _classify call holds its arrays and orbit memo to this many bytes, at
+# _POINT_BYTES a start (a code byte and three list slots: partition's window
+# points, or the starts find_cycles hands on) and
 # _ENTRY_BYTES a memo entry (a 3-tuple, a depth and a dict slot at its worst,
 # 90 B while a growing table is copied) plus one int of max_value's size,
 # since no stored value exceeds max_value.
@@ -233,8 +236,12 @@ def _peak(desc, v, count):
     return best, count - 1
 
 
-def _classify(desc, start, limits, memo, codes, steps, excs, cids):
-    """Classify start, start + 1, ... into codes, steps, excs and cids, one loop for the window.
+def _classify(desc, starts, first, last, limits, memo, codes, steps, excs, cids):
+    """Classify the starts given into codes, steps, excs and cids, one loop for them all.
+
+    starts is an ascending iterable within the window first..last, and the
+    w-th start's verdict goes to index w of each array; a refusal names the
+    window.
 
     memo maps a value to (depth, cycle_id, excursion).  A cycle_id of None is
     a ceiling verdict, and depth then counts the applications up to the first
@@ -303,7 +310,7 @@ def _classify(desc, start, limits, memo, codes, steps, excs, cids):
     without runs is the case of none.
 
     The kernel also holds the memo to partition's byte budget, as partition
-    describes.
+    describes, beside arrays of one slot per start given.
 
     The walks step the map inline, with MapDescriptor.apply's formula but
     without its domain check: check_window has checked the window, and
@@ -318,7 +325,6 @@ def _classify(desc, start, limits, memo, codes, steps, excs, cids):
     max_steps, max_value = limits.max_steps, limits.max_value
     count = max_steps + 1  # the orbit points a step-limited excursion spans
     memo_get = memo.get
-    last = start + len(codes) - 1
     k = _checkpoint_gap(max_steps)
     # a gap of _NO_CHECKPOINTS exceeds every budget, and a walk stops at the budget
     cap = 2 * count if k <= max_steps else count
@@ -339,7 +345,7 @@ def _classify(desc, start, limits, memo, codes, steps, excs, cids):
     first_jump = max_steps - _JUMP_ROOM * K
     table = None  # desc.class_levels[K], whose entries class_entry fills on use
     span = range(1, cap)  # the steps a walk may take
-    for w, x in enumerate(range(start, start + len(codes))):
+    for w, x in enumerate(starts):
         hit = memo_get(x)
         if hit is not None:
             depth, cid, exc = hit
@@ -443,9 +449,9 @@ def _classify(desc, start, limits, memo, codes, steps, excs, cids):
                 end, nxt, depth, cid, exc = len(path) - 1, path[-1], _OPEN, path[-1], 0
             elif end < 0:
                 # the first repeat: path[j] == path[entry], one cycle length on
-                first = {}
+                seen = {}
                 for j, v in enumerate(path):
-                    entry = first.setdefault(v, j)
+                    entry = seen.setdefault(v, j)
                     if entry != j:
                         break
                 del path[j:]
@@ -532,7 +538,7 @@ def _classify(desc, start, limits, memo, codes, steps, excs, cids):
                 span = range(1, cap)
             if len(memo) > max_entries:
                 raise InvalidParameters(
-                    f"partition of {start}..{last} outgrows its budget "
+                    f"partition of {first}..{last} outgrows its budget "
                     f"of {_MAX_BYTES >> 20} MiB: the orbit memo passed {max_entries} "
                     f"entries after {w + 1} starts; use a smaller bound, or lower "
                     f"max_value or max_steps"
@@ -544,12 +550,23 @@ def _classify(desc, start, limits, memo, codes, steps, excs, cids):
     return cycles, applications, jumps
 
 
+def _entered(cycles, cids) -> dict:
+    """cycle id -> cycle, for the cycles some start entered within its budget.
+
+    A walk may find a cycle past its start's budget, and cids names only
+    those entered, so a cycle that no cid names is left out.
+    """
+    return {cid: cycles[cid] for cid in set(cids) if cid is not None}
+
+
 def check_window(start: int, end: int, limits: Limits) -> None:
     """Raise InvalidParameters unless start..end is a window partition can classify.
 
     That needs 1 <= start <= end <= limits.max_value, so every point is
     iterable inside the box, and at most _MAX_POINTS points, since partition
     stores every one.  partition calls this before it stores anything.
+    find_cycles calls it too, for 1..bound, though it stores only the
+    starts it hands to _classify, at most the window's; the cap guards those.
     """
     if type(start) is not int or start < 1:
         raise InvalidParameters(f"start must be >= 1, got {start!r}")
@@ -592,10 +609,10 @@ def partition(
     steps_arr: list = [None] * size
     exc_arr: list = [0] * size
     cid_arr: list = [None] * size
-    cycles, applications, jumps = _classify(desc, start, limits, memo, codes, steps_arr,
+    cycles, applications, jumps = _classify(desc, range(start, domain_bound + 1), start,
+                                            domain_bound, limits, memo, codes, steps_arr,
                                             exc_arr, cid_arr)
-    # a walk may find a cycle past its start's budget; list only those entered
-    cycle_of = {cid: cycles[cid] for cid in set(cid_arr) if cid is not None}
+    cycle_of = _entered(cycles, cid_arr)
     ordered = tuple(sorted(cycle_of.values(), key=lambda c: c.members[0]))
     cycle_of[None] = None
     return PartitionResult(desc, domain_bound, limits, ordered, start, applications, jumps,

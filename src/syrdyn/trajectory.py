@@ -173,9 +173,10 @@ def find_cycles(
     The list is the cycles of partition(desc, search_bound, limits), sorted
     by least member: a cycle counts when some start's iterate() enters it
     within the limits.  It is found by descent, with nothing stored per
-    start.  Each start x is walked, stepping the map inline with the formula
-    of MapDescriptor.apply, only until its orbit falls below x or returns to
-    x.  A return means x is its cycle's least member, and x is recorded.
+    start up to the first escapee (below).  Each start x is walked,
+    stepping the map inline with the formula of MapDescriptor.apply, only
+    until its orbit falls below x or returns to x.  A return means x is its
+    cycle's least member, and x is recorded.
     Then each recorded cycle is rebuilt from its least member.  Most starts
     past d^K, K = desc.class_steps, are not walked at all: a residue class
     proves that they fall (_descent_starts).
@@ -191,9 +192,23 @@ def find_cycles(
     is recorded.  The induction needs every start to fall or return.  A
     start that does neither is an escapee: its walk passes max_value, uses
     up max_steps, or enters a cycle above x, which Brent's test finds when
-    the walk meets its moving mark again.  At the first escapee the whole
-    window goes to partition instead, as 1 does under pxr(7, 5), which
+    the walk meets its moving mark again, as 1 does under pxr(7, 5), which
     enters the 6-cycle at 3.
+
+    At the first escapee e the descent stops, and the range engine,
+    partition._classify, classifies e and every later start of
+    _descent_starts, in the window 1..search_bound, as partition would.
+    The list is then the cycles of the least members recorded before e,
+    and those that some handed start enters within the limits, by the one
+    filter partition lists its cycles with (partition._entered).  It is
+    still partition's.  Each listed cycle is entered within the limits by
+    a start: a recorded member or a handed one.  Conversely, follow the
+    descents of a start that enters a cycle within the limits down to a
+    start w that does not fall below itself within them; w enters the same
+    cycle within the limits, and a class cannot prove that it falls (see
+    below), so the descent does not skip it.  If w < e, w was walked and
+    returned to itself, so it is a recorded least member.  Otherwise w is
+    a handed start, and the engine finds that it enters the cycle.
 
     Why a start that is not walked needs no limit.  Suppose x enters a cycle
     within the limits: its first repeat is at index mu + lambda <= max_steps,
@@ -208,40 +223,51 @@ def find_cycles(
 
     check_window refuses a bad window, or one above partition's point cap,
     before any walk, so the descent refuses exactly what partition would.
+    The handed starts share one orbit memo under partition's byte budget,
+    and a call that outgrows it is refused naming the window
+    1..search_bound.
     """
-    from .partition import check_window, partition  # partition builds on this module
+    from .partition import _classify, _entered, check_window  # partition builds on this module
 
     limits = limits or Limits()
     check_window(1, search_bound, limits)
     branches, d = desc.branches, desc.d
     max_value = limits.max_value
     span = range(1, limits.max_steps + 1)
-    least = []
-    for x in _descent_starts(desc, search_bound):
+    starts = _descent_starts(desc, search_bound)
+    least, handed = [], []
+    for x in starts:
         v = mark = x
         due = 1  # the mark moves to v once n reaches due, a power of two
         for n in span:
             m, r = branches[v % d]
             v = (m * v + r) // d
-            if v <= x:
-                if v == x:
-                    least.append(x)
+            if v <= x or v > max_value or v == mark:
                 break
-            if v > max_value or v == mark:
-                return list(partition(desc, search_bound, limits).cycles)
             if n == due:
                 mark = v
                 due <<= 1
-        else:
-            return list(partition(desc, search_bound, limits).cycles)
-    cycles = []
+        if v > x:  # x is the first escapee
+            handed = [x, *starts]
+            break
+        if v == x:
+            least.append(x)
+    cycles = {}
     for x in least:
         members, v = [x], desc.apply(x)
         while v != x:
             members.append(v)
             v = desc.apply(v)
-        cycles.append(CycleInfo(tuple(members)))
-    return cycles
+        cycles[x] = CycleInfo(tuple(members))
+    if handed:
+        size = len(handed)
+        cids = [None] * size
+        found, _applications, _jumps = _classify(
+            desc, handed, 1, search_bound, limits, {}, bytearray(size), [None] * size,
+            [0] * size, cids)
+        for cycle in _entered(found, cids).values():
+            cycles.setdefault(cycle.min_member, cycle)
+    return [cycles[m] for m in sorted(cycles)]
 
 
 def _class_pass(desc: MapDescriptor):
@@ -271,7 +297,7 @@ def _descent_starts(desc: MapDescriptor, bound: int):
 
     Every start below d^K, K = desc.class_steps, comes first, and nothing
     is read from the class table until they are all taken, so an escapee
-    among them hands its window to partition before any entry is filled.
+    among them reaches the range engine before any entry is filled.
     Past d^K, a class a mod d^j from _class_pass with A < d^j gives T^j(x) =
     A*q + B < a + d^j*q = x once q > (B - a)/(d^j - A) (Terras 1976;
     Lagarias 1985, section 2), so only its members up to that bound are

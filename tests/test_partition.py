@@ -13,8 +13,8 @@ from syrdyn.errors import DomainError, InvalidParameters
 from syrdyn.maps import MapDescriptor, collatz, parse_descriptor, pxr, validate
 from syrdyn.partition import (_OPEN, _checkpoint_gap, _classify, export_csv, partition,
                               summary_dict)
-from syrdyn.trajectory import Limits, TrajectoryStatus, iterate
-from test_range_engine import PX_MAPS, reference_cycles, reference_scan_rows
+from syrdyn.trajectory import Limits, TrajectoryStatus, _descent_starts, find_cycles, iterate
+from test_range_engine import PX_MAPS, reference_cycles, reference_scan_rows, refuse_partition
 
 partition_module = importlib.import_module("syrdyn.partition")  # syrdyn.partition is the function
 
@@ -167,8 +167,9 @@ def classify_window(desc, bound, limits, memo=None, start=1):
     """partition(desc, bound, limits, start)'s kernel run on the memo given."""
     memo = {} if memo is None else memo
     size = bound - start + 1
-    cycles, _applications, _jumps = _classify(desc, start, limits, memo, bytearray(size),
-                                              [None] * size, [0] * size, [None] * size)
+    cycles, _applications, _jumps = _classify(desc, range(start, bound + 1), start, bound, limits,
+                                              memo, bytearray(size), [None] * size, [0] * size,
+                                              [None] * size)
     return _checkpoint_gap(limits.max_steps), memo, cycles
 
 
@@ -270,6 +271,37 @@ def test_memo_holds_on_small_px_maps(pr, max_steps, bound, max_value):
     check_memo(desc, limits, bound, *classify_window(desc, bound, limits))
 
 
+@pytest.mark.parametrize("text,limits,escapee,handed", [
+    # 5 enters the 7-cycle at 13, above itself
+    ("pxr:p=5,r=1", Limits(200, 10**12), 5, 726),
+    # 1 enters the 6-cycle at 3, above itself
+    ("pxr:p=7,r=5", Limits(), 1, 854),
+])
+def test_escapee_hands_only_the_remaining_descent_starts(monkeypatch, text, limits, escapee,
+                                                        handed):
+    # at the first escapee the range engine gets that start and the descent's
+    # starts after it, in the window 1..2000, and no partition is run; window
+    # values that are not starts get memo entries only from the walks
+    desc = parse_descriptor(text)
+    want = list(partition(desc, 2000, limits).cycles)
+    calls = []
+    kernel = partition_module._classify
+
+    def spy(desc, starts, first, last, limits, memo, *arrays):
+        starts = list(starts)
+        cycles, applications, jumps = kernel(desc, starts, first, last, limits, memo, *arrays)
+        calls.append((starts, first, last, memo, cycles))
+        return cycles, applications, jumps
+
+    monkeypatch.setattr(partition_module, "_classify", spy)
+    monkeypatch.setattr(partition_module, "partition", refuse_partition)
+    assert find_cycles(desc, 2000, limits) == want
+    [(starts, first, last, memo, cycles)] = calls
+    assert starts == [x for x in _descent_starts(desc, 2000) if x >= escapee]
+    assert (len(starts), first, last) == (handed, 1, 2000)
+    check_memo(desc, limits, last, _checkpoint_gap(limits.max_steps), memo, cycles)
+
+
 JUMP_MAPS = [f"pxr:p={p},r={r}" for p, r in PX_MAPS] + ["collatz", D3.to_text()]
 
 
@@ -333,7 +365,8 @@ def test_open_entry_met_after_a_jump(ahead):
     memo = {202: (_OPEN + ahead, ahead_points[-1], 0)}
     codes, steps, excs, cids = bytearray(1), [None], [0], [None]
     with jump_room(1):
-        cycles, _applications, jumps = _classify(desc, 7, limits, memo, codes, steps, excs, cids)
+        cycles, _applications, jumps = _classify(desc, [7], 7, 7, limits, memo, codes, steps, excs,
+                                                 cids)
     rep = iterate(desc, 7, limits)
     assert jumps > 0 and rep.status is TrajectoryStatus.HIT_STEP_LIMIT
     assert (codes[0], steps[0], excs[0]) == (partition_module._STEP_LIMIT, None, rep.max_excursion)

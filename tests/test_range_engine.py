@@ -1,10 +1,11 @@
 """cycles, scan and find_cycles against per-start iterate().
 
 scan reads partition's shared memo; find_cycles, and cycles through it,
-walk each start by descent and hand the window to partition at the first
-start that neither falls below nor returns to itself.  Past d^K the descent
-walks only the starts that no residue class proves to fall; every start it
-skips is checked to fall by plain apply calls.  The reference
+walk each start by descent and, at the first start that neither falls
+below nor returns to itself, hand that start and the descent's later
+starts to the range engine.  Past d^K the descent walks only the starts
+that no residue class proves to fall; every start it skips is checked to
+fall by plain apply calls.  The reference
 functions below walk every start on its own with iterate(), as the range
 subcommands did before they were rebuilt on partition; both engines must
 reproduce them exactly, whatever --threads says.
@@ -155,6 +156,10 @@ def falls_by_its_class(desc, x):
        st.one_of(st.integers(10, 5000), st.integers(10, 10**40)))
 # start 1 enters the 6-cycle at 3, above the bound
 @example("pxr:p=7,r=5", 2, 10**5, 10**40)
+# start 1 is the first escapee, so every descent start is handed on
+@example("pxr:p=7,r=5", 300, 10**5, 10**40)
+# the 7-cycle at 13 lies above the bound, and start 5, the first escapee, enters it
+@example("pxr:p=5,r=1", 12, 10**5, 10**40)
 # start 5 reaches the 7-cycle at 13 in one step
 @example("pxr:p=5,r=1", 5, 10**5, 10**40)
 # and enters it in 8 steps, before Brent's mark comes round
@@ -166,7 +171,7 @@ def falls_by_its_class(desc, x):
 # so does the 11-cycle at 17, and every start below 17 falls or returns first
 @example("pxr:p=3,r=-1", 20, 10**5, 100)
 # 259 = 3 mod 16 is skipped and falls at step 4, past the step budget; start
-# 3 does not fall within it either, so the window goes to partition
+# 3 does not fall within it either, so it and the later starts are handed on
 @example("collatz", 300, 3, 10**40)
 # 997 = 1 mod 4 is skipped and falls at step 2, through 1496, above max_value
 @example("collatz", 1000, 10**5, 1000)
@@ -435,8 +440,8 @@ class TestMemoBudget:
         assert list(partition(pxr(5, 1), size, limits).records()) == want
         memo = StoreLog()
         steps, excs = [None] * size, [0] * size
-        partition_module._classify(pxr(5, 1), 1, limits, memo, bytearray(size), steps, excs,
-                                   [None] * size)
+        partition_module._classify(pxr(5, 1), range(1, size + 1), 1, size, limits, memo,
+                                   bytearray(size), steps, excs, [None] * size)
         assert list(zip(steps, excs)) == [(n, top) for _x, _status, n, top, _c in want]
         # the walks started with gap 7: what they stored past the budget lies
         # at multiples of 7, and the window ended keeping none of it
@@ -444,14 +449,17 @@ class TestMemoBudget:
         assert math.gcd(*past) == 7
         assert all(exc for _depth, _cid, exc in memo.values())
 
-    @pytest.mark.parametrize("argv", [
-        ["scan", "collatz", "--start", "1", "--end", "20000"],
-        # start 5 enters a cycle above itself, so the whole window goes to partition
-        ["cycles", "pxr:p=5,r=1", "--bound", "20000"],
+    @pytest.mark.parametrize("argv,budget", [
+        (["scan", "collatz", "--start", "1", "--end", "20000"], 3_000_000),
+        # start 5 enters a cycle above itself, so it and the 5,648 descent starts
+        # after it go to the range engine; their arrays are smaller than the
+        # window's, and 3,000,000 bytes would hold them and their memo
+        (["cycles", "pxr:p=5,r=1", "--bound", "20000"], 2_500_000),
     ], ids=["scan", "cycles"])
-    def test_refusal_ignores_threads(self, capsys, monkeypatch, argv):
-        # one memo and one budget for the whole window, whatever --threads says
-        monkeypatch.setattr(partition_module, "_MAX_BYTES", 3_000_000)
+    def test_refusal_ignores_threads(self, capsys, monkeypatch, argv, budget):
+        # one memo and one budget for the whole window, whatever --threads says,
+        # and the refusal names the caller's window
+        monkeypatch.setattr(partition_module, "_MAX_BYTES", budget)
         runs = []
         for threads in ("1", "2"):
             code = main([*argv, "--threads", threads])
