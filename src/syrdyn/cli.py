@@ -6,9 +6,10 @@ that live in the map's domain are serialized as decimal strings since scans
 routinely leave the 64-bit range; counts and indices stay plain ints.
 scan classifies its whole window with one partition call in this process,
 under one memo budget.  cycles calls find_cycles, which walks each start
-only until it falls below or returns to itself, and hands the window to one
-partition call at the first start that does neither.  Their --threads flag
-is accepted and ignored.
+only until it falls below or returns to itself; at the first start that
+does neither, it hands that start and the descent's later starts to the
+range engine's loop, partition._classify, and calls no partition.  Their
+--threads flag is accepted and ignored.
 Each subcommand hands _emit a renderer, which writes to stdout or to the
 --out file, opened only after every check.  Every JSON payload is written
 by numeric.write_json as json.dumps(payload, indent=2) plus a newline.

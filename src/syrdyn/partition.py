@@ -21,18 +21,18 @@ partition the whole window: a start found in the memo is classified where
 it is found, and any other is walked right there, stepping the map inline
 with the formula of MapDescriptor.apply.
 A walk finds a cycle by Brent's test against one moving mark, not by indexing
-every point it passes.  Far above the window, past last * d^K, a walk jumps K
-steps at a time through MapDescriptor.class_entry, the affine form of T^K on
-each residue class mod d^K (Terras 1976; Lagarias 1985, section 2), since no
-point a jump passes there is in the window or often met again.  A start
-whose verdict may rest on a point a jump passed over is walked a second
-time, from the start in single steps; that is rare (4 of the 2,000 starts
-of pxr:p=5,r=1 at max_steps 200 and max_value 1e12, none of Collatz
-1..10^6 at the default limits).  A step-limited start whose walk stops
-short of its last budgeted point reads the rest of its excursion from
-_peak, which hops K steps at a time through the same table.  The steps
-taken, a jump or hop counting as its K, are reported as
-PartitionResult.applications, and the jumps as PartitionResult.jumps.
+every point it passes.  One function, _run, steps an orbit through
+MapDescriptor.class_entry, the affine form of T^K on each residue class mod
+d^K (Terras 1976; Lagarias 1985, section 2), K steps a jump.  Far above the
+window, past last * d^K, a walk runs through it, since no point a run
+passes there is in the window or often met again.  A start whose verdict
+may rest on a point a run passed over is walked a second time, from the
+start in single steps; that is rare (4 of the 2,000 starts of pxr:p=5,r=1
+at max_steps 200 and max_value 1e12, none of Collatz 1..10^6 at the
+default limits).  A step-limited start whose walk stops short of its last
+budgeted point reads the rest of its excursion from _run as well.  The
+steps taken, a jump counting as its K, are reported as
+PartitionResult.applications, and the walks' jumps as PartitionResult.jumps.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ _MAX_POINTS = 3_500_000
 # 90 B while a growing table is copied) plus one int of max_value's size,
 # since no stored value exceeds max_value.
 # The memo is the cost that varies.  Above the window it keeps checkpoint
-# depths only, and none of the points a class-table jump passes, so under the
+# depths only, and none of the points a class-table run passes, so under the
 # default limits Collatz keeps 1.0 entries a start and pxr:p=5,r=1 about 1.01
 # (windows 1..10^6).  A window of _MAX_POINTS leaves room for about 4.36 M
 # entries, so at those rates both fit up to the point cap.  With max_steps 200
@@ -202,38 +202,59 @@ def _checkpoint_gap(max_steps: int) -> int:
     return k if k >= 4 else _NO_CHECKPOINTS
 
 
-def _peak(desc, v, count):
-    """The maximum of the first count orbit points from v, and the count - 1 steps to them.
+def _run(desc, v, left, floor, ceiling):
+    """Up to left steps of v's orbit through the class table: (v, steps, hops, high).
 
-    While K = desc.class_steps >= 2 steps remain, a class whose line holds,
-    q >= Q on v = a + d^K*q, hops K steps through desc.class_entry, the K
-    points' maximum being S*q + C; everywhere else it takes single steps.
-    Only step-limited starts ask, so every point read lies at or below
-    max_value.
+    While K = desc.class_steps >= 2 steps are left and v > floor, it jumps
+    K steps through desc.class_entry where the class's line holds, q >= Q
+    on v = a + d^K*q, the K points' maximum being S*q + C, and takes one
+    step elsewhere; its last steps, fewer than K, are single steps.  Given
+    v <= ceiling, it stops before any point or jump top above ceiling.
+    Returns the point reached, the steps taken to it, hops, the jumps among
+    them, and high, the largest of the steps + 1 points from v.
     """
-    branches, d, K = desc.branches, desc.d, desc.class_steps
-    best, left = v, count - 1
-    if K >= 2 and left >= K:
-        size, table, fill = d ** K, desc.class_levels[K], desc.class_entry
-        while left >= K:
+    K = desc.class_steps
+    high, rest, hops, ones = v, left, 0, 0  # ones counts the jump loop's single steps
+    if K >= 2:
+        # a walk calls this at each step above its floor, and near max_value most
+        # calls take no step (352 of the 663 of partition pxr:p=5,r=1 1..2000 at
+        # max_steps 200 and max_value 1e12), so the set-up reads as little as it
+        # can, and the rare single step here reads the branches off desc
+        table = desc.class_levels[K]
+        size = len(table)  # d^K
+        while rest >= K and v > floor:
             q, a = divmod(v, size)
-            q0, slope, offset, am, ab = table[a] or fill(a, K)
+            q0, slope, offset, am, ab = table[a] or desc.class_entry(a, K)
             if q >= q0:
                 top = slope * q + offset
+                if top > high:
+                    if top > ceiling:
+                        return v, left - rest, (left - rest - ones) // K, high
+                    high = top
                 v = am * q + ab
-                left -= K
+                rest -= K
             else:
-                m, r = branches[a % d]
-                top = v = (m * v + r) // d
-                left -= 1
-            if top > best:
-                best = top
-    for _ in range(left):
+                m, r = desc.branches[a % desc.d]
+                top = (m * v + r) // desc.d
+                if top > high:
+                    if top > ceiling:
+                        return v, left - rest, (left - rest - ones) // K, high
+                    high = top
+                v = top
+                rest -= 1
+                ones += 1
+        hops = (left - rest - ones) // K
+    branches, d = desc.branches, desc.d
+    while rest and v > floor:
         m, r = branches[v % d]
-        v = (m * v + r) // d
-        if v > best:
-            best = v
-    return best, count - 1
+        top = (m * v + r) // d
+        if top > high:
+            if top > ceiling:
+                break
+            high = top
+        v = top
+        rest -= 1
+    return v, left - rest, hops, high
 
 
 def _classify(desc, starts, first, last, limits, memo, codes, steps, excs, cids):
@@ -282,32 +303,32 @@ def _classify(desc, starts, first, last, limits, memo, codes, steps, excs, cids)
     entry lies on a cycle through the path, the sum would count cycle points
     twice, and the walk goes on past the entry instead.  The excursion of a
     step-limited start is the maximum of its first max_steps + 1 orbit
-    points, read off the path and, beyond it, from _peak.
+    points, read off the path and, beyond it, from _run.
 
-    Far above the window a walk jumps (Terras 1976; Lagarias 1985, section
-    2).  Above the floor J = last * d^K, K = desc.class_steps (8 for d = 2,
-    5 for d = 3; no jumps below K = 2), it takes K steps at once through
-    desc.class_entry: on x = a + d^K*q, T^K(x) = A*q + B, and for q >= Q the
-    largest of the K points is S*q + C.  maps.validate gives r >= -(m - 1)*d
-    on every branch, so T(x) >= x/d for x >= d, and every point a jump from
-    above J passes lies above last.  The walk reaches the jump code only
-    from its compare against min(J, max_value), and keeps jumping while x >
-    J, q >= Q, the jump's top stays at most max_value and the jump ends
-    within the budget; it starts a run of jumps only with room in the
-    budget for _JUMP_ROOM of them.  The points a jump passes are neither
-    looked up nor stored.  A jump may pass over what a verdict rests on:
-    when the walk found a cycle or met a cycle member, whose entry may lie
-    among the jumped points, and when it vouches for distinct points ahead
-    (at the cap, or from an open entry) whose last may repeat a jumped
-    point, one above last and at most the runs' highest.  Then x is walked
-    again under the ceiling max_value, so that the second walk takes no
-    jump, and that walk is the one settled; applications counts the steps
-    of both walks, and jumps the first walk's jumps.  Depths count steps, a
-    jump counting as K, and every walk is settled by the same code, which
-    reads the back-fill, the budget's edge and the excursion off step
-    positions: the back-fill stops before a run that would pass the budget,
-    checkpoints past the budget are taken at their true depths, and a walk
-    without runs is the case of none.
+    Far above the window a walk runs through the class table (Terras 1976;
+    Lagarias 1985, section 2).  Above the floor J = last * d^K, K =
+    desc.class_steps (8 for d = 2, 5 for d = 3; no runs below K = 2), _run
+    jumps K steps at once through desc.class_entry where the class's line
+    holds: on x = a + d^K*q, T^K(x) = A*q + B, and for q >= Q the largest of
+    the K points is S*q + C.  maps.validate gives r >= -(m - 1)*d on every
+    branch, so T(x) >= x/d for x >= d, and every point a run passes from an
+    x > J lies above last.  The walk calls _run only from its compare
+    against min(J, max_value), with room in the budget for _JUMP_ROOM jumps,
+    and the run goes on up to the budget and stops before any point or jump
+    top above max_value.  The points a run passes are neither looked up nor
+    stored.  A run may pass over what a verdict rests on: when the walk
+    found a cycle or met a cycle member, whose entry may lie among the
+    passed points, and when it vouches for distinct points ahead (at the
+    cap, or from an open entry) whose last may repeat a passed point, one
+    above last and at most the runs' highest.  Then x is walked again under
+    the ceiling max_value, so that the second walk has no run, and that walk
+    is the one settled; applications counts the steps of both walks, and
+    jumps the first walk's jumps.  Depths count steps, a jump counting as K,
+    and every walk is settled by the same code, which reads the back-fill,
+    the budget's edge and the excursion off step positions: the back-fill
+    stops before a run that would pass the budget, checkpoints past the
+    budget are taken at their true depths, and a walk without runs is the
+    case of none.
 
     The kernel also holds the memo to partition's byte budget, as partition
     describes, beside arrays of one slot per start given.
@@ -318,8 +339,8 @@ def _classify(desc, starts, first, last, limits, memo, codes, steps, excs, cids)
     positive int, so every orbit point is in the domain.
 
     Returns (cycles, applications, jumps): the cycles found, indexed by the
-    cycle ids in cids, the map steps the walks and _peak took, a jump or a
-    hop counting as K, and the walks' jumps.
+    cycle ids in cids, the map steps the walks and the excursion reads
+    took, a jump counting as K, and the walks' jumps.
     """
     branches, d = desc.branches, desc.d
     max_steps, max_value = limits.max_steps, limits.max_value
@@ -334,16 +355,12 @@ def _classify(desc, starts, first, last, limits, memo, codes, steps, excs, cids)
     lengths: list[int] = []  # lengths[cid] is cycles[cid].length
     cycle_ids: dict[tuple[int, ...], int] = {}
     applications = jumps = 0
-    # a walk jumps K steps at a time through the forward class table, mod
-    # size = d^K, from points above the floor: it starts a run of jumps up to
-    # the step first_jump, and jumps on up to the step last_jump
+    # a walk starts a run through the class table, K steps a jump, from a
+    # point above the floor reached by the step first_jump
     K = desc.class_steps
-    size = d ** K
-    floor = last * size if K >= 2 else max_value
+    floor = last * d ** K if K >= 2 else max_value
     jump_ceiling = min(floor, max_value)
-    last_jump = max_steps - K
     first_jump = max_steps - _JUMP_ROOM * K
-    table = None  # desc.class_levels[K], whose entries class_entry fills on use
     span = range(1, cap)  # the steps a walk may take
     for w, x in enumerate(starts):
         hit = memo_get(x)
@@ -351,24 +368,24 @@ def _classify(desc, starts, first, last, limits, memo, codes, steps, excs, cids)
             depth, cid, exc = hit
             if not exc:  # past the budget
                 code, st, cid = _STEP_LIMIT, None, None
-                exc, n = _peak(desc, x, count)
+                _v, n, _hops, exc = _run(desc, x, max_steps, 0, max_value)
                 applications += n
             elif cid is None:
                 code, st = _VALUE_LIMIT, None
             else:
                 code, st = (_C if depth == 0 else _D1), depth
         else:
-            # a walk whose verdict may rest on a point a jump passed over is
+            # a walk whose verdict may rest on a point a run passed over is
             # walked again from x in single steps, under ceiling max_value
             ceiling = jump_ceiling
             while True:
                 path = [x]
                 nxt = mark = x
                 due = 1  # the mark moves to nxt once n reaches due, a power of two
-                hops = ()  # the jump runs: (i, ran, high) for a run of ran steps to path[i]
+                runs = ()  # (i, ran, high) for a run of ran steps, from _run, to path[i]
                 skipped = highest = 0  # the steps they took, and the highest point they passed
                 clock = iter(span)
-                for n in clock:  # the steps taken so far, len(path) until a jump
+                for n in clock:  # the steps taken so far, len(path) until a run
                     m, r = branches[nxt % d]
                     nxt = (m * nxt + r) // d
                     hit = memo_get(nxt)
@@ -386,50 +403,34 @@ def _classify(desc, starts, first, last, limits, memo, codes, steps, excs, cids)
                         if n > first_jump:  # so is every later step of this walk
                             ceiling = max_value
                         else:
-                            # nxt lies above the floor: jump K steps a table entry
-                            # while the points jumped stay at most max_value
-                            s, v, high = n, nxt, nxt
-                            if table is None:
-                                table, fill = desc.class_levels[K], desc.class_entry
-                            while s <= last_jump and v > floor:
-                                q, a = divmod(v, size)
-                                q0, slope, offset, am, ab = table[a] or fill(a, K)
-                                if q < q0:
-                                    break
-                                t = slope * q + offset
-                                if t > max_value:
-                                    break
-                                if t > high:
-                                    high = t
-                                v = am * q + ab
-                                s += K
-                            if s > n:
-                                if not hops:
-                                    hops = []
-                                hops.append((len(path), s - n, high))
+                            # nxt lies above the floor: run on through the class table
+                            v, ran, hops, high = _run(desc, nxt, max_steps - n, floor, max_value)
+                            if ran:
+                                if not runs:
+                                    runs = []
+                                runs.append((len(path), ran, high))
                                 if high > highest:
                                     highest = high
-                                jumps += (s - n) // K
-                                skipped += s - n
+                                jumps += hops
+                                skipped += ran
                                 nxt = v
-                                # the clock counts on from s
-                                next(islice(clock, s - n - 1, None), None)
-                                n = s
+                                next(islice(clock, ran - 1, None), None)  # count on from n + ran
+                                n += ran
                     path.append(nxt)
                     if nxt == mark:
                         end = -1  # path holds a cycle
                         break
-                    if n >= due:  # a jump may pass due
+                    if n >= due:  # a run may pass due
                         mark = nxt
                         due <<= 1
                 else:
                     end = -1 if len(set(path)) < len(path) else None
                 applications += n
-                if not hops:
+                if not runs:
                     break
                 if end is not None and end > 0:
                     end -= skipped  # nxt would be path[end]
-                # the jumped points, all above last and at most highest, may
+                # the points runs passed, all above last and at most highest, may
                 # hold a cycle's entry, or repeat the point that ends the
                 # distinct points the walk vouches for: path[-1] at the cap,
                 # or an open entry's last point
@@ -474,8 +475,8 @@ def _classify(desc, starts, first, last, limits, memo, codes, steps, excs, cids)
             # Verdicts within budget, depth <= keep, are a suffix; path[j:]
             # holds them when the loop ends
             keep = max_steps - (0 if cid is None or depth >= _OPEN else lengths[cid])
-            j, held = end, skipped  # hops, of held steps, are the runs up to path[j]
-            run = hops[-1][0] if hops else 0  # the last of them ends at path[run]
+            j, held = end, skipped  # runs, of held steps, are the runs up to path[j]
+            run = runs[-1][0] if runs else 0  # the last of them ends at path[run]
             while True:
                 while j > run and depth < keep:
                     j -= 1
@@ -485,15 +486,15 @@ def _classify(desc, starts, first, last, limits, memo, codes, steps, excs, cids)
                         exc = v
                     if v <= last or not depth % k:  # above the window, checkpoints only
                         memo[v] = (depth, cid, exc)
-                if not hops or j != run or depth + hops[-1][1] >= keep:
+                if not runs or j != run or depth + runs[-1][1] >= keep:
                     break
                 # back over the run: its steps, and its highest point for the excursion
-                _i, ran, high = hops.pop()
+                _i, ran, high = runs.pop()
                 depth += ran
                 held -= ran
                 if high > exc:
                     exc = high
-                run = hops[-1][0] if hops else 0
+                run = runs[-1][0] if runs else 0
             if not j and exc:  # x's verdict is within budget
                 if cid is None:
                     code, st = _VALUE_LIMIT, None
@@ -509,7 +510,7 @@ def _classify(desc, starts, first, last, limits, memo, codes, steps, excs, cids)
                 # max_steps points ahead or more
                 stop = at + 1 if depth < _OPEN else at - _OPEN - max_steps + 1
                 lo = 0
-                for hi, ran, _high in hops:
+                for hi, ran, _high in runs:
                     for i in range(lo + (at - lo) % k, min(hi, stop), k):
                         memo[path[i]] = (at - i, cid, 0)
                     lo, at, stop = hi, at - ran, stop - ran
@@ -517,13 +518,13 @@ def _classify(desc, starts, first, last, limits, memo, codes, steps, excs, cids)
                     memo[path[i]] = (at - i, cid, 0)
                 code, st, cid = _STEP_LIMIT, None, None
                 # x's excursion: the largest of its first max_steps + 1
-                # points, those of path[:ahead] and of the runs, and _peak's
+                # points, those of path[:ahead] and of the runs, and _run's
                 # beyond the path
                 ahead = count - skipped
                 if len(path) >= ahead:
                     exc = max(path[:ahead])
                 else:
-                    exc, n = _peak(desc, nxt, ahead - len(path))
+                    _v, n, _hops, exc = _run(desc, nxt, ahead - len(path) - 1, 0, max_value)
                     exc = max(exc, max(path))
                     applications += n
                 if highest > exc:
@@ -590,7 +591,7 @@ def partition(
     All starts share one orbit memo, value -> (depth, cycle_id, excursion),
     of exact cycle and ceiling verdicts (see _classify), each start is classified
     by comparing its depth with the budget, and a start is walked a second
-    time only when a class-table jump may have passed over its verdict, so a
+    time only when a class-table run may have passed over its verdict, so a
     window costs about as much as the orbits it touches; only the window is
     stored per point.  The cycles listed are those some start enters within
     its budget.  check_window refuses a bad window before storing anything.
@@ -598,7 +599,7 @@ def partition(
     everything past the budget is dropped and no more is kept; if the
     verdicts within the budget alone outgrow it, InvalidParameters is raised.
     The result's applications is the number of map steps the call took, a
-    class-table jump or hop counting as its K steps, and jumps the number of
+    class-table jump counting as its K steps, and jumps the number of
     the walks' jumps.
     """
     limits = limits or Limits()

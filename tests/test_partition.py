@@ -420,28 +420,79 @@ def test_no_jumps_below_two_table_steps():
         for x in range(1, 41) for rep in [iterate(desc, x, limits)]]
 
 
-@settings(max_examples=200, deadline=None)
+def orbit_points(desc, v, n):
+    """v and the n orbit points after it, from iterate, round its cycle past the first repeat."""
+    steps = iterate(desc, v, Limits(n, 1 << 4096)).steps if n else (v,)
+    e = steps.index(desc.apply(steps[-1])) if len(steps) <= n else 0
+    return [steps[i] if i < len(steps) else steps[e + (i - e) % (len(steps) - e)]
+            for i in range(n + 1)]
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.sampled_from([collatz(), D3, D17, *(pxr(p, r) for p, r in PX_MAPS)]),
-       st.integers(1, 2**100), st.integers(1, 300))
+       st.one_of(st.integers(1, 2000), st.integers(1, 2**100)), st.integers(0, 300),
+       st.one_of(st.just(0), st.integers(0, 10**6), st.integers(0, 2**110)),
+       st.integers(0, 300), st.one_of(st.just(0), st.integers(0, 2**900)))
 # 3 lies in a class mod 2^8 whose line holds only from its Q up: the line
 # gives 1 where the largest of the 8 points from 3 is 4
-@example(pxr(3, -1), 3, 9)
-def test_peak_is_the_orbits_maximum(desc, v, count):
-    # the largest of the first count orbit points from v, hops through the
-    # class table included, and one step counted for each point past v
-    points = iterate(desc, v, Limits(count - 1, 1 << 4096)).steps if count > 1 else (v,)
-    assert partition_module._peak(desc, v, count) == (max(points), count - 1)
+@example(pxr(3, -1), 3, 9, 0, 9, 0)
+def test_run_follows_the_orbit(desc, v, left, floor, at, above):
+    # the ceiling lies above at least one of the first at + 1 orbit points,
+    # right on one when above is 0, and above the whole run when at >= left
+    points = orbit_points(desc, v, left)
+    ceiling = max(points[:at + 1]) + above
+    end, steps, hops, high = partition_module._run(desc, v, left, floor, ceiling)
+    assert steps <= left and end == points[steps] and high == max(points[:steps + 1])
+    assert high <= ceiling  # no point passed lies above the ceiling
+    K = desc.class_steps
+    assert 0 <= hops * K <= steps and (K >= 2 or hops == 0)
+    if v <= floor:
+        assert steps == 0
+    if floor == 0 and at >= left:
+        assert steps == left
+    # a run stops early only at or below the floor, or before a point, or a
+    # jump's top, the largest of its K points, above the ceiling
+    assert steps == left or end <= floor or max(points[steps + 1:steps + 1 + K]) > ceiling
+
+
+def test_excursion_reads_match_iterate(monkeypatch):
+    # a step-limited start's excursion is read through _run from the point
+    # where its walk stopped short of its last budgeted point, or, for a start
+    # found in the memo past its budget, from the start itself, with its
+    # whole budget; both kinds occur here, most starts being step-limited
+    desc, limits = pxr(5, 1), Limits(max_steps=200, max_value=10**12)
+    run, reads = partition_module._run, {"walked": [], "memo": []}
+
+    def spy(desc, v, left, floor, ceiling):
+        out = run(desc, v, left, floor, ceiling)
+        if not floor:
+            reads["memo" if left == limits.max_steps else "walked"].append((v, out))
+        return out
+
+    monkeypatch.setattr(partition_module, "_run", spy)
+    res = partition(desc, 2000, limits)
+    reps = [iterate(desc, x, limits) for x in range(1, 2001)]
+    assert list(res.records()) == [
+        (rep.start, rep.status, rep.entry_index, rep.max_excursion, rep.cycle) for rep in reps]
+    for v, (_end, steps, _hops, high) in reads["memo"]:
+        rep = reps[v - 1]
+        assert (rep.status, steps, high) == (TrajectoryStatus.HIT_STEP_LIMIT, 200, rep.max_excursion)
+    # the calls, and the steps they take: 66,620 of the call's 93,932, whose
+    # walks make 1,771 jumps
+    assert {kind: (len(calls), sum(out[1] for _v, out in calls))
+            for kind, calls in reads.items()} == {"walked": (342, 64420), "memo": (11, 2200)}
+    assert (res.applications, res.jumps) == (93932, 1771)
 
 
 def test_memo_keeps_checkpoints_above_the_window():
     # pxr:p=5,r=1 climbs to the ceiling from most starts; a verdict within the
     # budget is kept above the window only at checkpoint depths (gap 14 here),
     # where the rule that kept every one held 21,049 entries, and only on the
-    # points a walk steps to, not those it jumps over above 2000*2^8, where
-    # storing every checkpoint held 3,114
+    # points a walk steps to, not those it runs past through the class table
+    # above 2000*2^8, where storing every checkpoint held 3,114
     limits = Limits(max_steps=200, max_value=10**12)
     k, memo, _cycles = classify_window(pxr(5, 1), 2000, limits)
-    assert k == 14 and len(memo) == 2160
+    assert k == 14 and len(memo) == 2155
 
 
 @TIGHT_LIMITS
@@ -488,8 +539,8 @@ def test_csv_golden():
     (collatz(), 1, 5000, Limits(max_steps=10**5, max_value=10**40), 8388),
     (pxr(5, 1), 1, 2000, Limits(max_steps=200, max_value=10**12), 93932),
     (pxr(5, 1), 1300, 1899, Limits(max_steps=200, max_value=10**12), 39295),
-    # checkpoints past the budget, open entries and most excursions from _peak
-    (pxr(5, 1), 1, 20000, Limits(max_steps=50, max_value=10**40), 1058225),
+    # checkpoints past the budget, open entries and most excursions from _run
+    (pxr(5, 1), 1, 20000, Limits(max_steps=50, max_value=10**40), 1058570),
     (D3, 1, 120, Limits(max_steps=21, max_value=10**12), 120),
 ])
 def test_applications_count_every_map_step(desc, start, bound, limits, count):
@@ -499,16 +550,16 @@ def test_applications_count_every_map_step(desc, start, bound, limits, count):
     # mark comes round (2 for Collatz's (1 2); for pxr:p=5,r=1, 23 from 1 over
     # its three cycles; none for D3's two fixed points), and the steps a walk
     # that merges into a stored orbit above the window takes on to the next
-    # value kept there.  _peak counts the steps to its points, a hop as its K,
+    # value kept there.  _run counts the steps to its points, a jump as its K,
     # so a step-limited start whose excursion it reads adds the steps from
     # the point it starts at to the start's last point.  Those are most of
     # the pxr rows' steps (66,620, 17,392 and 798,015 of them).  The pxr rows
-    # also count more steps than walks of single steps do: a jump passes over
-    # stored values a walk would have merged into, and a start whose verdict
-    # may rest on a point a jump passed over is walked a second time, in
-    # single steps, both walks counted (4, 1 and 144 starts here, whose second
-    # walks take 736, 135 and 13,996 steps).  No Collatz or D3 walk here
-    # passes over one.
+    # also count more steps than walks of single steps do: a run through the
+    # class table passes over stored values a walk would have merged into,
+    # and a start whose verdict may rest on a point a run passed over is
+    # walked a second time, in single steps, both walks counted (4, 1 and 147
+    # starts here, whose second walks take 736, 135 and 14,299 steps).  No
+    # Collatz or D3 walk here passes over one.
     assert partition(desc, bound, limits, start).applications == count
 
 

@@ -130,7 +130,10 @@ def test_cycle_found_past_every_budget_is_not_listed(capsys):
         assert json.loads(out)["cycles"] == want
 
 
-GRID_MAPS = ["collatz", "pxr:p=5,r=1", "d=3;m0=1,r0=0;m1=2,r1=1;m2=2,r2=2"]
+# the d = 17 map has K = 1: no class-table jumps, and its excursions are
+# read in single steps; 1..17 is a 17-cycle, x -> x + 1 below 17
+GRID_MAPS = ["collatz", "pxr:p=5,r=1", "d=3;m0=1,r0=0;m1=2,r1=1;m2=2,r2=2",
+             "d=17;m0=1,r0=0;" + ";".join(f"m{i}=18,r{i}={17 - i}" for i in range(1, 17))]
 PX_MAPS = [(p, r) for p in (3, 5, 7, 9, 11) for r in range(2 - p, p, 2) if math.gcd(p, r) == 1]
 
 
@@ -278,6 +281,8 @@ def windows(draw):
 @example("collatz", 60, (400, 1, 120))
 # a cycle whose first repeat lies before the walk's cap and Brent's next match past it
 @example("pxr:p=7,r=5", 15, (10**12, 27, 40))
+# the d = 17 map: its 17-cycle, and starts whose excursions are single steps
+@example(GRID_MAPS[3], 40, (10**12, 1, 120))
 def test_records_cycles_and_scan_match_iterate(text, max_steps, window):
     max_value, lo, hi = window
     desc, limits = parse_descriptor(text), Limits(max_steps, max_value)
