@@ -30,9 +30,12 @@ may rest on a point a run passed over is walked a second time, from the
 start in single steps; that is rare (4 of the 2,000 starts of pxr:p=5,r=1
 at max_steps 200 and max_value 1e12, none of Collatz 1..10^6 at the
 default limits).  A step-limited start whose walk stops short of its last
-budgeted point reads the rest of its excursion from _run as well.  The
-steps taken, a jump counting as its K, are reported as
-PartitionResult.applications, and the walks' jumps as PartitionResult.jumps.
+budgeted point asks for the rest of its excursion, and so does one found in
+the memo past its budget: the asks are grouped by the point their read
+starts at, and each such point is read once through _run, when the window is
+done or the memo needs the room.  The steps taken, a jump counting as its K,
+are reported as PartitionResult.applications, and the walks' jumps as
+PartitionResult.jumps.
 """
 
 from __future__ import annotations
@@ -76,15 +79,19 @@ _MAX_POINTS = 3_500_000
 # points, or the starts find_cycles hands on) and
 # _ENTRY_BYTES a memo entry (a 3-tuple, a depth and a dict slot at its worst,
 # 90 B while a growing table is copied) plus one int of max_value's size,
-# since no stored value exceeds max_value.
+# since no stored value exceeds max_value.  A pending excursion ask, (read
+# point, steps, slot) in a list, is priced as one memo entry too, above its
+# cost of about 130 B; the asks are read, and their room given back, before
+# the memo outgrows what they leave it.
 # The memo is the cost that varies.  Above the window it keeps checkpoint
 # depths only, and none of the points a class-table run passes, so under the
 # default limits Collatz keeps 1.0 entries a start and pxr:p=5,r=1 about 1.01
 # (windows 1..10^6).  A window of _MAX_POINTS leaves room for about 4.36 M
 # entries, so at those rates both fit up to the point cap.  With max_steps 200
 # and max_value 1e12, pxr:p=5,r=1 keeps about 1.08 entries a start (1..2000),
-# 0.06 of them past the budget; with max_steps 50 and max_value 1e40, about
-# 0.80 (1..20000), 0.76 of them past the budget.
+# 0.06 of them past the budget, and asks for 0.18 excursion reads a start;
+# with max_steps 50 and max_value 1e40, about 0.80 (1..20000), 0.76 of them
+# past the budget, and asks for 0.88 reads a start, from 0.23 read points.
 _MAX_BYTES = 1 << 30
 _POINT_BYTES = 25
 _ENTRY_BYTES = 182
@@ -257,6 +264,34 @@ def _run(desc, v, left, floor, ceiling):
     return v, left - rest, hops, high
 
 
+def _read(desc, asks, excs, max_value):
+    """Make the excursion reads asked for and empty asks; return the map steps taken.
+
+    asks holds (v, n, w): slot w of excs takes the largest of the n + 1
+    orbit points from v.  Each read point v is read once, one _run after
+    another through its asks in ascending n, each carrying on where the
+    last stopped, so a slot gets the largest point of its own prefix.  The
+    asks come from step-limited starts, whose first max_steps + 1 points
+    are all at most max_value, so no _run stops short of its steps.
+    """
+    applications = 0
+    point = None
+    asks.sort()
+    for start, n, w in asks:
+        if start != point:
+            point = v = start
+            done = high = 0
+        v, ran, _hops, top = _run(desc, v, n - done, 0, max_value)
+        done = n
+        applications += ran
+        if top > high:
+            high = top
+        if high > excs[w]:
+            excs[w] = high
+    asks.clear()
+    return applications
+
+
 def _classify(desc, starts, first, last, limits, memo, codes, steps, excs, cids):
     """Classify the starts given into codes, steps, excs and cids, one loop for them all.
 
@@ -305,6 +340,26 @@ def _classify(desc, starts, first, last, limits, memo, codes, steps, excs, cids)
     step-limited start is the maximum of its first max_steps + 1 orbit
     points, read off the path and, beyond it, from _run.
 
+    That read is not made on the spot.  A walk that stops short of x's last
+    budgeted point, and a start found in the memo past its budget, record
+    an ask instead, (v, n, w): the read point v (the point after the path,
+    or x itself), the n steps to read from it, and x's slot w, which keeps
+    the maximum of the points already seen.  Later starts that merge into
+    an orbit an earlier start reached ask for a shorter stretch of it from
+    the same point: on pxr:p=5,r=1 1..2000 at max_steps 200 and max_value
+    1e12, 353 asks start at 80 points.  _read reads each point once, one
+    _run after another through its asks in ascending n, so a point's reads
+    take the steps to its longest ask (14,684 steps, against 66,620 read
+    one ask at a time).  The reads are made when the starts are done, and
+    whenever the memo needs the room: each pending ask counts as a memo
+    entry against the budget, the bound the memo's size is compared with
+    drops by one an ask, and a memo past that bound first has the asks
+    read.  A flush comes after x's slots are written, so the read lands in
+    its slot.  The reads are exact: a step-limited start's first max_steps
+    + 1 points are all at most max_value, so no _run stops short, and its
+    excursion goes only to its own slot, never into the memo, so nothing
+    reads it before the flush.
+
     Far above the window a walk runs through the class table (Terras 1976;
     Lagarias 1985, section 2).  Above the floor J = last * d^K, K =
     desc.class_steps (8 for d = 2, 5 for d = 3; no runs below K = 2), _run
@@ -339,8 +394,8 @@ def _classify(desc, starts, first, last, limits, memo, codes, steps, excs, cids)
     positive int, so every orbit point is in the domain.
 
     Returns (cycles, applications, jumps): the cycles found, indexed by the
-    cycle ids in cids, the map steps the walks and the excursion reads
-    took, a jump counting as K, and the walks' jumps.
+    cycle ids in cids, the map steps the walks and the grouped excursion
+    reads took, a jump counting as K, and the walks' jumps.
     """
     branches, d = desc.branches, desc.d
     max_steps, max_value = limits.max_steps, limits.max_value
@@ -362,14 +417,19 @@ def _classify(desc, starts, first, last, limits, memo, codes, steps, excs, cids)
     jump_ceiling = min(floor, max_value)
     first_jump = max_steps - _JUMP_ROOM * K
     span = range(1, cap)  # the steps a walk may take
+    # the excursion reads of step-limited starts, (v, n, w) for the n + 1
+    # points from v, made by _read at a flush; each ask takes one memo
+    # entry's room, so the memo's own bound drops by one an ask
+    asks = []
+    bound = max_entries
     for w, x in enumerate(starts):
         hit = memo_get(x)
         if hit is not None:
             depth, cid, exc = hit
-            if not exc:  # past the budget
+            if not exc:  # past the budget: x's excursion is read at the next flush
                 code, st, cid = _STEP_LIMIT, None, None
-                _v, n, _hops, exc = _run(desc, x, max_steps, 0, max_value)
-                applications += n
+                asks.append((x, max_steps, w))
+                bound -= 1
             elif cid is None:
                 code, st = _VALUE_LIMIT, None
             else:
@@ -518,19 +578,26 @@ def _classify(desc, starts, first, last, limits, memo, codes, steps, excs, cids)
                     memo[path[i]] = (at - i, cid, 0)
                 code, st, cid = _STEP_LIMIT, None, None
                 # x's excursion: the largest of its first max_steps + 1
-                # points, those of path[:ahead] and of the runs, and _run's
-                # beyond the path
+                # points, those of path[:ahead] and of the runs, and those
+                # beyond the path, from nxt on, read at the next flush
                 ahead = count - skipped
                 if len(path) >= ahead:
                     exc = max(path[:ahead])
                 else:
-                    _v, n, _hops, exc = _run(desc, nxt, ahead - len(path) - 1, 0, max_value)
-                    exc = max(exc, max(path))
-                    applications += n
+                    exc = max(path)
+                    asks.append((nxt, ahead - len(path) - 1, w))
+                    bound -= 1
                 if highest > exc:
                     exc = highest
-        if len(memo) > max_entries:
-            if k != _NO_CHECKPOINTS:
+        codes[w] = code
+        steps[w] = st
+        excs[w] = exc
+        cids[w] = cid
+        if len(memo) > bound:
+            if asks:  # the reads asked for make room, x's among them
+                applications += _read(desc, asks, excs, max_value)
+                bound = max_entries
+            if len(memo) > max_entries and k != _NO_CHECKPOINTS:
                 # what lies past the budget only saves work: drop it, and keep
                 # nothing past the budget for the rest of the window
                 for v in [v for v, entry in memo.items() if not entry[2]]:
@@ -544,10 +611,7 @@ def _classify(desc, starts, first, last, limits, memo, codes, steps, excs, cids)
                     f"entries after {w + 1} starts; use a smaller bound, or lower "
                     f"max_value or max_steps"
                 )
-        codes[w] = code
-        steps[w] = st
-        excs[w] = exc
-        cids[w] = cid
+    applications += _read(desc, asks, excs, max_value)
     return cycles, applications, jumps
 
 
@@ -595,9 +659,11 @@ def partition(
     window costs about as much as the orbits it touches; only the window is
     stored per point.  The cycles listed are those some start enters within
     its budget.  check_window refuses a bad window before storing anything.
-    If the memo outgrows what _MAX_BYTES leaves beside the window,
-    everything past the budget is dropped and no more is kept; if the
-    verdicts within the budget alone outgrow it, InvalidParameters is raised.
+    Pending excursion reads share the room: when the memo and they outgrow
+    what _MAX_BYTES leaves beside the window, the reads are made first.  If
+    the memo alone outgrows it, everything past the budget is dropped and no
+    more is kept; if the verdicts within the budget alone outgrow it,
+    InvalidParameters is raised.
     The result's applications is the number of map steps the call took, a
     class-table jump counting as its K steps, and jumps the number of
     the walks' jumps.

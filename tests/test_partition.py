@@ -456,32 +456,55 @@ def test_run_follows_the_orbit(desc, v, left, floor, at, above):
 
 
 def test_excursion_reads_match_iterate(monkeypatch):
-    # a step-limited start's excursion is read through _run from the point
+    # a step-limited start asks for the rest of its excursion: from the point
     # where its walk stopped short of its last budgeted point, or, for a start
     # found in the memo past its budget, from the start itself, with its
-    # whole budget; both kinds occur here, most starts being step-limited
+    # whole budget; both kinds occur here, most starts being step-limited.
+    # The asks are read once the window is done, each read point by one
+    # chain of _run calls through its asks in ascending length, each call
+    # carrying on where the last one stopped
     desc, limits = pxr(5, 1), Limits(max_steps=200, max_value=10**12)
-    run, reads = partition_module._run, {"walked": [], "memo": []}
+    read, run, flushes, calls = partition_module._read, partition_module._run, [], []
 
-    def spy(desc, v, left, floor, ceiling):
+    def read_spy(desc, asks, excs, max_value):
+        flushes.append(sorted(asks))
+        return read(desc, asks, excs, max_value)
+
+    def run_spy(desc, v, left, floor, ceiling):
         out = run(desc, v, left, floor, ceiling)
         if not floor:
-            reads["memo" if left == limits.max_steps else "walked"].append((v, out))
+            calls.append((v, left, out))
         return out
 
-    monkeypatch.setattr(partition_module, "_run", spy)
+    monkeypatch.setattr(partition_module, "_read", read_spy)
+    monkeypatch.setattr(partition_module, "_run", run_spy)
     res = partition(desc, 2000, limits)
     reps = [iterate(desc, x, limits) for x in range(1, 2001)]
     assert list(res.records()) == [
         (rep.start, rep.status, rep.entry_index, rep.max_excursion, rep.cycle) for rep in reps]
-    for v, (_end, steps, _hops, high) in reads["memo"]:
-        rep = reps[v - 1]
-        assert (rep.status, steps, high) == (TrajectoryStatus.HIT_STEP_LIMIT, 200, rep.max_excursion)
-    # the calls, and the steps they take: 66,620 of the call's 93,932, whose
-    # walks make 1,771 jumps
-    assert {kind: (len(calls), sum(out[1] for _v, out in calls))
-            for kind, calls in reads.items()} == {"walked": (342, 64420), "memo": (11, 2200)}
-    assert (res.applications, res.jumps) == (93932, 1771)
+    [asks] = flushes  # one flush, at the end of the window
+    assert len(calls) == len(asks)  # every read is made there
+    # read point -> [(its steps so far, the largest point so far)], one a call
+    chains, end = {}, None
+    for (v, n, _w), (at, left, (stop, ran, _hops, high)) in zip(asks, calls):
+        chain = chains.setdefault(v, [])
+        done, top = chain[-1] if chain else (0, 0)
+        assert at == (end if chain else v) and ran == left == n - done
+        chain.append((n, max(top, high)))
+        end = stop
+    for v, chain in chains.items():
+        points = orbit_points(desc, v, chain[-1][0])
+        assert all(top == max(points[:n + 1]) for n, top in chain)
+    for v, n, w in asks:
+        if n == limits.max_steps and v == w + 1:  # found in the memo past its budget
+            assert reps[w].status is TrajectoryStatus.HIT_STEP_LIMIT
+    # 353 asks, 11 of them from the memo, from 80 read points, and the steps
+    # the reads take: 14,684 of the call's 41,996, whose walks make 1,771
+    # jumps
+    assert (len(asks), sum(n == 200 and v == w + 1 for v, n, w in asks), len(chains)) == (
+        353, 11, 80)
+    assert sum(ran for _v, _left, (_stop, ran, _hops, _high) in calls) == 14684
+    assert (res.applications, res.jumps) == (41996, 1771)
 
 
 def test_memo_keeps_checkpoints_above_the_window():
@@ -537,10 +560,10 @@ def test_csv_golden():
 
 @pytest.mark.parametrize("desc,start,bound,limits,count", [
     (collatz(), 1, 5000, Limits(max_steps=10**5, max_value=10**40), 8388),
-    (pxr(5, 1), 1, 2000, Limits(max_steps=200, max_value=10**12), 93932),
-    (pxr(5, 1), 1300, 1899, Limits(max_steps=200, max_value=10**12), 39295),
+    (pxr(5, 1), 1, 2000, Limits(max_steps=200, max_value=10**12), 41996),
+    (pxr(5, 1), 1300, 1899, Limits(max_steps=200, max_value=10**12), 31989),
     # checkpoints past the budget, open entries and most excursions from _run
-    (pxr(5, 1), 1, 20000, Limits(max_steps=50, max_value=10**40), 1058570),
+    (pxr(5, 1), 1, 20000, Limits(max_steps=50, max_value=10**40), 478119),
     (D3, 1, 120, Limits(max_steps=21, max_value=10**12), 120),
 ])
 def test_applications_count_every_map_step(desc, start, bound, limits, count):
@@ -551,12 +574,12 @@ def test_applications_count_every_map_step(desc, start, bound, limits, count):
     # its three cycles; none for D3's two fixed points), and the steps a walk
     # that merges into a stored orbit above the window takes on to the next
     # value kept there.  _run counts the steps to its points, a jump as its K,
-    # so a step-limited start whose excursion it reads adds the steps from
-    # the point it starts at to the start's last point.  Those are most of
-    # the pxr rows' steps (66,620, 17,392 and 798,015 of them).  The pxr rows
-    # also count more steps than walks of single steps do: a run through the
-    # class table passes over stored values a walk would have merged into,
-    # and a start whose verdict may rest on a point a run passed over is
+    # and the excursion reads of step-limited starts are made one read
+    # point at a time, so each read point adds the steps from it to the last
+    # point of its longest ask (14,684, 10,086 and 217,564 of the pxr rows'
+    # steps).  The pxr rows also count more steps than walks of single steps
+    # do: a run through the class table passes over stored values a walk
+    # would have merged into, and a start whose verdict may rest on a point a run passed over is
     # walked a second time, in single steps, both walks counted (4, 1 and 147
     # starts here, whose second walks take 736, 135 and 14,299 steps).  No
     # Collatz or D3 walk here passes over one.

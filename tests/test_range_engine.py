@@ -454,6 +454,31 @@ class TestMemoBudget:
         assert math.gcd(*past) == 7
         assert all(exc for _depth, _cid, exc in memo.values())
 
+    def test_asks_are_read_when_the_memo_needs_their_room(self, monkeypatch):
+        # pxr:p=5,r=1 with max_steps 50 leaves nearly every start
+        # step-limited, and most of them ask for an excursion read beyond
+        # their walks.  Each pending ask takes a memo entry's room, so at 1 MiB
+        # the asks are read mid-window (19 times here), each after its start's
+        # verdict is written, and the output is the unlimited run's
+        limits, size, budget = Limits(max_steps=50), 5000, 1 << 20
+        want = list(partition(pxr(5, 1), size, limits).records())
+        read, flushes = partition_module._read, []
+
+        def spy(desc, asks, excs, max_value):
+            flushes.append(len(asks))
+            return read(desc, asks, excs, max_value)
+
+        monkeypatch.setattr(partition_module, "_MAX_BYTES", budget)
+        monkeypatch.setattr(partition_module, "_read", spy)
+        tracemalloc.start()
+        try:
+            res = partition(pxr(5, 1), size, limits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(res.records()) == want
+        assert len(flushes) > 2 and peak < budget
+
     @pytest.mark.parametrize("argv,budget", [
         (["scan", "collatz", "--start", "1", "--end", "20000"], 3_000_000),
         # start 5 enters a cycle above itself, so it and the 5,648 descent starts
